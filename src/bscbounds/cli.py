@@ -117,7 +117,11 @@ def _config(ns: argparse.Namespace) -> RunConfig:
                     f"{sorted(CurveKind.__members__)}")
         kw["bounds"] = kinds
     if getattr(ns, "p_grid", None):
-        kw["p_grid"] = tuple(float(s) for s in ns.p_grid.split(",") if s.strip())
+        try:
+            kw["p_grid"] = tuple(float(s) for s in ns.p_grid.split(",") if s.strip())
+        except ValueError:
+            raise DomainError(
+                f"--p-grid must be a comma list of numbers, got {ns.p_grid!r}") from None
     return RunConfig(**kw)
 
 

@@ -108,6 +108,28 @@ def _h2_arr(x: np.ndarray) -> np.ndarray:
     return np.where(inner, out, 0.0)
 
 
+def _h2_inv_arr(y: np.ndarray) -> np.ndarray:
+    """Vectorised inverse of h2 on [0, 1/2]; ``binary_entropy_inv`` is the
+    scalar reference.
+
+    Newton from below: h2 is concave on [0, 1/2], so a step from the left
+    never overshoots.  It starts at the larger of two lower bounds of the
+    preimage, 1/2 - sqrt(ln2 (1 - y) / 2) (as 1 - h2(1/2 - u) >= 2u^2/ln2)
+    and, for y <= e/4, y / (2 log2(e/y)) (as h2(x) <= x log2(e/x)); four
+    steps reach round-off on [0, 1], six are taken.  y <= 1e-300 gives 0.
+    """
+    y = np.asarray(y, dtype=float)
+    inner = (y > 1e-300) & (y < 1.0)
+    ys = np.where(inner, y, 0.5)
+    top = 0.5 - np.sqrt(0.5 * math.log(2.0) * (1.0 - ys))
+    low = np.where(ys <= 0.25 * math.e,
+                   ys / (2.0 * (_LOG2E - np.log2(ys))), 0.0)
+    x = np.maximum(top, low)
+    for _ in range(6):
+        x = x + (ys - _h2_arr(x)) / np.log2((1.0 - x) / x)
+    return np.where(inner, x, np.where(y >= 1.0, 0.5, 0.0))
+
+
 def binary_entropy_inv(y: float) -> float:
     """Inverse of h2 on [0, 1/2], by bisection to absolute tolerance 1e-12.
 
@@ -151,17 +173,21 @@ def capacity(ch: ChannelParam) -> float:
     return 1.0 - binary_entropy(ch.p)
 
 
-def omega_cap(alpha: float, tau: float) -> float:
+def omega_cap(alpha, tau):
     """Weight cap G(alpha, tau) = 2(alpha(1-alpha) - tau(1-tau)) / (1 + 2 sqrt(tau(1-tau))).
 
     Asymptotically, twice the normalised minimal root of the degree-(tau n)
     Hahn polynomial on the weight-(alpha n) slice; it caps the usable
-    normalised-distance range of the spectrum bound.
+    normalised-distance range of the spectrum bound.  Accepts scalars or
+    broadcastable numpy arrays.
     """
-    if not 0.0 <= tau <= alpha + _TOL or alpha > 0.5 + _TOL:
+    a = np.asarray(alpha, dtype=float)
+    t = np.asarray(tau, dtype=float)
+    if not np.all((0.0 <= t) & (t <= a + _TOL) & (a <= 0.5 + _TOL)):
         raise DomainError(f"need 0 <= tau <= alpha <= 1/2, got alpha={alpha!r} tau={tau!r}")
-    root = math.sqrt(tau * (1.0 - tau))
-    return 2.0 * (alpha * (1.0 - alpha) - tau * (1.0 - tau)) / (1.0 + 2.0 * root)
+    root = np.sqrt(t * (1.0 - t))
+    out = 2.0 * (a * (1.0 - a) - t * (1.0 - t)) / (1.0 + 2.0 * root)
+    return out if out.ndim else float(out)
 
 
 def omega_cap_alt(alpha: float, tau: float) -> float:

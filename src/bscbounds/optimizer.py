@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -28,13 +28,11 @@ from scipy.optimize import minimize_scalar
 from .core import (
     ChannelParam,
     DomainError,
-    binary_entropy,
     binary_entropy_inv,
     capacity,
     channel_constants,
     cleaning_gap,
     cleaning_gap_case1,
-    omega_cap,
     sphere_packing_exponent,
 )
 from .spectrum import MuSlice, SpectrumPoint, log_kernel, spectrum_exponent_at
@@ -56,8 +54,10 @@ __all__ = [
     "max_band_width",
 ]
 
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _TOL = 1e-12
+_MAX_POINTS = 100_000   # largest rate grid curve() samples
+_POLISH = 33            # alphas per polishing level of F_minimize
+_SECTIONS = 8           # cells the inner sign search splits its bracket into
 
 
 @dataclass(frozen=True)
@@ -103,167 +103,144 @@ def W_value(omega: float, alpha: float, rate: float, ch: ChannelParam) -> float:
     return 0.5 * pt.omega * _log_quarter(ch) - spectrum_exponent_at(rate, alpha, pt.omega)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
-    """Golden-section maximization of a unimodal f on [lo, hi].
-
-    Returns (x, f(x), iterations).  Caller compares endpoints separately.
-    """
-    a, b = lo, hi
-    x1 = b - _GOLD * (b - a)
-    x2 = a + _GOLD * (b - a)
-    f1, f2 = f(x1), f(x2)
-    it = 2
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLD * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLD * (b - a)
-            f1 = f(x1)
-        it += 1
-    x = 0.5 * (a + b)
-    return x, f(x), it + 1
-
-
-def _w_slope(omega: float, slice_: MuSlice, L: float) -> float:
-    """d/d omega of W at fixed (rate, alpha): L/2 - mu'(omega).
+def _w_slope(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
+             L: float) -> np.ndarray:
+    """d/d omega of W at fixed rate: L/2 - mu'(omega), broadcast over arrays.
 
     mu' splits into an elementary part and one kernel sample at omega/2,
-    so the slope costs microseconds and the concave inner maximization
-    reduces to a sign bisection.
+    so the slope of a whole alpha batch costs a few array passes and the
+    concave inner maximization reduces to a sign search.  On the band
+    nu = (alpha - omega/2)/(1 - omega) stays inside (0, 1).
     """
-    alpha = slice_.alpha
-    nu = (alpha - 0.5 * omega) / (1.0 - omega)
-    nu = min(max(nu, 1e-300), 1.0)
-    a_prime = 2.0 * math.log2(1.0 - omega) - binary_entropy(nu)
-    if nu < 1.0 and alpha != 0.5:
-        a_prime += math.log2((1.0 - nu) / nu) * (alpha - 0.5) / (1.0 - omega)
-    kernel = float(log_kernel(np.array([0.5 * omega]), alpha, slice_.tau)[0])
-    return 0.5 * L - a_prime + kernel
+    rest = 1.0 - omega
+    nu = (alpha - 0.5 * omega) / rest
+    log_nu, log_co = np.log2(nu), np.log2(1.0 - nu)
+    a_prime = (2.0 * np.log2(rest) + nu * log_nu + (1.0 - nu) * log_co
+               + (log_co - log_nu) * (alpha - 0.5) / rest)
+    return 0.5 * L - a_prime + log_kernel(0.5 * omega, alpha, tau)
+
+
+class _F1Batch(NamedTuple):
+    """Inner maxima of an alpha batch at one rate, one entry per alpha."""
+    value: np.ndarray
+    arg_omega: np.ndarray
+    at_cap: np.ndarray
+    iterations: np.ndarray
+
+
+def _f1_batch(rate: float, alphas: np.ndarray, L: float, tol: float) -> _F1Batch:
+    """max over omega in [0, G(alpha, tau)] of W for every alpha in the batch.
+
+    W is concave in omega, so its analytic slope changes sign once: a slope
+    that is still non-negative at the cap puts the maximum there.  Otherwise
+    each array pass samples the slope at _SECTIONS - 1 inner points of every
+    bracket and keeps the cell where its sign changes, until the bracket is
+    tol * max(G, 1) wide: about 11 passes where bisection needs about 32,
+    and with numpy's per-call overhead 7 samples cost about what 1 does.
+    The value error is quadratic in the bracket width.  The cap endpoint is
+    compared explicitly and an interior maximum below 0 (the value at
+    omega = 0) is clamped.  Slices with G <= tol get 0.
+    """
+    sl = MuSlice(rate, alphas)
+    cap = sl.cap
+    live = cap > tol
+    if not live.all():
+        out = _F1Batch(np.zeros(cap.size), np.zeros(cap.size),
+                       np.ones(cap.size, bool), np.zeros(cap.size, int))
+        if live.any():
+            for field, sub in zip(out, _f1_batch(rate, alphas[live], L, tol)):
+                field[live] = sub
+        return out
+    at_cap = _w_slope(cap * (1.0 - 1e-12), sl.alpha, sl.tau, L) >= 0.0
+    top = float(cap.max())
+    passes = math.ceil(math.log(top / (tol * max(top, 1.0)), _SECTIONS))
+    alpha, tau = sl.alpha[:, None], sl.tau[:, None]
+    inner = np.arange(1, _SECTIONS)
+    lo, width = np.zeros_like(cap), cap
+    for _ in range(passes):
+        width = width / _SECTIONS
+        # the slope falls with omega, so its positive samples are a prefix
+        probes = lo[:, None] + width[:, None] * inner
+        lo = lo + width * (_w_slope(probes, alpha, tau, L) > 0.0).sum(axis=1)
+    x = np.where(at_cap, cap, lo + 0.5 * width)
+    w_x = 0.5 * x * L - sl.mu(x)
+    w_cap = 0.5 * cap * L - sl.mu(cap)
+    take_cap = at_cap | (w_cap >= w_x)
+    value = np.where(take_cap, w_cap, w_x)
+    arg = np.where(take_cap, cap, x)
+    clamp = ~at_cap & (value < 0.0)
+    return _F1Batch(np.where(clamp, 0.0, value), np.where(clamp, 0.0, arg),
+                    take_cap & ~clamp, np.where(at_cap, 1, passes + 2))
 
 
 def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
                 *, tol: float = 1e-10) -> OptResult:
     """max over omega in [0, G(alpha, tau)] of W(omega, alpha, R, p).
 
-    Golden-section search on the band: mu is convex in omega, so W is
-    concave and unimodal there, and golden sidesteps the endpoint
-    singularity of the omega-derivative.  The endpoint omega = G is
-    compared explicitly; the cap flag records a non-negative analytic
-    omega-slope of W at the cap, which is the form of boundary
-    attainment the band criterion G >= omega_1(p) describes.
+    mu is convex in omega, so W is concave on the band and the maximum is
+    found by a sign search on its analytic omega-slope (see ``_f1_batch``).  The cap flag records a non-negative slope of W at the
+    cap, or the cap value winning against the interior: the form of
+    boundary attainment the band criterion G >= omega_1(p) describes.
     """
     alpha0 = binary_entropy_inv(1.0 - rate)
     if alpha < alpha0 - 1e-9:
         raise DomainError(
             f"alpha must be >= h2_inv(1-R) = {alpha0:.6f}, got {alpha!r}")
-    if abs(alpha - 0.5) <= 1e-12:
-        return _f1_half(rate, ch, tol)
-    sl = MuSlice(rate, alpha)
-    cap = sl.cap
-    L = _log_quarter(ch)
-    if cap <= tol:
-        return OptResult(0.0, 0.0, alpha, {"omega": True, "alpha": False}, 0)
-    if _w_slope(cap * (1.0 - 1e-12), sl, L) >= 0.0:
-        return OptResult(0.5 * cap * L - sl.mu(cap), cap, alpha,
-                         {"omega": True, "alpha": False}, 1)
-
-    def w(omega: float) -> float:
-        return 0.5 * omega * L - sl.mu(omega)
-
-    x, fx, it = _golden_max(w, 0.0, cap, tol * max(cap, 1.0))
-    w_cap = 0.5 * cap * L - sl.mu(cap)
-    best_val, best_arg, at_cap = fx, x, False
-    if w_cap >= best_val:
-        best_val, best_arg, at_cap = w_cap, cap, True
-    if 0.0 > best_val:
-        best_val, best_arg, at_cap = 0.0, 0.0, False
-    return OptResult(best_val, best_arg, alpha,
-                     {"omega": at_cap, "alpha": False}, it + 1)
-
-
-def _f1_half(rate: float, ch: ChannelParam, tol: float) -> OptResult:
-    """Symmetric-slice inner maximization on the closed-form route."""
-    tau = binary_entropy_inv(rate)
-    cap = omega_cap(0.5, tau)
-    L = _log_quarter(ch)
-
-    def w(omega: float) -> float:
-        return 0.5 * omega * L - spectrum_exponent_at(rate, 0.5, omega)
-
-    if cap <= tol:
-        return OptResult(0.0, 0.0, 0.5, {"omega": True, "alpha": False}, 0)
-    x, fx, it = _golden_max(w, 0.0, cap, tol * max(cap, 1.0))
-    w_cap = w(cap)
-    w_zero = 0.0
-    # candidate order: cap wins ties so the attainment flag is stable when
-    # the interior search has converged onto the endpoint
-    best_val, best_arg, at_cap = fx, x, False
-    if w_cap >= best_val - 1e-12:
-        best_val, best_arg, at_cap = w_cap, cap, True
-    if w_zero > best_val + 1e-12:
-        best_val, best_arg, at_cap = w_zero, 0.0, False
-    return OptResult(best_val, best_arg, 0.5,
-                     {"omega": at_cap, "alpha": False}, it + 2)
+    res = _f1_batch(rate, np.array([alpha], dtype=float), _log_quarter(ch), tol)
+    return OptResult(float(res.value[0]), float(res.arg_omega[0]), alpha,
+                     {"omega": bool(res.at_cap[0]), "alpha": False},
+                     int(res.iterations[0]))
 
 
 @lru_cache(maxsize=4096)
 def _f_minimize_cached(rate: float, p: float, grid: int, tol: float) -> OptResult:
-    ch = ChannelParam(p)
+    L = _log_quarter(ChannelParam(p))
     alpha0 = binary_entropy_inv(1.0 - rate)
-    if alpha0 >= 0.5 - 1e-12:
-        # R = 0 collapses the constraint interval; defined by continuity
-        res = F1_maximize(rate, 0.5, ch, tol=tol)
-        return OptResult(res.value, res.arg_omega, 0.5,
-                         {"omega": res.attained_at_boundary["omega"], "alpha": True},
-                         res.iterations)
-    alphas = np.linspace(alpha0, 0.5, grid)
-    # coarse pass with a loose inner tolerance; the refinement below redoes
-    # the winner at full precision
-    coarse = [F1_maximize(rate, float(a), ch, tol=1e-6) for a in alphas]
-    vals = np.array([r.value for r in coarse])
-    i = int(np.argmin(vals))
-    it = sum(r.iterations for r in coarse)
+    # R = 0 collapses the constraint interval onto 1/2; defined by continuity
+    alphas = (np.linspace(alpha0, 0.5, grid) if alpha0 < 0.5 - 1e-12
+              else np.array([0.5]))
+    # one batched pass over the grid does the global work
+    res = _f1_batch(rate, alphas, L, tol)
+    it = int(res.iterations.sum())
+    i, last = int(np.argmin(res.value)), alphas.size - 1
+    lo, hi = float(alphas[max(i - 1, 0)]), float(alphas[min(i + 1, last)])
+    # polish: each level shrinks the bracket to the two cells around its
+    # best point, a factor (_POLISH - 1)/2 per level
+    level, a, j = res, alphas, i
+    while hi - lo > 1e-9:
+        a = np.linspace(lo, hi, _POLISH)
+        level = _f1_batch(rate, a, L, tol)
+        it += int(level.iterations.sum())
+        j = int(np.argmin(level.value))
+        lo, hi = float(a[max(j - 1, 0)]), float(a[min(j + 1, _POLISH - 1)])
 
-    lo = float(alphas[max(i - 1, 0)])
-    hi = float(alphas[min(i + 1, grid - 1)])
+    def pick(batch: _F1Batch, a: np.ndarray, k: int) -> tuple:
+        return (float(batch.value[k]), float(a[k]), float(batch.arg_omega[k]),
+                bool(batch.at_cap[k]))
 
-    # a looser inner tolerance is enough while locating the alpha minimum:
-    # golden's value error is quadratic in its x-tolerance, so these values
-    # are converged far beyond what the location needs; the winner is
-    # re-evaluated at full tolerance below
-    def f1(a: float) -> float:
-        return F1_maximize(rate, a, ch, tol=1e-8).value
-
-    a_ref, _, it2 = _golden_max(lambda a: -f1(a), lo, hi, 1e-9)
-    it += it2
-    candidates = [(f1(a_ref), a_ref)]
-    if hi >= 0.5 - 1e-12:
-        candidates.append((f1(0.5), 0.5))
-    if lo <= alpha0 + 1e-12:
-        candidates.append((f1(float(alphas[0])), float(alphas[0])))
-    best_val, best_alpha = min(candidates, key=lambda t: t[0])
+    # the grid ends stay candidates when the best cell touches them
+    candidates = [pick(level, a, j)] + [pick(res, alphas, k) for k in (last, 0)
+                                        if abs(k - i) <= 1]
+    best = min(candidates, key=lambda c: c[0])
     # prefer the exact half-point on ties: the refinement may sit a hair off
     # the endpoint with an indistinguishable value
-    for v, a in candidates:
-        if a == 0.5 and v <= best_val + 1e-12:
-            best_val, best_alpha = v, a
-    final = F1_maximize(rate, best_alpha, ch, tol=tol)
+    for c in candidates:
+        if c[1] == 0.5 and c[0] <= best[0] + 1e-12:
+            best = c
+    value, best_alpha, arg_omega, at_cap = best
     at_alpha_edge = best_alpha >= 0.5 - 1e-9 or best_alpha <= alpha0 + 1e-9
-    return OptResult(final.value, final.arg_omega, best_alpha,
-                     {"omega": final.attained_at_boundary["omega"],
-                      "alpha": at_alpha_edge}, it)
+    return OptResult(value, arg_omega, best_alpha,
+                     {"omega": at_cap, "alpha": at_alpha_edge}, it)
 
 
 def F_minimize(rate: float, ch: ChannelParam, *, grid: int = 129,
                tol: float = 1e-10) -> OptResult:
     """min over alpha in [h2_inv(1-R), 1/2] of F1(R, alpha, p).
 
-    Grid scan (>= 128 points) plus golden refinement around the best cell;
-    there is no convexity guarantee in alpha, so the grid does the global
-    work and the refinement only polishes.
+    One batched inner maximization over the whole grid (>= 128 points),
+    then batched bracket levels of _POLISH points around the best cell
+    until the bracket is 1e-9 wide; there is no convexity guarantee in
+    alpha, so the grid does the global work and the levels only polish.
     """
     if not 0.0 <= rate <= 1.0:
         raise DomainError(f"rate must lie in [0, 1], got {rate!r}")
@@ -346,7 +323,8 @@ def curve(kind: CurveKind, ch: ChannelParam, r_min: float, r_max: float,
 
     Deterministic for fixed inputs; the grid stops at the last multiple of
     ``step`` that fits below r_max (within 1e-12), so pass commensurate
-    endpoints to include r_max itself.
+    endpoints to include r_max itself.  A step that would give more than
+    100000 rates is a DomainError, raised before any rate is listed.
     """
     kind = CurveKind(kind)
     cap = capacity(ch)
@@ -355,7 +333,12 @@ def curve(kind: CurveKind, ch: ChannelParam, r_min: float, r_max: float,
             f"need 0 <= r_min < r_max <= C = {cap:.6f}, got [{r_min}, {r_max}]")
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
-    n = int(math.floor((r_max - r_min) / step + 1e-12)) + 1
+    span = (r_max - r_min) / step + 1e-12
+    if not span < _MAX_POINTS:
+        raise DomainError(
+            f"step {step!r} gives more than {_MAX_POINTS} points on "
+            f"[{r_min}, {r_max}]")
+    n = int(math.floor(span)) + 1
     rates = [min(r_min + k * step, cap) for k in range(n)]
 
     fns = {

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DomainError, binary_entropy, binary_entropy_inv, omega_cap)
+from .core import (DomainError, _h2_arr, _h2_inv_arr, binary_entropy,
+                   binary_entropy_inv, omega_cap)
 from .quadrature import integrate
 
 __all__ = [
@@ -76,7 +77,7 @@ def log_kernel(u: np.ndarray, alpha: float, tau: float) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     s = alpha * (1.0 - alpha) - tau * (1.0 - tau) - u
     disc = s * s - 4.0 * u * u * tau * (1.0 - tau)
-    if np.any(disc < -_DISC_SLACK):
+    if (disc < -_DISC_SLACK).any():
         raise DomainError(
             f"spectrum kernel discriminant fell below the clamp window: "
             f"min={float(disc.min()):.3e}")
@@ -141,10 +142,11 @@ def spectrum_exponent_at(rate: float, alpha: float, omega: float) -> float:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_BLOCK = 8
 
 
 class MuSlice:
-    """Reusable omega -> mu evaluator at fixed (rate, alpha).
+    """Reusable omega -> mu evaluator at fixed rate, for one alpha or a vector.
 
     The logarithmic kernel does not depend on omega, so one panel
     decomposition of [0, G/2] serves every omega on the slice: mu(omega)
@@ -152,63 +154,93 @@ class MuSlice:
     a single Gauss rule on the partial panel.  Panels are graded toward
     G/2, where the radical's derivative blows up.  Agrees with the
     adaptive-quadrature route to ~1e-10; that route stays untouched as the
-    independent reference.
+    independent reference.  For a vector of alpha, attributes are arrays
+    and ``mu`` takes one omega per slice; panels are built ``_BLOCK``
+    slices at a time, which bounds the (slice x panel x node) temporaries.
     """
 
-    def __init__(self, rate: float, alpha: float, *,
+    def __init__(self, rate: float, alpha, *,
                  uniform_panels: int = 40, graded_panels: int = 36) -> None:
-        probe = SpectrumPoint.make(rate, alpha, 0.0)
-        self.rate = rate
-        self.alpha = probe.alpha
-        self.tau = probe.tau
-        self.cap = omega_cap(probe.alpha, probe.tau)
-        x_end = 0.5 * self.cap
-        if x_end <= 0.0:
-            self._bounds = np.array([0.0])
-            self._cum = np.array([0.0])
-            return
-        split = 0.85 * x_end
-        uni = np.linspace(0.0, split, uniform_panels + 1)
-        ratios = np.cumprod(np.full(graded_panels, 0.6))
-        widths = (x_end - split) * ratios / ratios.sum()
-        # widest graded panel first, so the mesh shrinks into the endpoint
-        tail = split + np.cumsum(widths)
-        tail[-1] = x_end
-        self._bounds = np.concatenate([uni, tail])
-        centers = 0.5 * (self._bounds[1:] + self._bounds[:-1])
-        half = 0.5 * np.diff(self._bounds)
-        nodes = centers[:, None] + half[:, None] * _GL_NODES[None, :]
-        g = log_kernel(nodes.ravel(), self.alpha, self.tau).reshape(nodes.shape)
-        panel = (g @ _GL_WEIGHTS) * half
-        self._cum = np.concatenate([[0.0], np.cumsum(panel)])
-
-    def _integral(self, x: float) -> float:
-        b = self._bounds
-        if x <= 0.0 or b[-1] <= 0.0:
-            return 0.0
-        x = min(x, float(b[-1]))
-        k = int(np.searchsorted(b, x, side="right")) - 1
-        k = min(max(k, 0), len(b) - 2)
-        lo = float(b[k])
-        if x <= lo:
-            return float(self._cum[k])
-        mid, hw = 0.5 * (lo + x), 0.5 * (x - lo)
-        g = log_kernel(mid + hw * _GL_NODES, self.alpha, self.tau)
-        return float(self._cum[k] + hw * (g @ _GL_WEIGHTS))
-
-    def mu(self, omega: float) -> float:
-        if not -_TOL <= omega <= self.cap + _TOL:
+        if not 0.0 <= rate <= 1.0 + _TOL:
+            raise DomainError(f"rate must lie in [0, 1], got {rate!r}")
+        a = np.asarray(alpha, dtype=float)
+        self._scalar = a.ndim == 0
+        a = np.atleast_1d(a)
+        bad = ~((a > 0.0) & (a <= 0.5 + _TOL))
+        if bad.any():
             raise DomainError(
-                f"normalised distance {omega!r} outside [0, cap={self.cap:.6f}]")
-        omega = min(max(omega, 0.0), self.cap)
-        if omega <= 0.0:
-            return 0.0
-        inner = (self.alpha - 0.5 * omega) / (1.0 - omega)
-        return (-binary_entropy(self.alpha)
-                - 2.0 * (1.0 - omega) * math.log2(1.0 - omega)
-                - 2.0 * omega * _LOG2E
-                + (1.0 - omega) * binary_entropy(min(max(inner, 0.0), 1.0))
-                - 2.0 * self._integral(0.5 * omega))
+                f"slice weight must lie in (0, 1/2], got {float(a[bad][0])!r}")
+        a = np.minimum(a, 0.5)
+        deficit = _h2_arr(a) - 1.0 + rate
+        bad = deficit < -_TOL
+        if bad.any():
+            raise DomainError(
+                f"slice too light for the rate: h2({float(a[bad][0])}) < 1 - {rate}")
+        tau = _h2_inv_arr(np.clip(deficit, 0.0, 1.0))
+        cap = omega_cap(a, tau)
+        self.rate = rate
+        self._alpha, self._tau, self._cap = a, tau, cap
+        self.alpha, self.tau, self.cap = map(self._out, (a, tau, cap))
+        x_end = np.maximum(0.5 * cap, 0.0)
+        split = 0.85 * x_end
+        uni = np.linspace(0.0, split, uniform_panels + 1, axis=-1)
+        ratios = np.cumprod(np.full(graded_panels, 0.6))
+        widths = (x_end - split)[:, None] * ratios / ratios.sum()
+        # widest graded panel first, so the mesh shrinks into the endpoint
+        tail = split[:, None] + np.cumsum(widths, axis=1)
+        tail[:, -1] = x_end
+        self._bounds = np.concatenate([uni, tail], axis=1)
+        panel = np.zeros((a.size, uniform_panels + graded_panels))
+        live = np.flatnonzero(x_end > 0.0)
+        for start in range(0, live.size, _BLOCK):
+            rows = live[start:start + _BLOCK]
+            b = self._bounds[rows]
+            centers = 0.5 * (b[:, 1:] + b[:, :-1])
+            half = 0.5 * np.diff(b, axis=1)
+            nodes = centers[..., None] + half[..., None] * _GL_NODES
+            g = log_kernel(nodes, a[rows, None, None], tau[rows, None, None])
+            panel[rows] = (g @ _GL_WEIGHTS) * half
+        self._cum = np.concatenate(
+            [np.zeros((a.size, 1)), np.cumsum(panel, axis=1)], axis=1)
+
+    def _out(self, v: np.ndarray):
+        return float(v[0]) if self._scalar else v
+
+    def _integral(self, x: np.ndarray) -> np.ndarray:
+        """Integral of the kernel over [0, x], one x per slice, x in [0, G/2]."""
+        b = self._bounds
+        rows = np.arange(b.shape[0])
+        k = np.clip((b <= x[:, None]).sum(axis=1) - 1, 0, b.shape[1] - 2)
+        lo = b[rows, k]
+        out = self._cum[rows, k]
+        part = np.flatnonzero(x > lo)
+        if part.size:
+            mid = 0.5 * (lo[part] + x[part])
+            hw = 0.5 * (x[part] - lo[part])
+            g = log_kernel(mid[:, None] + hw[:, None] * _GL_NODES,
+                           self._alpha[part, None], self._tau[part, None])
+            out[part] += hw * (g @ _GL_WEIGHTS)
+        return out
+
+    def mu(self, omega):
+        """mu at one omega per slice (or one omega for every slice)."""
+        omega = np.broadcast_to(np.asarray(omega, dtype=float), self._alpha.shape)
+        cap = self._cap
+        bad = ~((-_TOL <= omega) & (omega <= cap + _TOL))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DomainError(
+                f"normalised distance {float(omega[k])!r} outside "
+                f"[0, cap={cap[k]:.6f}]")
+        omega = np.clip(omega, 0.0, cap)
+        alpha = self._alpha
+        inner = (alpha - 0.5 * omega) / (1.0 - omega)
+        val = (-_h2_arr(alpha)
+               - 2.0 * (1.0 - omega) * np.log2(1.0 - omega)
+               - 2.0 * omega * _LOG2E
+               + (1.0 - omega) * _h2_arr(np.clip(inner, 0.0, 1.0))
+               - 2.0 * self._integral(0.5 * omega))
+        return self._out(np.where(omega > 0.0, val, 0.0))
 
 
 def spectrum_exponent_curve(rate: float, alpha: float, samples: int) -> np.ndarray:

@@ -6,11 +6,14 @@ captured with capsys and files land in tmp_path.
 
 import json
 import math
+import pathlib
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from bscbounds.cli import build_parser, main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _parse_constants(text):
@@ -100,6 +103,22 @@ def test_curve_default_grid(capsys):
     assert last_r == pytest.approx(0.5310044064 - 0.001, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", ["0.1", "0.005"])
+def test_curve_default_grid_matches_golden(p, capsys):
+    # tests/data holds the default-grid CSVs as first recorded: every
+    # printed number must stay within 1e-9 of them, every regime equal
+    assert main(["curve", "--p", p]) == 0
+    got = capsys.readouterr().out.rstrip("\n").split("\n")
+    want = (DATA / f"curve_p{p}.csv").read_text(encoding="ascii").rstrip("\n").split("\n")
+    assert got[0] == want[0]
+    assert len(got) == len(want) == 201
+    for g_line, w_line in zip(got[1:], want[1:]):
+        g, w = g_line.split(","), w_line.split(",")
+        assert g[5] == w[5]
+        for g_field, w_field in zip(g[:5], w[:5]):
+            assert abs(float(g_field) - float(w_field)) <= 1e-9, (g_line, w_line)
+
+
 def test_curve_json(capsys):
     rc = main(["curve", "--p", "0.1", "--rmin", "0.1", "--rmax", "0.2",
                "--step", "0.05", "--format", "json"])
@@ -146,11 +165,26 @@ def test_curve_unknown_bound_kind(capsys):
     assert "unknown curve kind" in capsys.readouterr().err
 
 
+def test_curve_refuses_huge_grid(capsys):
+    rc = main(["curve", "--p", "0.1", "--step", "1e-9"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bscbounds: ") and "points" in err
+
+
 def test_curve_unwritable_out(tmp_path, capsys):
     rc = main(["curve", "--p", "0.1", "--rmin", "0.1", "--rmax", "0.2",
                "--step", "0.05", "--out", str(tmp_path / "missing" / "x.csv")])
     assert rc == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_verify_claims_bad_grid_is_one_line(capsys):
+    rc = main(["verify", "--suite", "claims", "--p-grid", "abc"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bscbounds: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_identity16(capsys):

@@ -8,12 +8,15 @@ own solver.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bscbounds.core import (
     ChannelParam,
     DomainError,
+    _h2_arr,
+    _h2_inv_arr,
     binary_entropy,
     binary_entropy_inv,
     capacity,
@@ -57,6 +60,25 @@ def test_entropy_inverse_roundtrip(y):
 def test_entropy_inverse_endpoints_exact():
     assert binary_entropy_inv(0.0) == 0.0
     assert binary_entropy_inv(1.0) == 0.5
+
+
+def test_vectorised_entropy_inverse_matches_scalar_reference():
+    ys = np.linspace(0.0, 1.0, 1000)
+    got = _h2_inv_arr(ys)
+    ref = np.array([binary_entropy_inv(float(y)) for y in ys])
+    assert np.abs(got - ref).max() <= 1e-15
+    assert got[0] == 0.0 and got[-1] == 0.5
+
+
+def test_vectorised_entropy_inverse_residual_is_round_off():
+    # near y = 1 the flat top of h2 makes the preimage ill-conditioned, so
+    # two correct inverses may differ there by more than 1e-15; the residual
+    # h2(x) - y cannot, at either end of the range
+    ys = np.concatenate([np.geomspace(1e-300, 0.5, 300),
+                         1.0 - np.geomspace(1e-16, 0.5, 300)])
+    x = _h2_inv_arr(ys)
+    assert np.all((0.0 <= x) & (x < 0.5))
+    assert np.abs(_h2_arr(x) - ys).max() <= 4.5e-16
 
 
 def test_kl_basics():

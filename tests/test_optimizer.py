@@ -35,7 +35,7 @@ from bscbounds.optimizer import (
     theorem1_bound,
     verify_claims,
 )
-from bscbounds.optimizer import _segment_anchors
+from bscbounds.optimizer import _f1_batch, _log_quarter, _segment_anchors
 from bscbounds.spectrum import MuSlice, spectrum_exponent_at
 
 CH = ChannelParam(0.1)
@@ -59,6 +59,27 @@ def test_f1_alpha_domain():
     a0 = binary_entropy_inv(0.8)
     with pytest.raises(DomainError):
         F1_maximize(0.2, a0 - 1e-3, CH)
+
+
+def test_f1_collapsed_band_is_zero():
+    # at rate 1 the induced tau equals alpha and the band [0, G] collapses
+    res = F1_maximize(1.0, 0.3, CH)
+    assert (res.value, res.arg_omega, res.iterations) == (0.0, 0.0, 0)
+    assert res.attained_at_boundary["omega"] is True
+
+
+def test_f1_batch_mixes_collapsed_and_open_bands():
+    # just below rate 1 the lightest slice's band collapses while the others
+    # stay open; each batch entry must equal the slice's own inner maximum
+    rate = 1.0 - 1e-9
+    alphas = np.linspace(binary_entropy_inv(1e-9), 0.5, 5)
+    batch = _f1_batch(rate, alphas, _log_quarter(CH), 1e-10)
+    assert batch.iterations[0] == 0 and batch.iterations[1:].min() > 0
+    for k, alpha in enumerate(alphas):
+        one = F1_maximize(rate, float(alpha), CH)
+        assert batch.value[k] == pytest.approx(one.value, abs=1e-15)
+        assert batch.arg_omega[k] == pytest.approx(one.arg_omega, abs=1e-10)
+        assert bool(batch.at_cap[k]) is one.attained_at_boundary["omega"]
 
 
 def test_f1_at_constraint_edge_is_sphere_packing():
@@ -245,6 +266,8 @@ def test_curve_domain_errors():
         curve(CurveKind.sphere_packing, CH, 0.3, 0.1, 0.05)
     with pytest.raises(DomainError):
         curve(CurveKind.sphere_packing, CH, 0.1, 0.3, 0.0)
+    with pytest.raises(DomainError):
+        curve(CurveKind.sphere_packing, CH, 0.1, 0.3, 1e-9)  # 2e8 rates
     with pytest.raises(DomainError):
         curve(CurveKind.sphere_packing, CH, 0.1, 0.6, 0.05)  # beyond capacity
     with pytest.raises(DomainError):

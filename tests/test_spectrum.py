@@ -8,7 +8,8 @@ the same surface; the tests play them against each other.
 import numpy as np
 import pytest
 
-from bscbounds.core import DomainError, binary_entropy, omega_cap
+from bscbounds.core import (DomainError, binary_entropy, binary_entropy_inv,
+                            omega_cap)
 from bscbounds.spectrum import (
     MuSlice,
     SpectrumPoint,
@@ -98,6 +99,50 @@ def test_mu_slice_matches_closed_form_on_symmetric_slice():
         omega = frac * sl.cap
         assert sl.mu(omega) == pytest.approx(
             spectrum_exponent_half(0.469, omega), abs=3e-9)
+
+
+def _alpha_batch(rate, fracs):
+    a0 = binary_entropy_inv(1.0 - rate)
+    return a0 + (0.5 - a0) * np.asarray(fracs)
+
+
+def test_batched_slice_vs_adaptive():
+    # the batched evaluator against the untouched adaptive-quadrature route
+    for rate in (0.2, 0.469, 0.7):
+        alphas = _alpha_batch(rate, (0.05, 0.3, 0.55, 0.8, 0.97))
+        sl = MuSlice(rate, alphas)
+        for frac in (0.1, 0.3, 0.5, 0.8, 0.97):
+            omegas = frac * sl.cap
+            got = sl.mu(omegas)
+            for alpha, omega, value in zip(alphas, omegas, got):
+                ref = spectrum_exponent(
+                    SpectrumPoint.make(rate, float(alpha), float(omega)))
+                assert value == pytest.approx(ref, abs=1e-9)
+
+
+def test_batched_slice_vs_closed_form_on_symmetric_slice():
+    for rate in (0.05, 0.2, 0.469, 0.7, 0.9):
+        sl = MuSlice(rate, np.array([_alpha_batch(rate, 0.5), 0.5]))
+        for frac in (0.1, 0.3, 0.5, 0.8, 1.0):
+            value = sl.mu(frac * sl.cap)[1]
+            assert value == pytest.approx(
+                spectrum_exponent_half(rate, frac * sl.cap[1]), abs=1e-9)
+
+
+def test_batched_slice_equals_scalar_slices():
+    # 20 slices span three panel blocks; each row must be its scalar slice
+    rate = 0.3
+    alphas = _alpha_batch(rate, np.linspace(0.0, 1.0, 20))
+    sl = MuSlice(rate, alphas)
+    omegas = np.linspace(0.0, 1.0, 20) * sl.cap
+    got = sl.mu(omegas)
+    for k, alpha in enumerate(alphas):
+        one = MuSlice(rate, float(alpha))
+        assert sl.cap[k] == pytest.approx(one.cap, abs=1e-15)
+        assert sl.tau[k] == pytest.approx(one.tau, abs=1e-15)
+        assert got[k] == pytest.approx(one.mu(float(omegas[k])), abs=1e-15)
+    with pytest.raises(DomainError):
+        sl.mu(sl.cap + 1e-6)
 
 
 def test_mu_slice_domain():
