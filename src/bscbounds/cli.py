@@ -247,8 +247,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
         raise SizeBudgetError(
             f"code length {code.n} exceeds the exhaustive budget "
             f"{cfg.budget}")
+    pe = exact_pe_ml(code, ch)      # refuses an over-budget census first
     dd = distance_distribution(code)
-    pe = exact_pe_ml(code, ch)
     lb21 = lower_bound_21(code, ch)
     sp23 = sphere_packing_rhs_23(code, ch)
     best = {"t": None, "omega_dist": None, "value": 0.0}

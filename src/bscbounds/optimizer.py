@@ -322,9 +322,10 @@ def curve(kind: CurveKind, ch: ChannelParam, r_min: float, r_max: float,
     """Sample one of the bounds on the rate grid r_min, r_min+step, ...
 
     Deterministic for fixed inputs; the grid stops at the last multiple of
-    ``step`` that fits below r_max (within 1e-12), so pass commensurate
-    endpoints to include r_max itself.  A step that would give more than
-    100000 rates is a DomainError, raised before any rate is listed.
+    ``step`` that fits below r_max (within a few ulps of r_max, the rounding
+    of the endpoints), so pass commensurate endpoints to include r_max
+    itself.  A step that would give more than 100000 rates is a
+    DomainError, raised before any rate is listed.
     """
     kind = CurveKind(kind)
     cap = capacity(ch)
@@ -333,7 +334,8 @@ def curve(kind: CurveKind, ch: ChannelParam, r_min: float, r_max: float,
             f"need 0 <= r_min < r_max <= C = {cap:.6f}, got [{r_min}, {r_max}]")
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
-    span = (r_max - r_min) / step + 1e-12
+    # the slack absorbs the rounding of r_max - r_min, whatever the step
+    span = (r_max - r_min + 8.0 * math.ulp(r_max)) / step
     if not span < _MAX_POINTS:
         raise DomainError(
             f"step {step!r} gives more than {_MAX_POINTS} points on "

@@ -7,16 +7,19 @@ solve.  These values anchor the asymptotic bounds elsewhere in the
 package — every analytic lower bound must sit below the enumerated error
 probability on every code it is tested against, with no tolerance.
 
-Words are stored as integer bitmasks.  Output-space enumeration is chunked
-so the distance matrices stay cache-sized even at the n = 24 budget cap.
+Words are stored as integer bitmasks.  The enumerated reports all read one
+census per code, a single pass over the 2^n outputs in chunks under a fixed
+byte budget; pair distances come in row blocks under the same budget, and a
+census whose work M^2 2^n exceeds the n = 24, M = 32 shape is refused.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterator
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -49,7 +52,8 @@ __all__ = [
 
 _ENUM_CAP = 24          # 2^n output enumeration budget
 _CLIQUE_CAP = 10        # exhaustive constant-weight search budget
-_CHUNK = 1 << 20
+_WORK_CAP = 1 << 34     # census work M^2 2^n: the n = 24, M = 32 shape
+_BLOCK_BYTES = 1 << 20  # byte budget of one block of outputs or pair rows
 
 
 class SizeBudgetError(RuntimeError):
@@ -152,20 +156,15 @@ def load_code(path: str) -> BinaryCode:
         return parse_code(fh.read())
 
 
-def _require_enum_budget(n: int) -> None:
-    if n > _ENUM_CAP:
-        raise SizeBudgetError(
-            f"2^{n} output enumeration exceeds the n <= {_ENUM_CAP} budget")
-
-
 def _word_array(code: BinaryCode) -> np.ndarray:
     return np.asarray(code.words, dtype=np.uint32)
 
 
-def _output_chunks(n: int) -> Iterable[np.ndarray]:
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
+def _pair_distance_rows(words: np.ndarray) -> Iterator[np.ndarray]:
+    """Pair distances popcount(x_i ^ x_j) in row blocks under the byte budget."""
+    rows = max(1, _BLOCK_BYTES // (8 * words.size))
+    for start in range(0, words.size, rows):
+        yield np.bitwise_count(words[start:start + rows, None] ^ words[None, :])
 
 
 def distance_distribution(code: BinaryCode) -> list:
@@ -174,10 +173,72 @@ def distance_distribution(code: BinaryCode) -> list:
     Includes the diagonal, so B_0 = 1 and sum(B) = M; off-diagonal entries
     times M are even integers (each unordered pair counted twice).
     """
-    words = _word_array(code)
-    dists = np.bitwise_count(words[:, None] ^ words[None, :])
-    counts = np.bincount(dists.ravel(), minlength=code.n + 1)
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for block in _pair_distance_rows(_word_array(code)):
+        counts += np.bincount(block.ravel(), minlength=code.n + 1)
     return [c / code.M for c in counts.tolist()]
+
+
+@dataclass(frozen=True)
+class _Census:
+    """Integer summaries of all 2^n outputs y of one code."""
+
+    dmin_hist: np.ndarray   # [d]: outputs whose nearest codeword is at distance d
+    cover: np.ndarray       # [t, k]: outputs with exactly k codewords at distance t
+    x_max: np.ndarray       # [d, t]: max over (reference word, y) of the codewords
+                            # at distance d from the reference and t from y
+
+
+def _chunk_len(n: int, m: int) -> int:
+    """Outputs per census chunk; one output's int64 keys and counts take
+    8 (M + (n+1)^2) bytes at most."""
+    return max(1, _BLOCK_BYTES // (8 * (m + (n + 1) ** 2)))
+
+
+@functools.lru_cache(maxsize=8)
+def _census(code: BinaryCode) -> _Census:
+    """One pass over the outputs; every enumerated report reads the result.
+
+    Per chunk the output-codeword distances D are formed once.  One bincount
+    on y (n+1) + D gives cnt[y, t], the number of codewords at distance t
+    from y, which feeds the d_min and cover histograms.  Per reference word
+    the columns are grouped by their distance d from it, and one bincount on
+    (y, group, D) followed by a max over y updates x_max[d, t] for all (d, t).
+    """
+    n, m = code.n, code.M
+    if n > _ENUM_CAP:
+        raise SizeBudgetError(
+            f"2^{n} output enumeration exceeds the n <= {_ENUM_CAP} budget")
+    if m * m * (1 << n) > _WORK_CAP:
+        raise SizeBudgetError(
+            f"output census work M^2 2^n = {m}^2 2^{n} exceeds the "
+            f"2^{_WORK_CAP.bit_length() - 1} budget")
+    words = _word_array(code)
+    width = n + 1
+    dmin_hist = np.zeros(width, dtype=np.int64)
+    cover = np.zeros(width * (m + 1), dtype=np.int64)
+    x_max = np.zeros((width, width), dtype=np.int64)
+    t_off = np.arange(width) * (m + 1)
+    step = _chunk_len(n, m)
+    for start in range(0, 1 << n, step):
+        ys = np.arange(start, min(start + step, 1 << n), dtype=np.uint32)
+        dist = np.bitwise_count(ys[:, None] ^ words[None, :])
+        y_off = np.arange(ys.size)[:, None]
+        cnt = np.bincount((y_off * width + dist).ravel(), minlength=ys.size * width)
+        dmin_hist += np.bincount(dist.min(axis=1), minlength=width)
+        cover += np.bincount((cnt.reshape(-1, width) + t_off).ravel(),
+                             minlength=cover.size)
+        for pair in _pair_distance_rows(words):
+            present = np.zeros((pair.shape[0], width), dtype=bool)
+            np.put_along_axis(present, pair, True, axis=1)
+            ranks = np.cumsum(present, axis=1)
+            offs = (np.take_along_axis(ranks, pair, axis=1) - 1) * width
+            for seen, g, off in zip(present, ranks[:, -1] * width, offs):
+                counts = np.bincount((y_off * g + off + dist).ravel(),
+                                     minlength=ys.size * g)
+                best = counts.reshape(ys.size, g).max(axis=0).reshape(-1, width)
+                x_max[seen] = np.maximum(x_max[seen], best)
+    return _Census(dmin_hist, cover.reshape(width, m + 1), x_max)
 
 
 def exact_pe_ml(code: BinaryCode, ch: ChannelParam) -> float:
@@ -189,15 +250,9 @@ def exact_pe_ml(code: BinaryCode, ch: ChannelParam) -> float:
     """
     if code.M < 2:
         return 0.0
-    _require_enum_budget(code.n)
-    words = _word_array(code)
     p, q = ch.p, ch.q
     pow_table = np.array([p ** d * q ** (code.n - d) for d in range(code.n + 1)])
-    correct = 0.0
-    for ys in _output_chunks(code.n):
-        dmin = np.bitwise_count(ys[:, None] ^ words[None, :]).min(axis=1)
-        correct += float(pow_table[dmin].sum())
-    return 1.0 - correct / code.M
+    return 1.0 - float(pow_table @ _census(code).dmin_hist) / code.M
 
 
 def lower_bound_21(code: BinaryCode, ch: ChannelParam) -> float:
@@ -209,17 +264,8 @@ def lower_bound_21(code: BinaryCode, ch: ChannelParam) -> float:
     """
     if code.M < 2:
         return 0.0
-    _require_enum_budget(code.n)
-    words = _word_array(code)
     n = code.n
-    shared = np.zeros(n + 1, dtype=np.int64)
-    for ys in _output_chunks(n):
-        dist = np.bitwise_count(ys[:, None] ^ words[None, :])
-        for t in range(n + 1):
-            cnt = (dist == t).sum(axis=1)
-            cnt = cnt[cnt >= 2]
-            if cnt.size:
-                shared[t] += int(cnt.sum())
+    shared = _census(code).cover[:, 2:] @ np.arange(2, code.M + 1)
     ratio = ch.p / ch.q
     total = sum(ratio ** t * int(shared[t]) for t in range(n + 1) if shared[t])
     return ch.q ** n / (2.0 * code.M) * total
@@ -267,16 +313,10 @@ class CoverReport:
 
 def cover_report(code: BinaryCode, t: int) -> CoverReport:
     """Histogram of |{codewords at distance t from y}| over all outputs y."""
-    _require_enum_budget(code.n)
     if not 0 <= t <= code.n:
         raise DomainError(f"radius must lie in [0, n], got {t!r}")
-    words = _word_array(code)
-    hist: Dict[int, int] = {}
-    for ys in _output_chunks(code.n):
-        cnt = (np.bitwise_count(ys[:, None] ^ words[None, :]) == t).sum(axis=1)
-        vals, reps = np.unique(cnt[cnt > 0], return_counts=True)
-        for v, r in zip(vals.tolist(), reps.tolist()):
-            hist[int(v)] = hist.get(int(v), 0) + int(r)
+    row = _census(code).cover[t].tolist()
+    hist = {k: c for k, c in enumerate(row) if k and c}
     return CoverReport(t=t, histogram=hist,
                        x_max=max(hist, default=0),
                        y_t_size=hist.get(1, 0))
@@ -285,19 +325,10 @@ def cover_report(code: BinaryCode, t: int) -> CoverReport:
 def restricted_cover_max(code: BinaryCode, t: int, omega_dist: int) -> int:
     """max over (reference word, output) of the number of codewords at
     distance t from the output AND at distance omega_dist from the reference."""
-    _require_enum_budget(code.n)
-    words = _word_array(code)
-    pair_d = np.bitwise_count(words[:, None] ^ words[None, :])
-    best = 0
-    for i in range(code.M):
-        cols = np.flatnonzero(pair_d[i] == omega_dist)
-        if cols.size == 0:
-            continue
-        sub = words[cols]
-        for ys in _output_chunks(code.n):
-            cnt = (np.bitwise_count(ys[:, None] ^ sub[None, :]) == t).sum(axis=1)
-            best = max(best, int(cnt.max()))
-    return best
+    x_max = _census(code).x_max
+    if not (0 <= t <= code.n and 0 <= omega_dist <= code.n):
+        return 0
+    return int(x_max[omega_dist, t])
 
 
 def proposition3_rhs(code: BinaryCode, ch: ChannelParam, t: int,

@@ -47,6 +47,23 @@ from bscbounds.verify import (
 )
 
 
+def _timed(suite) -> tuple:
+    start = time.monotonic()
+    report = suite()
+    return report, time.monotonic() - start
+
+
+# each suite runs once per module; its report and wall time are shared
+@pytest.fixture(scope="module")
+def oracle_run() -> tuple:
+    return _timed(suite_oracle)
+
+
+@pytest.fixture(scope="module")
+def hahn_run() -> tuple:
+    return _timed(suite_hahn)
+
+
 def _check(report: dict, name: str) -> dict:
     match = [c for c in report["checks"] if c["name"] == name]
     assert len(match) == 1, f"missing check {name!r}"
@@ -179,10 +196,8 @@ def test_combined_curve_matches_segment_formula(p):
         assert abs(value - sphere_packing_exponent(rate, ch)) <= 1e-9, (p, rate)
 
 
-def test_root_asymptotics_interlacing_and_tail_bound():
-    start = time.monotonic()
-    report = suite_hahn()
-    elapsed = time.monotonic() - start
+def test_root_asymptotics_interlacing_and_tail_bound(hahn_run):
+    report, elapsed = hahn_run
 
     asym = _check(report, "min_root_asymptotics")
     assert len(asym["pairs"]) == 3
@@ -198,14 +213,12 @@ def test_root_asymptotics_interlacing_and_tail_bound():
     assert elapsed < 60.0
 
 
-def test_exact_error_dominates_every_lower_bound():
+def test_exact_error_dominates_every_lower_bound(oracle_run):
     roster = builtin_roster()
     assert len(roster) == 25
     assert all(code.n <= 12 for _, code in roster[5:])
 
-    start = time.monotonic()
-    report = suite_oracle()
-    elapsed = time.monotonic() - start
+    report, elapsed = oracle_run
 
     dom = _check(report, "lower_bound_dominance")
     assert dom["violations"] == 0
@@ -215,9 +228,9 @@ def test_exact_error_dominates_every_lower_bound():
     assert elapsed < 120.0
 
 
-def test_johnson_bound_below_quadratic_everywhere():
+def test_johnson_bound_below_quadratic_everywhere(oracle_run):
     # arithmetic regime: the 450-point grid lives inside the oracle suite
-    report = suite_oracle()
+    report, _ = oracle_run
     johnson = _check(report, "johnson_below_n_squared")
     assert johnson["violations"] == 0
     assert johnson["tested"] == 456
@@ -229,8 +242,8 @@ def test_johnson_bound_below_quadratic_everywhere():
                 assert proposition4_check(n, omega, ChannelParam(p)), (n, omega, p)
 
 
-def test_delsarte_sums_nonnegative_on_code_sections():
-    report = suite_hahn()
+def test_delsarte_sums_nonnegative_on_code_sections(hahn_run):
+    report, _ = hahn_run
     delsarte = _check(report, "delsarte_nonnegativity")
     assert delsarte["sections"] > 0
     assert delsarte["min_margin"] >= -1e-9

@@ -5,6 +5,7 @@ captured with capsys and files land in tmp_path.
 """
 
 import json
+import time
 import math
 import pathlib
 import xml.etree.ElementTree as ET
@@ -240,6 +241,19 @@ def test_oracle_budget_exceeded(capsys):
                "--budget", "10"])
     assert rc == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_oracle_census_over_budget_exits_at_once(capsys):
+    # M = 2^15 words: M^2 2^n = 2^46 is refused before any pair or output
+    # distance is formed
+    start = time.monotonic()
+    rc = main(["oracle", "--generator", "parity", "--n", "16", "--p", "0.1"])
+    elapsed = time.monotonic() - start
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "budget" in err
+    assert err.startswith("bscbounds:") and err.count("\n") == 1
+    assert elapsed < 5.0
 
 
 def test_oracle_random_needs_m(capsys):

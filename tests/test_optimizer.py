@@ -249,6 +249,15 @@ def test_curve_grid_semantics():
         [0.1, 0.15, 0.2], abs=1e-12)
 
 
+def test_curve_keeps_commensurate_endpoint_with_small_step():
+    # r_max - r_min rounds to 0.99999999947 steps: still two rates
+    ch = ChannelParam(0.01)
+    r1 = channel_constants(ch).r1
+    cv = curve(CurveKind.sphere_packing, ch, r1 - 1e-7, r1, 1e-7)
+    assert len(cv.points) == 2
+    assert cv.points[-1][0] == pytest.approx(r1, abs=1e-15)
+
+
 def test_curve_accepts_kind_names():
     cv = curve("combined", CH, 0.1, 0.2, 0.1)
     assert cv.kind is CurveKind.combined

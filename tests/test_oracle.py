@@ -8,8 +8,10 @@ only for float roundoff.
 
 import math
 
+import numpy as np
 import pytest
 
+from bscbounds import oracle
 from bscbounds.core import ChannelParam, DomainError
 from bscbounds.oracle import (
     BinaryCode,
@@ -33,6 +35,7 @@ from bscbounds.oracle import (
     sphere_packing_rhs_23,
     z_pair_count,
 )
+from bscbounds.verify import builtin_roster
 
 CH = ChannelParam(0.1)
 
@@ -186,6 +189,108 @@ def test_proposition3_term_two_word_code():
     val = proposition3_rhs(repetition_code(2), CH, 1, 2)
     assert val == pytest.approx(0.09, abs=1e-15)
     assert val == pytest.approx(lower_bound_21(repetition_code(2), CH), abs=1e-15)
+
+
+# --- the output census against the per-function enumerations ----------
+#
+# Slow reference routes: each report enumerates all 2^n outputs on its own,
+# as the package did before the census.
+
+
+def _output_distances(code):
+    words = np.asarray(code.words, dtype=np.uint32)
+    outputs = np.arange(1 << code.n, dtype=np.uint32)
+    return np.bitwise_count(outputs[:, None] ^ words[None, :])
+
+
+def _reference_pe(code, ch):
+    pow_table = np.array([ch.p ** d * ch.q ** (code.n - d)
+                          for d in range(code.n + 1)])
+    dmin = _output_distances(code).min(axis=1)
+    return 1.0 - float(pow_table[dmin].sum()) / code.M
+
+
+def _reference_lower_bound_21(code, ch):
+    dist = _output_distances(code)
+    shared = [0] * (code.n + 1)
+    for t in range(code.n + 1):
+        cnt = (dist == t).sum(axis=1)
+        shared[t] = int(cnt[cnt >= 2].sum())
+    ratio = ch.p / ch.q
+    total = sum(ratio ** t * shared[t] for t in range(code.n + 1) if shared[t])
+    return ch.q ** code.n / (2.0 * code.M) * total
+
+
+def _reference_cover_histogram(code, t):
+    cnt = (_output_distances(code) == t).sum(axis=1)
+    vals, reps = np.unique(cnt[cnt > 0], return_counts=True)
+    return dict(zip(vals.tolist(), reps.tolist()))
+
+
+def _reference_x_max(code):
+    """X[d, t], one reference word and one (t, d) pair at a time."""
+    words = np.asarray(code.words, dtype=np.uint32)
+    pair_d = np.bitwise_count(words[:, None] ^ words[None, :])
+    dist = _output_distances(code)
+    x = np.zeros((code.n + 1, code.n + 1), dtype=np.int64)
+    for d in range(code.n + 1):
+        for t in range(code.n + 1):
+            for i in range(code.M):
+                cols = np.flatnonzero(pair_d[i] == d)
+                if cols.size:
+                    cnt = (dist[:, cols] == t).sum(axis=1)
+                    x[d, t] = max(x[d, t], int(cnt.max()))
+    return x
+
+
+_CENSUS_CODES = builtin_roster() + [("random_n10_m40_s3", random_code(10, 40, 3)),
+                                    ("parity6", parity_code(6))]
+
+
+@pytest.mark.parametrize("code", [c for _, c in _CENSUS_CODES],
+                         ids=[name for name, _ in _CENSUS_CODES])
+def test_census_matches_reference_routes(code):
+    n = code.n
+    x_ref = _reference_x_max(code)
+    for d in range(n + 1):
+        for t in range(n + 1):
+            assert restricted_cover_max(code, t, d) == x_ref[d, t], (d, t)
+    for t in range(n + 1):
+        assert cover_report(code, t).histogram == _reference_cover_histogram(code, t)
+    for p in (0.01, 0.05, 0.1, 0.25, 0.4):
+        ch = ChannelParam(p)
+        want = _reference_lower_bound_21(code, ch)
+        assert abs(lower_bound_21(code, ch) - want) <= 1e-15 * abs(want), p
+        assert abs(exact_pe_ml(code, ch) - _reference_pe(code, ch)) <= 1e-15, p
+
+
+@pytest.mark.parametrize("code", [parity_code(6), random_code(8, 12, seed=7)],
+                         ids=["parity6", "rand8"])
+def test_census_chunk_boundaries(code, monkeypatch):
+    whole = oracle._census.__wrapped__(code)
+    spectrum = distance_distribution(code)
+    assert oracle._chunk_len(code.n, code.M) >= 1 << code.n
+    per_output = 8 * (code.M + (code.n + 1) ** 2)
+    for outputs in (1, 3, 7):
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", outputs * per_output)
+        assert oracle._chunk_len(code.n, code.M) == outputs
+        part = oracle._census.__wrapped__(code)
+        assert np.array_equal(part.dmin_hist, whole.dmin_hist), outputs
+        assert np.array_equal(part.cover, whole.cover), outputs
+        assert np.array_equal(part.x_max, whole.x_max), outputs
+    # pair distances in blocks of 3 rows as well
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", 3 * 8 * code.M)
+    part = oracle._census.__wrapped__(code)
+    assert np.array_equal(part.x_max, whole.x_max)
+    assert distance_distribution(code) == spectrum
+
+
+def test_census_refuses_work_over_budget():
+    # M^2 2^n = 2^46: refused before any output is enumerated
+    with pytest.raises(SizeBudgetError, match="budget"):
+        exact_pe_ml(parity_code(16), CH)
+    with pytest.raises(SizeBudgetError, match="budget"):
+        restricted_cover_max(random_code(24, 33, seed=1), 1, 2)
 
 
 # --- dominance: analytic lower bounds never exceed the enumerated truth --
