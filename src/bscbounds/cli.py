@@ -12,11 +12,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .core import (ChannelParam, DomainError, capacity, channel_constants,
                    sphere_packing_exponent, zero_rate_exponent)
-from .optimizer import CurveKind, F_minimize, curve
+from .optimizer import CurveKind, curve
 from .oracle import (BinaryCode, CodeFormatError, SizeBudgetError,
                      cover_report, distance_distribution, exact_pe_ml,
                      hamming74, johnson_upper, load_code, lower_bound_21,
@@ -27,31 +26,9 @@ from .quadrature import QuadratureError
 from .svg import SeamMark, render_chart
 from .verify import SUITE_NAMES, run_suite
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 _GENERATORS = ("repetition", "parity", "hamming74", "random")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its validated knobs."""
-
-    command: str
-    p: float | None = None
-    rmin: float | None = None
-    rmax: float | None = None
-    step: float | None = None
-    bounds: tuple[str, ...] = ("sphere_packing", "F_bound", "combined")
-    out: str | None = None
-    format: str = "csv"
-    suite: str | None = None
-    p_grid: tuple[float, ...] | None = None
-    generator: str | None = None
-    code_file: str | None = None
-    n: int | None = None
-    m: int | None = None
-    seed: int = 0
-    budget: int = 24
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,27 +79,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    kw = {"command": ns.command}
-    for f in ("p", "rmin", "rmax", "step", "out", "format", "suite",
-              "generator", "code_file", "n", "m", "seed", "budget"):
-        if hasattr(ns, f) and getattr(ns, f) is not None:
-            kw[f] = getattr(ns, f)
-    if getattr(ns, "bounds", None):
-        kinds = tuple(s.strip() for s in ns.bounds.split(",") if s.strip())
-        for k in kinds:
-            if k not in CurveKind.__members__:
-                raise DomainError(
-                    f"unknown curve kind {k!r}; choose from "
-                    f"{sorted(CurveKind.__members__)}")
-        kw["bounds"] = kinds
-    if getattr(ns, "p_grid", None):
-        try:
-            kw["p_grid"] = tuple(float(s) for s in ns.p_grid.split(",") if s.strip())
-        except ValueError:
+def _curve_kinds(text: str) -> tuple[str, ...]:
+    """--bounds: a comma list naming at least one curve kind."""
+    kinds = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not kinds:
+        raise DomainError(f"--bounds must name at least one curve kind, got {text!r}")
+    for k in kinds:
+        if k not in CurveKind.__members__:
             raise DomainError(
-                f"--p-grid must be a comma list of numbers, got {ns.p_grid!r}") from None
-    return RunConfig(**kw)
+                f"unknown curve kind {k!r}; choose from "
+                f"{sorted(CurveKind.__members__)}")
+    return kinds
+
+
+def _p_grid(text: str | None) -> tuple[float, ...] | None:
+    """--p-grid: a comma list naming at least one p value; None when absent."""
+    if text is None:
+        return None
+    try:
+        ps = tuple(float(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise DomainError(
+            f"--p-grid must be a comma list of numbers, got {text!r}") from None
+    if not ps:
+        raise DomainError(f"--p-grid must name at least one p value, got {text!r}")
+    return ps
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -140,8 +121,8 @@ def _g7(v: float) -> str:
     return f"{v:.7g}"
 
 
-def cmd_constants(cfg: RunConfig) -> int:
-    ch = ChannelParam(cfg.p)
+def cmd_constants(ns: argparse.Namespace) -> int:
+    ch = ChannelParam(ns.p)
     cc = channel_constants(ch)
     fields = [
         ("tau0", cc.tau0), ("R0", cc.r0), ("p1", cc.p1),
@@ -151,12 +132,12 @@ def cmd_constants(cfg: RunConfig) -> int:
         ("E_sp_zero", sphere_packing_exponent(0.0, ch)),
         ("E_zero", zero_rate_exponent(ch)),
     ]
-    if cfg.format == "json":
+    if ns.format == "json":
         rec = {"operation": "constants", "inputs": {"p": ch.p},
                "value": {k: v for k, v in fields}}
-        _emit(json.dumps(rec, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(rec, indent=2) + "\n", ns.out)
     else:
-        _emit("".join(f"{k} = {_g7(v)}\n" for k, v in fields), cfg.out)
+        _emit("".join(f"{k} = {_g7(v)}\n" for k, v in fields), ns.out)
     return 0
 
 
@@ -168,23 +149,24 @@ def _regime(rate: float, p: float, cc) -> str:
     return "low_rate"
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    ch = ChannelParam(cfg.p)
+def cmd_curve(ns: argparse.Namespace) -> int:
+    kinds = _curve_kinds(ns.bounds)
+    ch = ChannelParam(ns.p)
     cc = channel_constants(ch)
-    rmin = cfg.rmin if cfg.rmin is not None else 0.01
-    rmax = cfg.rmax if cfg.rmax is not None else capacity(ch) - 0.001
-    step = cfg.step if cfg.step is not None else (rmax - rmin) / 199.0
-    if cfg.format in ("csv", "json"):
+    rmin = ns.rmin
+    rmax = ns.rmax if ns.rmax is not None else capacity(ch) - 0.001
+    step = ns.step if ns.step is not None else (rmax - rmin) / 199.0
+    if ns.format in ("csv", "json"):
         esp = curve(CurveKind.sphere_packing, ch, rmin, rmax, step).points
         fb = curve(CurveKind.F_bound, ch, rmin, rmax, step).points
         comb = curve(CurveKind.combined, ch, rmin, rmax, step).points
         rows = [(r, ch.p, e, f, c, _regime(r, ch.p, cc))
                 for (r, e), (_, f), (_, c) in zip(esp, fb, comb)]
-        if cfg.format == "csv":
+        if ns.format == "csv":
             lines = ["R,p,E_sp,F,combined,regime"]
             lines += [f"{r:.10g},{p:.10g},{e:.10g},{f:.10g},{c:.10g},{reg}"
                       for r, p, e, f, c, reg in rows]
-            _emit("\n".join(lines) + "\n", cfg.out)
+            _emit("\n".join(lines) + "\n", ns.out)
         else:
             rec = {"operation": "curve",
                    "inputs": {"p": ch.p, "rmin": rmin, "rmax": rmax,
@@ -192,11 +174,11 @@ def cmd_curve(cfg: RunConfig) -> int:
                    "value": [{"R": r, "p": p, "E_sp": e, "F": f,
                               "combined": c, "regime": reg}
                              for r, p, e, f, c, reg in rows]}
-            _emit(json.dumps(rec, indent=2) + "\n", cfg.out)
+            _emit(json.dumps(rec, indent=2) + "\n", ns.out)
         return 0
 
     series = []
-    for kind in cfg.bounds:
+    for kind in kinds:
         lo, hi = rmin, rmax
         if kind in ("corollary1", "straight_line"):
             if ch.p <= cc.p1:
@@ -211,42 +193,46 @@ def cmd_curve(cfg: RunConfig) -> int:
                 f"curve kind {kind!r} has empty domain on [{rmin}, {rmax}]")
         series.append((kind, curve(CurveKind(kind), ch, lo, hi, step).points))
     seams = [SeamMark("R1", cc.r1), SeamMark("Rcrit", cc.r_crit)]
-    _emit(render_chart(series, seams, title=f"p = {ch.p:g}"), cfg.out)
+    _emit(render_chart(series, seams, title=f"p = {ch.p:g}"), ns.out)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = run_suite(cfg.suite, p_values=cfg.p_grid)
+def cmd_verify(ns: argparse.Namespace) -> int:
+    report = run_suite(ns.suite, p_values=_p_grid(ns.p_grid))
     text = json.dumps(report, indent=2) + "\n"
     sys.stdout.write(text)
-    if cfg.out is not None:
-        _emit(text, cfg.out)
+    if ns.out is not None:
+        _emit(text, ns.out)
     return 0 if report["passed"] else 1
 
 
-def _build_code(cfg: RunConfig) -> BinaryCode:
-    if cfg.code_file is not None:
-        return load_code(cfg.code_file)
-    if cfg.generator == "hamming74":
-        return hamming74()
-    if cfg.n is None:
-        raise CodeFormatError(f"generator {cfg.generator!r} needs --n")
-    if cfg.generator == "repetition":
-        return repetition_code(cfg.n)
-    if cfg.generator == "parity":
-        return parity_code(cfg.n)
-    if cfg.m is None:
-        raise CodeFormatError("random generator needs --m")
-    return random_code(cfg.n, cfg.m, cfg.seed)
-
-
-def cmd_oracle(cfg: RunConfig) -> int:
-    ch = ChannelParam(cfg.p)
-    code = _build_code(cfg)
-    if code.n > cfg.budget:
+def _check_budget(n: int, budget: int) -> None:
+    if n > budget:
         raise SizeBudgetError(
-            f"code length {code.n} exceeds the exhaustive budget "
-            f"{cfg.budget}")
+            f"code length {n} exceeds the exhaustive budget {budget}")
+
+
+def _build_code(ns: argparse.Namespace) -> BinaryCode:
+    if ns.code_file is not None:
+        return load_code(ns.code_file)
+    if ns.generator == "hamming74":
+        return hamming74()
+    if ns.n is None:
+        raise CodeFormatError(f"generator {ns.generator!r} needs --n")
+    if ns.generator == "random" and ns.m is None:
+        raise CodeFormatError("random generator needs --m")
+    _check_budget(ns.n, ns.budget)      # before any n-bit word is drawn
+    if ns.generator == "repetition":
+        return repetition_code(ns.n)
+    if ns.generator == "parity":
+        return parity_code(ns.n)
+    return random_code(ns.n, ns.m, ns.seed)
+
+
+def cmd_oracle(ns: argparse.Namespace) -> int:
+    ch = ChannelParam(ns.p)
+    code = _build_code(ns)
+    _check_budget(code.n, ns.budget)
     pe = exact_pe_ml(code, ch)      # refuses an over-budget census first
     dd = distance_distribution(code)
     lb21 = lower_bound_21(code, ch)
@@ -280,8 +266,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     rec = {
         "operation": "oracle",
         "inputs": {"p": ch.p, "n": code.n, "M": code.M,
-                   "generator": cfg.generator, "code_file": cfg.code_file,
-                   "seed": cfg.seed if cfg.generator == "random" else None},
+                   "generator": ns.generator, "code_file": ns.code_file,
+                   "seed": ns.seed if ns.generator == "random" else None},
         "value": {
             "distance_distribution": dd,
             "exact_pe_ml": pe,
@@ -294,21 +280,20 @@ def cmd_oracle(cfg: RunConfig) -> int:
             "johnson_min_distance": johnson,
         },
     }
-    _emit(json.dumps(rec, indent=2) + "\n", cfg.out)
+    _emit(json.dumps(rec, indent=2) + "\n", ns.out)
     return 0 if dominance_ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        cfg = _config(ns)
-        if cfg.command == "constants":
-            return cmd_constants(cfg)
-        if cfg.command == "curve":
-            return cmd_curve(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_oracle(cfg)
+        if ns.command == "constants":
+            return cmd_constants(ns)
+        if ns.command == "curve":
+            return cmd_curve(ns)
+        if ns.command == "verify":
+            return cmd_verify(ns)
+        return cmd_oracle(ns)
     except (DomainError, QuadratureError, SizeBudgetError, CodeFormatError,
             OSError) as exc:
         print(f"bscbounds: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ __all__ = [
     "kl_divergence",
     "capacity",
     "omega_cap",
-    "omega_cap_alt",
     "solve_tau0",
     "solve_p1",
     "channel_constants",
@@ -188,14 +187,6 @@ def omega_cap(alpha, tau):
     root = np.sqrt(t * (1.0 - t))
     out = 2.0 * (a * (1.0 - a) - t * (1.0 - t)) / (1.0 + 2.0 * root)
     return out if out.ndim else float(out)
-
-
-def omega_cap_alt(alpha: float, tau: float) -> float:
-    """Algebraic rearrangement of :func:`omega_cap`, kept for cross-checking."""
-    if not 0.0 <= tau <= alpha + _TOL or alpha > 0.5 + _TOL:
-        raise DomainError(f"need 0 <= tau <= alpha <= 1/2, got alpha={alpha!r} tau={tau!r}")
-    root = math.sqrt(tau * (1.0 - tau))
-    return 0.5 - root - (1.0 - 2.0 * alpha) ** 2 / (2.0 * (1.0 + 2.0 * root))
 
 
 @lru_cache(maxsize=1)

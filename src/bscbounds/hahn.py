@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import DomainError, binary_entropy
 from .quadrature import integrate
+from .spectrum import log_kernel
 
 __all__ = [
     "HahnContext",
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 _LOG2E = math.log2(math.e)
+_Q0_TOL = 1e-9          # absolute tolerance of the q0 kernel integral
 
 
 class BracketError(RuntimeError):
@@ -348,13 +348,14 @@ def choose_degree(n: int, w: int, log2_size: float) -> int:
     raise BracketError(f"no degree satisfies the size budget for n={n} w={w}")
 
 
-def q0_exponent(alpha: float, tau: float, xi: float, *, tol: float = 1e-9) -> float:
+def q0_exponent(alpha: float, tau: float, xi: float) -> float:
     """Asymptotic upper exponent of the ratio-chain sum, in bits.
 
     q0 = h2(tau) - alpha h2(xi/alpha) - (1-alpha) h2(xi/(1-alpha))
          - 2 xi log2(xi/e) - xi + int_0^xi log2[s(u) + 2u^2
          + sqrt(s^2(u) - 4 tau(1-tau) u^2)] du,
-    with s(u) = alpha(1-alpha) - tau(1-tau) - u, valid strictly below the
+    with s(u) = alpha(1-alpha) - tau(1-tau) - u (the integrand is the
+    spectrum module's log_kernel), valid strictly below the
     scaled root position (alpha(1-alpha) - tau(1-tau))/(1 + 2 sqrt(tau(1-tau))).
     """
     if not 0.0 < tau <= alpha <= 0.5:
@@ -366,13 +367,7 @@ def q0_exponent(alpha: float, tau: float, xi: float, *, tol: float = 1e-9) -> fl
             f"xi must lie in [0, {threshold:.6f}) for these (alpha, tau), got {xi!r}")
     if xi == 0.0:
         return binary_entropy(tau)
-    tt = tau * (1.0 - tau)
-
-    def kernel(u):
-        s = gap - u
-        return np.log2(s + 2.0 * u * u + np.sqrt(s * s - 4.0 * tt * u * u))
-
-    quad = integrate(kernel, 0.0, xi, tol=tol)
+    quad = integrate(lambda u: log_kernel(u, alpha, tau), 0.0, xi, tol=_Q0_TOL)
     return (binary_entropy(tau)
             - alpha * binary_entropy(xi / alpha)
             - (1.0 - alpha) * binary_entropy(xi / (1.0 - alpha))

@@ -56,7 +56,9 @@ __all__ = [
 
 _TOL = 1e-12
 _MAX_POINTS = 100_000   # largest rate grid curve() samples
+_F_GRID = 129           # alphas in the global pass of F_minimize
 _POLISH = 33            # alphas per polishing level of F_minimize
+_F1_TOL = 1e-10         # relative bracket width of the inner sign search
 _SECTIONS = 8           # cells the inner sign search splits its bracket into
 
 
@@ -174,7 +176,7 @@ def _f1_batch(rate: float, alphas: np.ndarray, L: float, tol: float) -> _F1Batch
 
 
 def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
-                *, tol: float = 1e-10) -> OptResult:
+                *, tol: float = _F1_TOL) -> OptResult:
     """max over omega in [0, G(alpha, tau)] of W(omega, alpha, R, p).
 
     mu is convex in omega, so W is concave on the band and the maximum is
@@ -193,14 +195,14 @@ def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
 
 
 @lru_cache(maxsize=4096)
-def _f_minimize_cached(rate: float, p: float, grid: int, tol: float) -> OptResult:
+def _f_minimize_cached(rate: float, p: float) -> OptResult:
     L = _log_quarter(ChannelParam(p))
     alpha0 = binary_entropy_inv(1.0 - rate)
     # R = 0 collapses the constraint interval onto 1/2; defined by continuity
-    alphas = (np.linspace(alpha0, 0.5, grid) if alpha0 < 0.5 - 1e-12
+    alphas = (np.linspace(alpha0, 0.5, _F_GRID) if alpha0 < 0.5 - 1e-12
               else np.array([0.5]))
     # one batched pass over the grid does the global work
-    res = _f1_batch(rate, alphas, L, tol)
+    res = _f1_batch(rate, alphas, L, _F1_TOL)
     it = int(res.iterations.sum())
     i, last = int(np.argmin(res.value)), alphas.size - 1
     lo, hi = float(alphas[max(i - 1, 0)]), float(alphas[min(i + 1, last)])
@@ -209,7 +211,7 @@ def _f_minimize_cached(rate: float, p: float, grid: int, tol: float) -> OptResul
     level, a, j = res, alphas, i
     while hi - lo > 1e-9:
         a = np.linspace(lo, hi, _POLISH)
-        level = _f1_batch(rate, a, L, tol)
+        level = _f1_batch(rate, a, L, _F1_TOL)
         it += int(level.iterations.sum())
         j = int(np.argmin(level.value))
         lo, hi = float(a[max(j - 1, 0)]), float(a[min(j + 1, _POLISH - 1)])
@@ -233,18 +235,17 @@ def _f_minimize_cached(rate: float, p: float, grid: int, tol: float) -> OptResul
                      {"omega": at_cap, "alpha": at_alpha_edge}, it)
 
 
-def F_minimize(rate: float, ch: ChannelParam, *, grid: int = 129,
-               tol: float = 1e-10) -> OptResult:
+def F_minimize(rate: float, ch: ChannelParam) -> OptResult:
     """min over alpha in [h2_inv(1-R), 1/2] of F1(R, alpha, p).
 
-    One batched inner maximization over the whole grid (>= 128 points),
+    One batched inner maximization over a fixed grid of _F_GRID alphas,
     then batched bracket levels of _POLISH points around the best cell
     until the bracket is 1e-9 wide; there is no convexity guarantee in
     alpha, so the grid does the global work and the levels only polish.
     """
     if not 0.0 <= rate <= 1.0:
         raise DomainError(f"rate must lie in [0, 1], got {rate!r}")
-    return _f_minimize_cached(float(rate), ch.p, grid, tol)
+    return _f_minimize_cached(float(rate), ch.p)
 
 
 def theorem1_bound(R: float, ch: ChannelParam) -> float:
@@ -360,20 +361,25 @@ def curve(kind: CurveKind, ch: ChannelParam, r_min: float, r_max: float,
 # claims report: the certified facts about the cleaning gap
 
 
-def default_claims_grid(count: int = 44) -> list[ChannelParam]:
-    """Log-spaced channel grid strictly inside (0.003, 0.22).
+_CLAIMS_P = (0.003, 0.22)   # channel range the gap claims are stated on
+_CLAIMS_COUNT = 44          # channels in the default claims grid
+_GAP_GRID = 200             # lambda samples per band in claims_stats
+_GAP_STEP = 1e-5            # step of the second-difference stencil
 
-    The interior of a (count+2)-point net on the closed interval: the
-    endpoints are deliberately excluded — the gap analysis is stated on the
+
+def default_claims_grid() -> list[ChannelParam]:
+    """Log-spaced channel grid strictly inside the claims range (0.003, 0.22).
+
+    The interior of a (_CLAIMS_COUNT + 2)-point net on the closed interval:
+    the endpoints are deliberately excluded — the gap analysis is stated on the
     open interval, and the linear-decay margin genuinely degenerates at the
     upper endpoint itself.
     """
-    ps = np.geomspace(0.003, 0.22, count + 2)[1:-1]
+    ps = np.geomspace(*_CLAIMS_P, _CLAIMS_COUNT + 2)[1:-1]
     return [ChannelParam(float(p)) for p in ps]
 
 
-def claims_stats(ch: ChannelParam, *, grid: int = 200,
-                 h: float = 1e-5) -> dict:
+def claims_stats(ch: ChannelParam) -> dict:
     """Measured gap statistics for one channel on the band [omega_m, omega_1].
 
     curvature_min: min over the lambda grid (both ends included) of the
@@ -385,7 +391,8 @@ def claims_stats(ch: ChannelParam, *, grid: int = 200,
     """
     cc = channel_constants(ch)
     om, o1 = cc.omega_m, cc.omega1
-    lam = np.linspace(om, o1, grid)
+    lam = np.linspace(om, o1, _GAP_GRID)
+    h = _GAP_STEP
     stencil = (cleaning_gap_case1(lam + h, o1, ch)
                - 2.0 * cleaning_gap_case1(lam, o1, ch)
                + cleaning_gap_case1(lam - h, o1, ch)) / h ** 2
@@ -404,14 +411,15 @@ def claims_stats(ch: ChannelParam, *, grid: int = 200,
     }
 
 
-def max_band_width(p_lo: float = 0.003, p_hi: float = 0.22) -> tuple[float, float]:
-    """max over p of omega_1(p) - omega_m(p); returns (argmax p, width)."""
+def max_band_width() -> tuple[float, float]:
+    """max over p in the claims range of omega_1(p) - omega_m(p);
+    returns (argmax p, width)."""
 
     def neg_width(p: float) -> float:
         cc = channel_constants(ChannelParam(p))
         return cc.omega_m - cc.omega1
 
-    res = minimize_scalar(neg_width, bounds=(p_lo, p_hi), method="bounded",
+    res = minimize_scalar(neg_width, bounds=_CLAIMS_P, method="bounded",
                           options={"xatol": 1e-10})
     return float(res.x), float(-res.fun)
 
@@ -430,10 +438,11 @@ def verify_claims(ch_grid: list[ChannelParam] | None = None) -> dict:
     """
     if ch_grid is None:
         ch_grid = default_claims_grid()
+    p_lo, p_hi = _CLAIMS_P
     for ch in ch_grid:
-        if not 0.003 < ch.p < 0.22:
+        if not p_lo < ch.p < p_hi:
             raise DomainError(
-                f"claims grid must lie strictly inside (0.003, 0.22), got {ch.p!r}")
+                f"claims grid must lie strictly inside ({p_lo}, {p_hi}), got {ch.p!r}")
     per_p = []
     ok = True
     for ch in ch_grid:

@@ -167,16 +167,22 @@ def _pair_distance_rows(words: np.ndarray) -> Iterator[np.ndarray]:
         yield np.bitwise_count(words[start:start + rows, None] ^ words[None, :])
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_counts(code: BinaryCode) -> tuple[int, ...]:
+    """Ordered word pairs at each distance 0..n, the diagonal included."""
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for block in _pair_distance_rows(_word_array(code)):
+        counts += np.bincount(block.ravel(), minlength=code.n + 1)
+    return tuple(counts.tolist())
+
+
 def distance_distribution(code: BinaryCode) -> list:
     """Ordered-pair distance spectrum B_0..B_n, normalised by M.
 
     Includes the diagonal, so B_0 = 1 and sum(B) = M; off-diagonal entries
     times M are even integers (each unordered pair counted twice).
     """
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for block in _pair_distance_rows(_word_array(code)):
-        counts += np.bincount(block.ravel(), minlength=code.n + 1)
-    return [c / code.M for c in counts.tolist()]
+    return [c / code.M for c in _pair_counts(code)]
 
 
 @dataclass(frozen=True)
@@ -335,10 +341,10 @@ def proposition3_rhs(code: BinaryCode, ch: ChannelParam, t: int,
                      omega_dist: int) -> float:
     """One (t, omega) term of the spectrum-based lower bound:
     (q^n/2) (p/q)^t B_omega Z(t, omega) / X_max(t, omega)."""
-    b = distance_distribution(code)
     if not 0 <= omega_dist <= code.n:
         raise DomainError(f"distance must lie in [0, n], got {omega_dist!r}")
-    if b[omega_dist] == 0.0:
+    b = _pair_counts(code)[omega_dist] / code.M
+    if b == 0.0:
         return 0.0
     z = z_pair_count(code.n, omega_dist, t)
     if z == 0:
@@ -346,8 +352,7 @@ def proposition3_rhs(code: BinaryCode, ch: ChannelParam, t: int,
     xmax = restricted_cover_max(code, t, omega_dist)
     if xmax == 0:
         return 0.0
-    return (ch.q ** code.n / 2.0 * (ch.p / ch.q) ** t
-            * b[omega_dist] * z / xmax)
+    return ch.q ** code.n / 2.0 * (ch.p / ch.q) ** t * b * z / xmax
 
 
 def _johnson_once(n: int, d: int, w: int) -> float:

@@ -25,13 +25,13 @@ __all__ = [
     "spectrum_exponent",
     "spectrum_exponent_half",
     "spectrum_exponent_at",
-    "spectrum_exponent_curve",
     "log_kernel",
 ]
 
 _LOG2E = math.log2(math.e)
 _TOL = 1e-12
 _DISC_SLACK = 1e-12
+_QUAD_TOL = 1e-11       # absolute tolerance of the quadrature route
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,13 @@ def log_kernel(u: np.ndarray, alpha: float, tau: float) -> np.ndarray:
     return np.log2(s + 2.0 * u * u + np.sqrt(disc))
 
 
-def spectrum_exponent(pt: SpectrumPoint, *, tol: float = 1e-11) -> float:
+def spectrum_exponent(pt: SpectrumPoint) -> float:
     """Spectrum exponent by adaptive quadrature of the logarithmic kernel."""
     omega, alpha, tau = pt.omega, pt.alpha, pt.tau
     if omega <= 0.0:
         return 0.0
     integral = integrate(lambda u: log_kernel(u, alpha, tau),
-                         0.0, 0.5 * omega, tol=0.5 * tol, refine_end=True)
+                         0.0, 0.5 * omega, tol=0.5 * _QUAD_TOL, refine_end=True)
     inner = (alpha - 0.5 * omega) / (1.0 - omega)
     return (-binary_entropy(alpha)
             - 2.0 * (1.0 - omega) * math.log2(1.0 - omega)
@@ -143,6 +143,8 @@ def spectrum_exponent_at(rate: float, alpha: float, omega: float) -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _BLOCK = 8
+_UNIFORM_PANELS = 40    # equal panels on [0, 0.85 G/2]
+_GRADED_PANELS = 36     # geometric panels (ratio 0.6) on [0.85 G/2, G/2]
 
 
 class MuSlice:
@@ -152,15 +154,15 @@ class MuSlice:
     decomposition of [0, G/2] serves every omega on the slice: mu(omega)
     costs the stored cumulative integral through the last whole panel plus
     a single Gauss rule on the partial panel.  Panels are graded toward
-    G/2, where the radical's derivative blows up.  Agrees with the
+    G/2, where the radical's derivative blows up; the panel counts are the
+    module constants _UNIFORM_PANELS and _GRADED_PANELS.  Agrees with the
     adaptive-quadrature route to ~1e-10; that route stays untouched as the
     independent reference.  For a vector of alpha, attributes are arrays
     and ``mu`` takes one omega per slice; panels are built ``_BLOCK``
     slices at a time, which bounds the (slice x panel x node) temporaries.
     """
 
-    def __init__(self, rate: float, alpha, *,
-                 uniform_panels: int = 40, graded_panels: int = 36) -> None:
+    def __init__(self, rate: float, alpha) -> None:
         if not 0.0 <= rate <= 1.0 + _TOL:
             raise DomainError(f"rate must lie in [0, 1], got {rate!r}")
         a = np.asarray(alpha, dtype=float)
@@ -183,14 +185,14 @@ class MuSlice:
         self.alpha, self.tau, self.cap = map(self._out, (a, tau, cap))
         x_end = np.maximum(0.5 * cap, 0.0)
         split = 0.85 * x_end
-        uni = np.linspace(0.0, split, uniform_panels + 1, axis=-1)
-        ratios = np.cumprod(np.full(graded_panels, 0.6))
+        uni = np.linspace(0.0, split, _UNIFORM_PANELS + 1, axis=-1)
+        ratios = np.cumprod(np.full(_GRADED_PANELS, 0.6))
         widths = (x_end - split)[:, None] * ratios / ratios.sum()
         # widest graded panel first, so the mesh shrinks into the endpoint
         tail = split[:, None] + np.cumsum(widths, axis=1)
         tail[:, -1] = x_end
         self._bounds = np.concatenate([uni, tail], axis=1)
-        panel = np.zeros((a.size, uniform_panels + graded_panels))
+        panel = np.zeros((a.size, _UNIFORM_PANELS + _GRADED_PANELS))
         live = np.flatnonzero(x_end > 0.0)
         for start in range(0, live.size, _BLOCK):
             rows = live[start:start + _BLOCK]
@@ -241,20 +243,3 @@ class MuSlice:
                + (1.0 - omega) * _h2_arr(np.clip(inner, 0.0, 1.0))
                - 2.0 * self._integral(0.5 * omega))
         return self._out(np.where(omega > 0.0, val, 0.0))
-
-
-def spectrum_exponent_curve(rate: float, alpha: float, samples: int) -> np.ndarray:
-    """Uniform sampling of omega -> mu over [0, G(alpha, tau)].
-
-    Returns an array of shape (samples, 2) with columns (omega, mu); a single
-    sample degenerates to the origin.
-    """
-    if samples < 1:
-        raise DomainError(f"need at least one sample, got {samples!r}")
-    if samples == 1:
-        SpectrumPoint.make(rate, alpha, 0.0)
-        return np.array([[0.0, 0.0]])
-    sl = MuSlice(rate, alpha)
-    omegas = np.linspace(0.0, sl.cap, samples)
-    values = [sl.mu(float(w)) for w in omegas]
-    return np.column_stack([omegas, values])

@@ -18,8 +18,7 @@ from .core import (ChannelParam, binary_entropy, binary_entropy_inv,
 from .hahn import HahnContext, delsarte_margins, hahn_eval, hahn_ratios, min_root, q0_exponent
 from .optimizer import F1_maximize, claims_stats, verify_claims
 from .oracle import (BinaryCode, cover_report, distance_distribution,
-                     exact_pe_ml, exhaustive_max_constant_weight, hamming74,
-                     johnson_upper, lower_bound_21, parity_code,
+                     exact_pe_ml, hamming74, lower_bound_21, parity_code,
                      proposition3_rhs, proposition4_check, random_code,
                      repetition_code, sphere_packing_rhs_23, z_pair_count)
 from .spectrum import SpectrumPoint, spectrum_exponent, spectrum_exponent_half

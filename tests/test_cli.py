@@ -166,6 +166,19 @@ def test_curve_unknown_bound_kind(capsys):
     assert "unknown curve kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "--p", "0.1", "--format", "svg", "--bounds", ","],
+    ["curve", "--p", "0.1", "--bounds", ""],
+    ["verify", "--suite", "claims", "--p-grid", ","],
+    ["verify", "--suite", "claims", "--p-grid", ""],
+], ids=["bounds-comma", "bounds-empty", "p-grid-comma", "p-grid-empty"])
+def test_list_flag_naming_nothing_is_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bscbounds: ") and err.count("\n") == 1
+    assert "at least one" in err
+
+
 def test_curve_refuses_huge_grid(capsys):
     rc = main(["curve", "--p", "0.1", "--step", "1e-9"])
     assert rc == 2
@@ -241,6 +254,15 @@ def test_oracle_budget_exceeded(capsys):
                "--budget", "10"])
     assert rc == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_oracle_generator_length_checked_before_building(capsys):
+    # 70-bit words would overflow the generator's uint64 draws
+    rc = main(["oracle", "--generator", "random", "--n", "70", "--m", "4",
+               "--p", "0.1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "bscbounds: code length 70 exceeds the exhaustive budget 24\n"
 
 
 def test_oracle_census_over_budget_exits_at_once(capsys):

@@ -28,7 +28,6 @@ from bscbounds.core import (
     equidistant_radius,
     kl_divergence,
     omega_cap,
-    omega_cap_alt,
     solve_p1,
     solve_tau0,
     sphere_packing_exponent,
@@ -110,6 +109,12 @@ def test_omega_cap_symmetric_closed_form():
     for tau in (0.02, 0.1, 0.25, 0.4):
         expect = 0.5 - math.sqrt(tau * (1.0 - tau))
         assert omega_cap(0.5, tau) == pytest.approx(expect, abs=1e-15)
+
+
+def omega_cap_alt(alpha, tau):
+    """Algebraic rearrangement of omega_cap: the reference it is checked against."""
+    root = math.sqrt(tau * (1.0 - tau))
+    return 0.5 - root - (1.0 - 2.0 * alpha) ** 2 / (2.0 * (1.0 + 2.0 * root))
 
 
 def test_omega_cap_alt_agrees():

@@ -282,6 +282,7 @@ def test_census_chunk_boundaries(code, monkeypatch):
     monkeypatch.setattr(oracle, "_BLOCK_BYTES", 3 * 8 * code.M)
     part = oracle._census.__wrapped__(code)
     assert np.array_equal(part.x_max, whole.x_max)
+    oracle._pair_counts.cache_clear()       # recount under the 3-row blocks
     assert distance_distribution(code) == spectrum
 
 
@@ -291,6 +292,21 @@ def test_census_refuses_work_over_budget():
         exact_pe_ml(parity_code(16), CH)
     with pytest.raises(SizeBudgetError, match="budget"):
         restricted_cover_max(random_code(24, 33, seed=1), 1, 2)
+
+
+def test_proposition3_terms_count_pairs_once():
+    # every (t, omega) term of one code reads a single pair-distance pass
+    code = random_code(8, 12, seed=7)
+    oracle._pair_counts.cache_clear()
+    terms = [(t, d) for d in range(code.n + 1) for t in range(code.n + 1)]
+    for t, d in terms:
+        proposition3_rhs(code, CH, t, d)
+    info = oracle._pair_counts.cache_info()
+    assert (info.misses, info.hits) == (1, len(terms) - 1)
+    # the cached counts stay private: each call returns a list of its own
+    spectrum = distance_distribution(code)
+    spectrum[0] = -1.0
+    assert distance_distribution(code)[0] == 1.0
 
 
 # --- dominance: analytic lower bounds never exceed the enumerated truth --

