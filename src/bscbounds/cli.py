@@ -16,12 +16,12 @@ import sys
 from .core import (ChannelParam, DomainError, capacity, channel_constants,
                    sphere_packing_exponent, zero_rate_exponent)
 from .optimizer import CurveKind, curve
-from .oracle import (BinaryCode, CodeFormatError, SizeBudgetError,
-                     cover_report, distance_distribution, exact_pe_ml,
-                     hamming74, johnson_upper, load_code, lower_bound_21,
-                     parity_code, proposition3_rhs, proposition4_check,
-                     random_code, repetition_code, sphere_packing_rhs_23,
-                     z_pair_count)
+from .oracle import (DOMINANCE_SLACK, BinaryCode, CodeFormatError,
+                     SizeBudgetError, cover_report, distance_distribution,
+                     exact_pe_ml, hamming74, johnson_upper, load_code,
+                     lower_bound_21, parity_code, proposition3_terms,
+                     proposition4_check, random_code, repetition_code,
+                     sphere_packing_rhs_23)
 from .quadrature import QuadratureError
 from .svg import SeamMark, render_chart
 from .verify import SUITE_NAMES, run_suite
@@ -238,17 +238,11 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     lb21 = lower_bound_21(code, ch)
     sp23 = sphere_packing_rhs_23(code, ch)
     best = {"t": None, "omega_dist": None, "value": 0.0}
-    dominance_ok = pe >= lb21 - 1e-15 and pe >= sp23 - 1e-15
-    for om_d in range(1, code.n + 1):
-        if dd[om_d] == 0.0:
-            continue
-        for t in range(code.n + 1):
-            if z_pair_count(code.n, om_d, t) == 0:
-                continue
-            term = proposition3_rhs(code, ch, t, om_d)
-            dominance_ok = dominance_ok and pe >= term - 1e-15
-            if term > best["value"]:
-                best = {"t": t, "omega_dist": om_d, "value": term}
+    dominance_ok = pe >= max(lb21, sp23) - DOMINANCE_SLACK
+    for t, om_d, term in proposition3_terms(code, ch):
+        dominance_ok = dominance_ok and pe >= term - DOMINANCE_SLACK
+        if term > best["value"]:
+            best = {"t": t, "omega_dist": om_d, "value": term}
     covers = []
     for t in range(code.n + 1):
         rep = cover_report(code, t)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import DomainError, binary_entropy
+from .core import DomainError, binary_entropy, omega_cap
 from .quadrature import integrate
 from .spectrum import log_kernel
 
@@ -356,12 +356,11 @@ def q0_exponent(alpha: float, tau: float, xi: float) -> float:
          + sqrt(s^2(u) - 4 tau(1-tau) u^2)] du,
     with s(u) = alpha(1-alpha) - tau(1-tau) - u (the integrand is the
     spectrum module's log_kernel), valid strictly below the
-    scaled root position (alpha(1-alpha) - tau(1-tau))/(1 + 2 sqrt(tau(1-tau))).
+    scaled root position omega_cap(alpha, tau)/2.
     """
     if not 0.0 < tau <= alpha <= 0.5:
         raise DomainError(f"need 0 < tau <= alpha <= 1/2, got ({alpha!r}, {tau!r})")
-    gap = alpha * (1.0 - alpha) - tau * (1.0 - tau)
-    threshold = gap / (1.0 + 2.0 * math.sqrt(tau * (1.0 - tau)))
+    threshold = 0.5 * omega_cap(alpha, tau)
     if xi < 0.0 or xi >= threshold:
         raise DomainError(
             f"xi must lie in [0, {threshold:.6f}) for these (alpha, tau), got {xi!r}")

@@ -434,7 +434,8 @@ def verify_claims(ch_grid: list[ChannelParam] | None = None) -> dict:
 
     Per channel: corner value g(omega_m, omega_1) below -0.0008, curvature
     positive, linear-decay constant above 0.013.  The report also carries
-    the band-width maximum over p.
+    the band-width maximum over p and, under ``checks``, the curvature
+    reference measured at the endpoint p = 0.003.
     """
     if ch_grid is None:
         ch_grid = default_claims_grid()
@@ -454,11 +455,14 @@ def verify_claims(ch_grid: list[ChannelParam] | None = None) -> dict:
         ok = ok and st["ok"]
         per_p.append(st)
     p_star, width = max_band_width()
-    report = {
+    curvature = claims_stats(ChannelParam(p_lo))["curvature_min"]
+    curv_ok = abs(curvature - 0.009) <= 2e-3
+    return {
         "suite": "claims",
         "thresholds": {"corner": _CORNER_THRESHOLD, "decay": _DECAY_THRESHOLD},
         "per_p": per_p,
         "band_width_max": {"p": p_star, "width": width},
-        "passed": ok and abs(width - 0.1076) <= 2e-3,
+        "passed": bool(ok and abs(width - 0.1076) <= 2e-3 and curv_ok),
+        "checks": [{"name": "curvature_reference_p003", "passed": curv_ok,
+                    "measured": curvature, "target": 0.009}],
     }
-    return report

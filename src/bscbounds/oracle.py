@@ -11,6 +11,9 @@ Words are stored as integer bitmasks.  The enumerated reports all read one
 census per code, a single pass over the 2^n outputs in chunks under a fixed
 byte budget; pair distances come in row blocks under the same budget, and a
 census whose work M^2 2^n exceeds the n = 24, M = 32 shape is refused.
+``proposition3_terms`` scans the spectrum-based lower bound term by term; its
+covering count ``restricted_cover_max`` reads the census, which the verify
+suite checks against a direct count of the union-cover inequality.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ __all__ = [
     "cover_report",
     "restricted_cover_max",
     "proposition3_rhs",
+    "proposition3_terms",
+    "DOMINANCE_SLACK",
     "johnson_upper",
     "exhaustive_max_constant_weight",
     "proposition4_check",
@@ -54,6 +59,7 @@ _ENUM_CAP = 24          # 2^n output enumeration budget
 _CLIQUE_CAP = 10        # exhaustive constant-weight search budget
 _WORK_CAP = 1 << 34     # census work M^2 2^n: the n = 24, M = 32 shape
 _BLOCK_BYTES = 1 << 20  # byte budget of one block of outputs or pair rows
+DOMINANCE_SLACK = 1e-15  # round-off allowed when a lower bound meets P_e
 
 
 class SizeBudgetError(RuntimeError):
@@ -331,10 +337,9 @@ def cover_report(code: BinaryCode, t: int) -> CoverReport:
 def restricted_cover_max(code: BinaryCode, t: int, omega_dist: int) -> int:
     """max over (reference word, output) of the number of codewords at
     distance t from the output AND at distance omega_dist from the reference."""
-    x_max = _census(code).x_max
     if not (0 <= t <= code.n and 0 <= omega_dist <= code.n):
         return 0
-    return int(x_max[omega_dist, t])
+    return int(_census(code).x_max[omega_dist, t])
 
 
 def proposition3_rhs(code: BinaryCode, ch: ChannelParam, t: int,
@@ -353,6 +358,18 @@ def proposition3_rhs(code: BinaryCode, ch: ChannelParam, t: int,
     if xmax == 0:
         return 0.0
     return ch.q ** code.n / 2.0 * (ch.p / ch.q) ** t * b * z / xmax
+
+
+def proposition3_terms(code: BinaryCode,
+                       ch: ChannelParam) -> Iterator[tuple[int, int, float]]:
+    """Every (t, omega_dist, proposition3_rhs) term of the spectrum bound
+    whose distance occurs in the code and whose radius is reachable (Z > 0),
+    distances outermost and both in increasing order."""
+    counts = _pair_counts(code)
+    for om_d in range(1, code.n + 1):
+        for t in range(code.n + 1):
+            if counts[om_d] and z_pair_count(code.n, om_d, t):
+                yield t, om_d, proposition3_rhs(code, ch, t, om_d)
 
 
 def _johnson_once(n: int, d: int, w: int) -> float:

@@ -21,6 +21,7 @@ class QuadratureError(RuntimeError):
 
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
+_MAX_DEPTH = 60     # bisections allowed below an initial panel
 
 
 def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
@@ -35,7 +36,7 @@ def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
               tol: float = 1e-9, refine_end: bool = False,
-              max_depth: int = 60, max_panels: int = 65536) -> float:
+              max_panels: int = 65536) -> float:
     """Integrate a vectorised integrand over [a, b] to absolute tolerance.
 
     ``f`` must accept a 1-d numpy array and return values of the same shape.
@@ -70,9 +71,9 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
         keep = ~done
         if not keep.any():
             break
-        if (depth[keep] >= max_depth).any():
+        if (depth[keep] >= _MAX_DEPTH).any():
             raise QuadratureError(
-                f"refinement depth {max_depth} exceeded; "
+                f"refinement depth {_MAX_DEPTH} exceeded; "
                 f"residual error estimate {float(err[keep].max()):.3e}")
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])

@@ -17,6 +17,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _AXIS = "#444444"
 _GRID = "#dddddd"
 _SEAM = "#888888"
+_WIDTH, _HEIGHT = 640, 420      # canvas size in pixels
+_X_LABEL, _Y_LABEL = "R", "exponent"
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,7 @@ def _tick_label(v: float) -> str:
 
 
 def render_chart(series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
-                 seams: Sequence[SeamMark] = (), *, title: str = "",
-                 x_label: str = "R", y_label: str = "exponent",
-                 width: int = 640, height: int = 420) -> str:
+                 seams: Sequence[SeamMark] = (), *, title: str = "") -> str:
     """Render labelled (x, y) polylines into a self-contained SVG string.
 
     ``series`` is a sequence of (label, points) pairs; empty series are
@@ -50,7 +50,7 @@ def render_chart(series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
     if not series or any(not pts for _, pts in series):
         raise ValueError("render_chart needs at least one nonempty series")
     ml, mr, mt, mb = 62, 16, 22 if title else 14, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts]
@@ -66,9 +66,9 @@ def render_chart(series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
         return mt + (1.0 - (y - y_lo) / (y_hi - y_lo)) * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         out.append(f'<text x="{_c(ml + pw / 2)}" y="15" font-size="13" '
@@ -93,12 +93,12 @@ def render_chart(series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
     out.append(f'<rect x="{_c(ml)}" y="{_c(mt)}" width="{_c(pw)}" '
                f'height="{_c(ph)}" fill="none" stroke="{_AXIS}" '
                f'stroke-width="1"/>')
-    out.append(f'<text x="{_c(ml + pw / 2)}" y="{_c(height - 12)}" '
+    out.append(f'<text x="{_c(ml + pw / 2)}" y="{_c(_HEIGHT - 12)}" '
                f'font-size="11" text-anchor="middle" fill="{_AXIS}">'
-               f'{x_label}</text>')
+               f'{_X_LABEL}</text>')
     out.append(f'<text x="14" y="{_c(mt + ph / 2)}" font-size="11" '
                f'text-anchor="middle" fill="{_AXIS}" '
-               f'transform="rotate(-90 14 {_c(mt + ph / 2)})">{y_label}</text>')
+               f'transform="rotate(-90 14 {_c(mt + ph / 2)})">{_Y_LABEL}</text>')
 
     for mark in seams:
         if not x_lo <= mark.x <= x_hi:

@@ -13,14 +13,15 @@ import math
 
 import numpy as np
 
-from .core import (ChannelParam, binary_entropy, binary_entropy_inv,
-                   channel_constants, omega_cap)
+from .core import (ChannelParam, DomainError, binary_entropy,
+                   binary_entropy_inv, channel_constants, omega_cap)
 from .hahn import HahnContext, delsarte_margins, hahn_eval, hahn_ratios, min_root, q0_exponent
-from .optimizer import F1_maximize, claims_stats, verify_claims
-from .oracle import (BinaryCode, cover_report, distance_distribution,
-                     exact_pe_ml, hamming74, lower_bound_21, parity_code,
-                     proposition3_rhs, proposition4_check, random_code,
-                     repetition_code, sphere_packing_rhs_23, z_pair_count)
+from .optimizer import F1_maximize, verify_claims
+from .oracle import (DOMINANCE_SLACK, BinaryCode, cover_report,
+                     distance_distribution, exact_pe_ml, hamming74,
+                     lower_bound_21, parity_code, proposition3_terms,
+                     proposition4_check, random_code, repetition_code,
+                     restricted_cover_max, sphere_packing_rhs_23, z_pair_count)
 from .spectrum import SpectrumPoint, spectrum_exponent, spectrum_exponent_half
 
 __all__ = [
@@ -34,9 +35,9 @@ __all__ = [
     "run_suite",
 ]
 
-SUITE_NAMES = ("prop1", "identity16", "claims", "hahn", "oracle", "all")
-
 _RANDOM_SHAPES = ((8, 4), (10, 6), (12, 8), (9, 12), (11, 16))
+_PROP1_P = (0.01, 0.05, 0.1, 0.2)       # channels of the cap-attainment rows
+_IDENTITY_TAUS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.35, 0.45)
 
 
 def builtin_roster() -> list:
@@ -58,7 +59,7 @@ def _mu(rate: float, alpha: float, omega: float) -> float:
     return spectrum_exponent(SpectrumPoint.make(rate, alpha, omega))
 
 
-def suite_prop1(p_values=(0.01, 0.05, 0.1, 0.2)) -> dict:
+def suite_prop1() -> dict:
     """Monotonicity in alpha, convexity in omega, and the cap-attainment rule.
 
     The alpha-monotonicity rows sit in the wide-window regime (rate >= 0.7,
@@ -110,7 +111,7 @@ def suite_prop1(p_values=(0.01, 0.05, 0.1, 0.2)) -> dict:
 
     mismatches = 0
     tested = 0
-    for p in p_values:
+    for p in _PROP1_P:
         ch = ChannelParam(p)
         tau1 = channel_constants(ch).tau1
         taus = sorted({round(tau1 * s, 9) for s in
@@ -126,7 +127,7 @@ def suite_prop1(p_values=(0.01, 0.05, 0.1, 0.2)) -> dict:
                 mismatches += 1
     # the same criterion governs generic alpha: attained at the cap iff
     # the band reaches omega_1 = sqrt(4pq)/(1 + sqrt(4pq))
-    for p in p_values:
+    for p in _PROP1_P:
         ch = ChannelParam(p)
         om1 = channel_constants(ch).omega1
         for rate in (0.1, 0.3, 0.5, 0.7):
@@ -149,11 +150,11 @@ def suite_prop1(p_values=(0.01, 0.05, 0.1, 0.2)) -> dict:
             "checks": checks}
 
 
-def suite_identity16(taus=(0.05, 0.1, 0.15, 0.2, 0.25, 0.35, 0.45)) -> dict:
+def suite_identity16() -> dict:
     """mu at the symmetric cap collapses to h2(tau) + h2(G) - 1, both routes."""
     worst_closed = 0.0
     worst_quad = 0.0
-    for tau in taus:
+    for tau in _IDENTITY_TAUS:
         rate = binary_entropy(tau)
         cap = omega_cap(0.5, tau)
         target = binary_entropy(tau) + binary_entropy(cap) - 1.0
@@ -167,23 +168,13 @@ def suite_identity16(taus=(0.05, 0.1, 0.15, 0.2, 0.25, 0.35, 0.45)) -> dict:
          "max_residual": worst_quad},
     ]
     return {"suite": "identity16", "passed": all(c["passed"] for c in checks),
-            "checks": checks, "tau_count": len(taus)}
+            "checks": checks, "tau_count": len(_IDENTITY_TAUS)}
 
 
 def suite_claims(p_values=None) -> dict:
-    """Cleaning-gap claims plus the measured curvature reference at p = 0.003."""
-    grid = None if p_values is None else [ChannelParam(p) for p in p_values]
-    report = verify_claims(grid)
-    ref = claims_stats(ChannelParam(0.003))
-    curv_check = {
-        "name": "curvature_reference_p003",
-        "passed": abs(ref["curvature_min"] - 0.009) <= 2e-3,
-        "measured": ref["curvature_min"],
-        "target": 0.009,
-    }
-    report["checks"] = [curv_check]
-    report["passed"] = bool(report["passed"] and curv_check["passed"])
-    return report
+    """Cleaning-gap claims (``verify_claims``) on a grid of p values."""
+    return verify_claims(None if p_values is None
+                         else [ChannelParam(p) for p in p_values])
 
 
 def suite_hahn() -> dict:
@@ -241,9 +232,7 @@ def suite_hahn() -> dict:
         w, j = round(al * n), round(ta * n)
         alpha, tau = w / n, j / n
         x1 = min_root(HahnContext(n, w, j))
-        thr = ((alpha * (1 - alpha) - tau * (1 - tau))
-               / (1.0 + 2.0 * math.sqrt(tau * (1 - tau))))
-        i = int(frac * thr * n)
+        i = int(frac * (0.5 * omega_cap(alpha, tau)) * n)
         lhs = hahn_eval(HahnContext(n, w, j), i).log_abs / n
         rhs = (q0_exponent(alpha, tau, i / n)
                + 2.0 * math.sqrt(n) / ((alpha - tau) * (1 - alpha - tau) * (x1 - i)))
@@ -284,10 +273,8 @@ def _section_delsarte_margins(code: BinaryCode):
             w = n - w
         if w == 0 or sect.size < 2:
             continue
-        dists = np.bitwise_count(sect[:, None] ^ sect[None, :])
-        b2i = [float((dists == 2 * i).sum()) / sect.size for i in range(w + 1)]
-        for margin in delsarte_margins(n, w, b2i):
-            yield margin
+        spectrum = distance_distribution(BinaryCode(n, tuple(sect.tolist())))
+        yield from delsarte_margins(n, w, spectrum[:2 * w + 1:2])
 
 
 def suite_oracle() -> dict:
@@ -305,18 +292,11 @@ def suite_oracle() -> dict:
             ch = ChannelParam(p)
             pe = exact_pe_ml(code, ch)
             bounds = [lower_bound_21(code, ch), sphere_packing_rhs_23(code, ch)]
-            spectrum = distance_distribution(code)
-            for om_d in range(1, code.n + 1):
-                if spectrum[om_d] == 0.0:
-                    continue
-                for t in range(code.n + 1):
-                    if z_pair_count(code.n, om_d, t) == 0:
-                        continue
-                    bounds.append(proposition3_rhs(code, ch, t, om_d))
+            bounds += [term for _, _, term in proposition3_terms(code, ch)]
             for b in bounds:
                 compared += 1
                 min_slack = min(min_slack, pe - b)
-                if b > pe + 1e-12:
+                if b > pe + DOMINANCE_SLACK:
                     dom_viol += 1
     checks.append({"name": "lower_bound_dominance", "passed": dom_viol == 0,
                    "violations": dom_viol, "compared": compared,
@@ -375,23 +355,20 @@ def suite_oracle() -> dict:
 
 
 def _union_cover_violations(code: BinaryCode) -> int:
-    """|union of equidistant sets| >= (sum of sizes)/X_max, by enumeration."""
+    """|union of equidistant sets| >= (sum of sizes)/X_max, by enumeration.
+
+    X_max is the census value ``restricted_cover_max``; the union and the
+    sizes are counted here directly, so a census that undercounts fails.
+    """
     n = code.n
     words = np.asarray(code.words, dtype=np.uint32)
     pair_d = np.bitwise_count(words[:, None] ^ words[None, :])
     outputs = np.arange(1 << n, dtype=np.uint32)
     dist = np.bitwise_count(outputs[:, None] ^ words[None, :])
     viol = 0
-    for om_d in np.unique(pair_d[pair_d > 0]):
+    for om_d in np.unique(pair_d[pair_d > 0]).tolist():
         for t in range(n + 1):
-            xmax = 0
-            for i in range(code.M):
-                cols = np.flatnonzero(pair_d[i] == om_d)
-                if cols.size == 0:
-                    continue
-                at_t = dist[:, cols] == t
-                counts = at_t.sum(axis=1)
-                xmax = max(xmax, int(counts.max()))
+            xmax = restricted_cover_max(code, t, om_d)
             if xmax == 0:
                 continue
             for i in range(code.M):
@@ -407,22 +384,26 @@ def _union_cover_violations(code: BinaryCode) -> int:
     return viol
 
 
+# looked up when run, so a wrapper set on a module attribute sees each call
+_SUITES = {
+    "prop1": lambda grid: suite_prop1(),
+    "identity16": lambda grid: suite_identity16(),
+    "claims": lambda grid: suite_claims(grid),
+    "hahn": lambda grid: suite_hahn(),
+    "oracle": lambda grid: suite_oracle(),
+}
+SUITE_NAMES = (*_SUITES, "all")
+
+
 def run_suite(name: str, *, p_values=None) -> dict:
-    """Dispatch a named suite; ``all`` chains everything."""
-    if name == "prop1":
-        return suite_prop1()
-    if name == "identity16":
-        return suite_identity16()
-    if name == "claims":
-        return suite_claims(p_values)
-    if name == "hahn":
-        return suite_hahn()
-    if name == "oracle":
-        return suite_oracle()
-    if name == "all":
-        parts = [suite_prop1(), suite_identity16(), suite_claims(p_values),
-                 suite_hahn(), suite_oracle()]
-        return {"suite": "all",
-                "passed": all(p["passed"] for p in parts),
-                "suites": parts}
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    """Dispatch a named suite; ``all`` chains the table in order.  Only the
+    claims suite reads ``p_values``; a grid for any other is refused."""
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if p_values is not None and name not in ("claims", "all"):
+        raise DomainError(f"--p-grid applies to the claims suite only, not {name!r}")
+    if name != "all":
+        return _SUITES[name](p_values)
+    parts = [run(p_values) for run in _SUITES.values()]
+    return {"suite": "all", "passed": all(p["passed"] for p in parts),
+            "suites": parts}

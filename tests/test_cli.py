@@ -13,6 +13,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from bscbounds.cli import build_parser, main
+from bscbounds import verify
+from bscbounds.verify import SUITE_NAMES
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -199,6 +201,32 @@ def test_verify_claims_bad_grid_is_one_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("bscbounds: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["prop1", "identity16", "hahn", "oracle"])
+def test_verify_grid_for_other_suite_is_one_line(suite, capsys):
+    assert main(["verify", "--suite", suite, "--p-grid", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bscbounds: ") and err.count("\n") == 1
+    assert "claims suite only" in err
+
+
+def test_verify_all_runs_suite_table_with_grid(capsys):
+    assert main(["verify", "--suite", "all", "--p-grid", "0.05,0.1"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    names = [part["suite"] for part in rec["suites"]]
+    assert names == [s for s in SUITE_NAMES if s != "all"]
+    claims = rec["suites"][names.index("claims")]
+    assert [st["p"] for st in claims["per_p"]] == [0.05, 0.1]
+    assert rec["passed"] is True
+
+
+def test_verify_looks_suites_up_when_run(monkeypatch, capsys):
+    # a wrapper set on the module attribute (as a tracer sets one) is called
+    stub = {"suite": "identity16", "passed": True, "checks": []}
+    monkeypatch.setattr(verify, "suite_identity16", lambda: stub)
+    assert main(["verify", "--suite", "identity16"]) == 0
+    assert json.loads(capsys.readouterr().out) == stub
 
 
 def test_verify_identity16(capsys):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from bscbounds import oracle
+from bscbounds import oracle, verify
 from bscbounds.core import ChannelParam, DomainError
 from bscbounds.oracle import (
     BinaryCode,
@@ -28,6 +28,7 @@ from bscbounds.oracle import (
     parity_code,
     parse_code,
     proposition3_rhs,
+    proposition3_terms,
     proposition4_check,
     random_code,
     repetition_code,
@@ -181,6 +182,37 @@ def test_restricted_cover_two_word_code():
     # outputs equidistant from both words see one codeword at distance 1
     # from each reference word, not two
     assert restricted_cover_max(repetition_code(2), 1, 2) == 1
+
+
+def test_restricted_cover_out_of_range_skips_census():
+    # out-of-range (t, omega) is 0 even where the census would be refused
+    code = random_code(24, 33, seed=1)
+    for t, d in ((25, 2), (1, 25), (-1, 2), (1, -1)):
+        assert restricted_cover_max(code, t, d) == 0
+
+
+def test_proposition3_terms_match_double_loop():
+    # exactly the pairs of a double loop over omega, then t, in its order
+    for name, code in builtin_roster():
+        spectrum = distance_distribution(code)
+        pairs = [(t, d) for d in range(1, code.n + 1) if spectrum[d] != 0.0
+                 for t in range(code.n + 1) if z_pair_count(code.n, d, t)]
+        for p in (0.01, 0.1, 0.4):
+            ch = ChannelParam(p)
+            terms = list(proposition3_terms(code, ch))
+            assert [(t, d) for t, d, _ in terms] == pairs, name
+            for t, d, value in terms:
+                assert value == proposition3_rhs(code, ch, t, d), (name, t, d)
+
+
+def test_union_cover_check_reads_the_census(monkeypatch):
+    # an undercounting X_max must show up as union-cover violations
+    code = parity_code(4)
+    assert verify._union_cover_violations(code) == 0
+    true_max = verify.restricted_cover_max
+    monkeypatch.setattr(verify, "restricted_cover_max",
+                        lambda c, t, d: max(true_max(c, t, d) - 1, 1))
+    assert verify._union_cover_violations(code) > 0
 
 
 def test_proposition3_term_two_word_code():
