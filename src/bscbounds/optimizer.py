@@ -333,8 +333,8 @@ def curve(kind: CurveKind, ch: ChannelParam, r_min: float, r_max: float,
     if not (0.0 <= r_min < r_max <= cap + _TOL):
         raise DomainError(
             f"need 0 <= r_min < r_max <= C = {cap:.6f}, got [{r_min}, {r_max}]")
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step!r}")
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step!r}")
     # the slack absorbs the rounding of r_max - r_min, whatever the step
     span = (r_max - r_min + 8.0 * math.ulp(r_max)) / step
     if not span < _MAX_POINTS:

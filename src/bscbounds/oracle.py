@@ -8,9 +8,11 @@ package — every analytic lower bound must sit below the enumerated error
 probability on every code it is tested against, with no tolerance.
 
 Words are stored as integer bitmasks.  The enumerated reports all read one
-census per code, a single pass over the 2^n outputs in chunks under a fixed
-byte budget; pair distances come in row blocks under the same budget, and a
-census whose work M^2 2^n exceeds the n = 24, M = 32 shape is refused.
+census per code, a single pass in chunks under a fixed byte budget over the
+2^(n-1) outputs with the top bit clear; each complement y ^ 1^n is mirrored
+from y (radius t -> n - t, d_min -> n - d_max), never enumerated.  Pair
+distances come in row blocks under the same budget, and a census whose work
+M^2 2^n exceeds the n = 24, M = 32 shape is refused.
 ``proposition3_terms`` scans the spectrum-based lower bound term by term; its
 covering count ``restricted_cover_max`` reads the census, which the verify
 suite checks against a direct count of the union-cover inequality.
@@ -128,6 +130,8 @@ def hamming74() -> BinaryCode:
 
 def random_code(n: int, m: int, seed: int) -> BinaryCode:
     """m distinct uniformly random words of length n, reproducible from seed."""
+    if n < 1:
+        raise CodeFormatError("random code needs n >= 1")
     if not 1 <= m <= 1 << n:
         raise CodeFormatError(f"cannot place {m} distinct words in length {n}")
     rng = np.random.default_rng(seed)
@@ -209,13 +213,18 @@ def _chunk_len(n: int, m: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _census(code: BinaryCode) -> _Census:
-    """One pass over the outputs; every enumerated report reads the result.
+    """One pass over half the outputs; every enumerated report reads the result.
 
+    Only the 2^(n-1) outputs y with the top bit clear are enumerated; each
+    complement y ^ 1^n lies at distance n - d(y, x) from every codeword x, so
+    its summaries are those of y mirrored: t -> n - t, d_min -> n - d_max.
     Per chunk the output-codeword distances D are formed once.  One bincount
     on y (n+1) + D gives cnt[y, t], the number of codewords at distance t
-    from y, which feeds the d_min and cover histograms.  Per reference word
-    the columns are grouped by their distance d from it, and one bincount on
-    (y, group, D) followed by a max over y updates x_max[d, t] for all (d, t).
+    from y, which feeds the d_min and cover histograms of y and, reversed in
+    t, of its complement.  Per reference word the columns are grouped by
+    their distance d from it, and one bincount on (y, group, D) followed by a
+    max over y updates x_max[d, t] for all (d, t); the complements' maxima
+    are x_max[d, n - t], taken once after the loop.
     """
     n, m = code.n, code.M
     if n > _ENUM_CAP:
@@ -232,14 +241,17 @@ def _census(code: BinaryCode) -> _Census:
     x_max = np.zeros((width, width), dtype=np.int64)
     t_off = np.arange(width) * (m + 1)
     step = _chunk_len(n, m)
-    for start in range(0, 1 << n, step):
-        ys = np.arange(start, min(start + step, 1 << n), dtype=np.uint32)
+    half = 1 << (n - 1)
+    for start in range(0, half, step):
+        ys = np.arange(start, min(start + step, half), dtype=np.uint32)
         dist = np.bitwise_count(ys[:, None] ^ words[None, :])
         y_off = np.arange(ys.size)[:, None]
-        cnt = np.bincount((y_off * width + dist).ravel(), minlength=ys.size * width)
+        cnt = np.bincount((y_off * width + dist).ravel(),
+                          minlength=ys.size * width).reshape(-1, width)
         dmin_hist += np.bincount(dist.min(axis=1), minlength=width)
-        cover += np.bincount((cnt.reshape(-1, width) + t_off).ravel(),
-                             minlength=cover.size)
+        dmin_hist += np.bincount(n - dist.max(axis=1), minlength=width)
+        for mirrored in (cnt, cnt[:, ::-1]):
+            cover += np.bincount((mirrored + t_off).ravel(), minlength=cover.size)
         for pair in _pair_distance_rows(words):
             present = np.zeros((pair.shape[0], width), dtype=bool)
             np.put_along_axis(present, pair, True, axis=1)
@@ -250,6 +262,7 @@ def _census(code: BinaryCode) -> _Census:
                                      minlength=ys.size * g)
                 best = counts.reshape(ys.size, g).max(axis=0).reshape(-1, width)
                 x_max[seen] = np.maximum(x_max[seen], best)
+    x_max = np.maximum(x_max, x_max[:, ::-1])
     return _Census(dmin_hist, cover.reshape(width, m + 1), x_max)
 
 

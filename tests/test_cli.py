@@ -188,6 +188,14 @@ def test_curve_refuses_huge_grid(capsys):
     assert err.startswith("bscbounds: ") and "points" in err
 
 
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_curve_refuses_non_finite_step(step, capsys):
+    assert main(["curve", "--p", "0.1", "--step", step]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bscbounds: ") and err.count("\n") == 1
+    assert "step" in err and "finite" in err
+
+
 def test_curve_unwritable_out(tmp_path, capsys):
     rc = main(["curve", "--p", "0.1", "--rmin", "0.1", "--rmax", "0.2",
                "--step", "0.05", "--out", str(tmp_path / "missing" / "x.csv")])
@@ -291,6 +299,13 @@ def test_oracle_generator_length_checked_before_building(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "bscbounds: code length 70 exceeds the exhaustive budget 24\n"
+
+
+def test_oracle_random_negative_length_is_one_line(capsys):
+    rc = main(["oracle", "--generator", "random", "--n", "-3", "--m", "4",
+               "--p", "0.1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "bscbounds: random code needs n >= 1\n"
 
 
 def test_oracle_census_over_budget_exits_at_once(capsys):

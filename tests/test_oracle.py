@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bscbounds import oracle, verify
 from bscbounds.core import ChannelParam, DomainError
@@ -316,6 +317,35 @@ def test_census_chunk_boundaries(code, monkeypatch):
     assert np.array_equal(part.x_max, whole.x_max)
     oracle._pair_counts.cache_clear()       # recount under the 3-row blocks
     assert distance_distribution(code) == spectrum
+
+
+@st.composite
+def _small_codes(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    m = draw(st.integers(min_value=1, max_value=min(1 << n, 24)))
+    words = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1),
+                         min_size=m, max_size=m))
+    return BinaryCode(n, tuple(sorted(words)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_codes())
+def test_mirrored_census_matches_full_enumeration(code):
+    # the census enumerates the outputs with the top bit clear and mirrors
+    # their complements; the references enumerate all 2^n outputs
+    n = code.n
+    census = oracle._census.__wrapped__(code)
+    assert np.array_equal(census.x_max, _reference_x_max(code))
+    assert np.array_equal(census.x_max, census.x_max[:, ::-1])
+    for t in range(n + 1):
+        row = census.cover[t]
+        assert {k: int(c) for k, c in enumerate(row) if k and c} == \
+            _reference_cover_histogram(code, t), t
+        assert np.array_equal(row, census.cover[n - t]), t
+    assert int(census.dmin_hist.sum()) == 1 << n
+    for p in (0.05, 0.3):
+        ch = ChannelParam(p)
+        assert abs(exact_pe_ml(code, ch) - _reference_pe(code, ch)) <= 1e-15, p
 
 
 def test_census_refuses_work_over_budget():
