@@ -60,6 +60,7 @@ _F_GRID = 129           # alphas in the global pass of F_minimize
 _POLISH = 33            # alphas per polishing level of F_minimize
 _F1_TOL = 1e-10         # relative bracket width of the inner sign search
 _SECTIONS = 8           # cells the inner sign search splits its bracket into
+_PASS_SLICES = 4 * _F_GRID  # slices in one pass of the batched F searches
 
 
 @dataclass(frozen=True)
@@ -123,22 +124,31 @@ def _w_slope(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
 
 
 class _F1Batch(NamedTuple):
-    """Inner maxima of an alpha batch at one rate, one entry per alpha."""
+    """Inner maxima of a batch of slices, one entry per alpha."""
     value: np.ndarray
     arg_omega: np.ndarray
     at_cap: np.ndarray
     iterations: np.ndarray
 
 
-def _f1_batch(rate: float, alphas: np.ndarray, L: float, tol: float) -> _F1Batch:
+def _passes(top: float, tol: float) -> int:
+    """Sign-search passes that narrow a band of width top to tol * max(top, 1)."""
+    return math.ceil(math.log(top / (tol * max(top, 1.0)), _SECTIONS))
+
+
+def _f1_batch(rate, alphas: np.ndarray, L: float, tol: float) -> _F1Batch:
     """max over omega in [0, G(alpha, tau)] of W for every alpha in the batch.
 
-    W is concave in omega, so its analytic slope changes sign once: a slope
-    that is still non-negative at the cap puts the maximum there.  Otherwise
-    each array pass samples the slope at _SECTIONS - 1 inner points of every
-    bracket and keeps the cell where its sign changes, until the bracket is
-    tol * max(G, 1) wide: about 11 passes where bisection needs about 32,
-    and with numpy's per-call overhead 7 samples cost about what 1 does.
+    ``rate`` is one rate for the whole batch or an array with one rate per
+    alpha.  W is concave in omega, so its analytic slope changes sign once:
+    a slope that is still non-negative at the cap puts the maximum there.
+    Otherwise each array pass samples the slope at _SECTIONS - 1 inner
+    points of every bracket and keeps the cell where its sign changes,
+    until the bracket is tol * max(G, 1) wide for the widest band at the
+    slice's rate: about 11 passes where bisection needs about 32, and with
+    numpy's per-call overhead 7 samples cost about what 1 does.  A slice
+    whose rate needs fewer passes than the batch makes is frozen after its
+    own, so its result does not depend on the other rates in the batch.
     The value error is quadratic in the bracket width.  The cap endpoint is
     compared explicitly and an interior maximum below 0 (the value at
     omega = 0) is clamped.  Slices with G <= tol get 0.
@@ -150,20 +160,32 @@ def _f1_batch(rate: float, alphas: np.ndarray, L: float, tol: float) -> _F1Batch
         out = _F1Batch(np.zeros(cap.size), np.zeros(cap.size),
                        np.ones(cap.size, bool), np.zeros(cap.size, int))
         if live.any():
-            for field, sub in zip(out, _f1_batch(rate, alphas[live], L, tol)):
+            sub_rate = rate[live] if np.ndim(rate) else rate
+            for field, sub in zip(out, _f1_batch(sub_rate, alphas[live], L, tol)):
                 field[live] = sub
         return out
     at_cap = _w_slope(cap * (1.0 - 1e-12), sl.alpha, sl.tau, L) >= 0.0
-    top = float(cap.max())
-    passes = math.ceil(math.log(top / (tol * max(top, 1.0)), _SECTIONS))
+    if np.ndim(rate):
+        rates, group = np.unique(rate, return_inverse=True)
+        top = np.zeros(rates.size)
+        np.maximum.at(top, group, cap)
+        passes = np.array([_passes(float(t), tol) for t in top])[group]
+        fewest, most = int(passes.min()), int(passes.max())
+    else:
+        passes = fewest = most = _passes(float(cap.max()), tol)
     alpha, tau = sl.alpha[:, None], sl.tau[:, None]
     inner = np.arange(1, _SECTIONS)
     lo, width = np.zeros_like(cap), cap
-    for _ in range(passes):
-        width = width / _SECTIONS
+    for k in range(most):
+        cell = width / _SECTIONS
         # the slope falls with omega, so its positive samples are a prefix
-        probes = lo[:, None] + width[:, None] * inner
-        lo = lo + width * (_w_slope(probes, alpha, tau, L) > 0.0).sum(axis=1)
+        probes = lo[:, None] + cell[:, None] * inner
+        count = (_w_slope(probes, alpha, tau, L) > 0.0).sum(axis=1)
+        if k >= fewest:
+            done = passes <= k
+            count[done] = 0
+            cell = np.where(done, width, cell)
+        lo, width = lo + cell * count, cell
     x = np.where(at_cap, cap, lo + 0.5 * width)
     w_x = 0.5 * x * L - sl.mu(x)
     w_cap = 0.5 * cap * L - sl.mu(cap)
@@ -180,7 +202,8 @@ def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
     """max over omega in [0, G(alpha, tau)] of W(omega, alpha, R, p).
 
     mu is convex in omega, so W is concave on the band and the maximum is
-    found by a sign search on its analytic omega-slope (see ``_f1_batch``).  The cap flag records a non-negative slope of W at the
+    found by a sign search on its analytic omega-slope (see
+    ``_f1_batch``).  The cap flag records a non-negative slope of W at the
     cap, or the cap value winning against the interior: the form of
     boundary attainment the band criterion G >= omega_1(p) describes.
     """
@@ -194,15 +217,21 @@ def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
                      int(res.iterations[0]))
 
 
-@lru_cache(maxsize=4096)
-def _f_minimize_cached(rate: float, p: float) -> OptResult:
-    L = _log_quarter(ChannelParam(p))
+def _f_search(rate: float):
+    """min over alpha of F1 at one rate, as a coroutine.
+
+    Yields each alpha grid it needs evaluated, receives the grid's
+    _F1Batch, and returns the OptResult, so that _f_rates can evaluate the
+    grids of many rates in shared _f1_batch passes.
+    """
     alpha0 = binary_entropy_inv(1.0 - rate)
-    # R = 0 collapses the constraint interval onto 1/2; defined by continuity
-    alphas = (np.linspace(alpha0, 0.5, _F_GRID) if alpha0 < 0.5 - 1e-12
+    # R = 0 collapses the constraint interval onto 1/2, defined by
+    # continuity; at R = 1 every band collapses (F1 = 0 on the whole
+    # interval) and its end alpha = 0 is no slice: both take 1/2 alone
+    alphas = (np.linspace(alpha0, 0.5, _F_GRID) if 0.0 < alpha0 < 0.5 - 1e-12
               else np.array([0.5]))
     # one batched pass over the grid does the global work
-    res = _f1_batch(rate, alphas, L, _F1_TOL)
+    res = yield alphas
     it = int(res.iterations.sum())
     i, last = int(np.argmin(res.value)), alphas.size - 1
     lo, hi = float(alphas[max(i - 1, 0)]), float(alphas[min(i + 1, last)])
@@ -211,7 +240,7 @@ def _f_minimize_cached(rate: float, p: float) -> OptResult:
     level, a, j = res, alphas, i
     while hi - lo > 1e-9:
         a = np.linspace(lo, hi, _POLISH)
-        level = _f1_batch(rate, a, L, _F1_TOL)
+        level = yield a
         it += int(level.iterations.sum())
         j = int(np.argmin(level.value))
         lo, hi = float(a[max(j - 1, 0)]), float(a[min(j + 1, _POLISH - 1)])
@@ -235,6 +264,61 @@ def _f_minimize_cached(rate: float, p: float) -> OptResult:
                      {"omega": at_cap, "alpha": at_alpha_edge}, it)
 
 
+def _f_rates(rates: list[float], p: float) -> list[OptResult]:
+    """F at distinct rates, their searches batched into shared passes.
+
+    Each pass is one _f1_batch call over the alpha grids that every search
+    in flight asks for next.  A search joins while the pass has room for
+    its global grid within _PASS_SLICES slices (one search always runs),
+    and leaves as soon as its bracket is narrow enough, so the bound on
+    the slices of a pass bounds the panels it holds.
+    """
+    L = _log_quarter(ChannelParam(p))
+    results: list = [None] * len(rates)
+    waiting = iter(range(len(rates)))
+    flight: dict = {}       # rate index -> (search, alpha grid it asks for)
+    while True:
+        room = _PASS_SLICES - sum(g.size for _, g in flight.values())
+        while room >= _F_GRID or not flight:
+            k = next(waiting, None)
+            if k is None:
+                break
+            search = _f_search(rates[k])
+            flight[k] = search, next(search)
+            room -= flight[k][1].size
+        if not flight:
+            return results
+        grids = [g for _, g in flight.values()]
+        sizes = [g.size for g in grids]
+        batch = _f1_batch(np.repeat([rates[k] for k in flight], sizes),
+                          np.concatenate(grids), L, _F1_TOL)
+        parts = zip(*(np.split(field, np.cumsum(sizes)[:-1]) for field in batch))
+        replies = {}
+        for (k, (search, _)), part in zip(flight.items(), parts):
+            try:
+                replies[k] = search, search.send(_F1Batch(*part))
+            except StopIteration as stop:
+                results[k] = stop.value
+        flight = replies
+
+
+@lru_cache(maxsize=4096)
+def _f_minimize_cached(rate: float, p: float) -> list:
+    """The cache entry of F at (rate, p): a list that _f_grid fills once."""
+    return []
+
+
+def _f_grid(rates, ch: ChannelParam) -> list[OptResult]:
+    """F at every rate of a grid; the rates not yet cached go together."""
+    entries = [_f_minimize_cached(float(r), ch.p) for r in rates]
+    todo = list(dict.fromkeys(float(r) for r, e in zip(rates, entries) if not e))
+    found = dict(zip(todo, _f_rates(todo, ch.p)))
+    for r, e in zip(rates, entries):
+        if not e:
+            e.append(found[float(r)])
+    return [e[0] for e in entries]
+
+
 def F_minimize(rate: float, ch: ChannelParam) -> OptResult:
     """min over alpha in [h2_inv(1-R), 1/2] of F1(R, alpha, p).
 
@@ -242,10 +326,15 @@ def F_minimize(rate: float, ch: ChannelParam) -> OptResult:
     then batched bracket levels of _POLISH points around the best cell
     until the bracket is 1e-9 wide; there is no convexity guarantee in
     alpha, so the grid does the global work and the levels only polish.
+    This is a one-rate call of the grid routine behind ``curve``, which
+    runs the levels of many rates in shared passes; a rate's result is
+    the same whichever other rates share them, and it is cached per
+    (rate, p).  At R = 1 every band collapses and F is 0, reported at
+    alpha = 1/2.
     """
     if not 0.0 <= rate <= 1.0:
         raise DomainError(f"rate must lie in [0, 1], got {rate!r}")
-    return _f_minimize_cached(float(rate), ch.p)
+    return _f_grid([rate], ch)[0]
 
 
 def theorem1_bound(R: float, ch: ChannelParam) -> float:
@@ -301,21 +390,37 @@ def _segment_anchors(ch: ChannelParam) -> tuple[tuple[float, float], tuple[float
     return low, high
 
 
-def _combined(R: float, ch: ChannelParam) -> float:
-    """Best-known upper bound on the reliability function.
+def _curve_values(kind: CurveKind, ch: ChannelParam,
+                  rates: list[float]) -> list[float]:
+    """The bound of one kind at every rate of a grid.
 
-    Piecewise: from the anchor rate R1 upward (when the channel has a
-    segment, p > p1) the exact-exponent segment and its sphere-packing
-    continuation are the bound — on that range the exponent is known
-    exactly, and the two-level optimization is not allowed to loosen it.
-    Below R1, and everywhere for p <= p1, the bound is the pointwise min
-    of F with sphere packing.  The two pieces meet at R1, where F equals
-    the segment value.
+    Every F the kind reads comes from one grid call.  ``combined`` is the
+    best-known upper bound on the reliability function, piecewise: from the
+    anchor rate R1 upward (when the channel has a segment, p > p1) the
+    exact-exponent segment and its sphere-packing continuation are the
+    bound — on that range the exponent is known exactly, and the two-level
+    optimization is not allowed to loosen it.  Below R1, and everywhere for
+    p <= p1, it is the pointwise min of F with sphere packing, as
+    ``theorem1_min`` is everywhere.  The two pieces meet at R1, where F
+    equals the segment value.
     """
-    cc = channel_constants(ch)
-    if ch.p > cc.p1 and R >= cc.r1 - _TOL:
-        return corollary1_exponent(R, ch)
-    return theorem1_bound(R, ch)
+    if kind is CurveKind.sphere_packing:
+        return [sphere_packing_exponent(r, ch) for r in rates]
+    if kind is CurveKind.corollary1:
+        return [corollary1_exponent(r, ch) for r in rates]
+    if kind is CurveKind.straight_line:
+        anchors = _segment_anchors(ch)
+        return [straight_line(r, *anchors) for r in rates]
+    if kind is CurveKind.F_bound:
+        return [res.value for res in _f_grid(rates, ch)]
+    exact = [False] * len(rates)
+    if kind is CurveKind.combined:
+        cc = channel_constants(ch)
+        exact = [ch.p > cc.p1 and r >= cc.r1 - _TOL for r in rates]
+    F = iter(_f_grid([r for r, e in zip(rates, exact) if not e], ch))
+    return [corollary1_exponent(r, ch) if e
+            else min(next(F).value, sphere_packing_exponent(r, ch))
+            for r, e in zip(rates, exact)]
 
 
 def curve(kind: CurveKind, ch: ChannelParam, r_min: float, r_max: float,
@@ -343,18 +448,9 @@ def curve(kind: CurveKind, ch: ChannelParam, r_min: float, r_max: float,
             f"[{r_min}, {r_max}]")
     n = int(math.floor(span)) + 1
     rates = [min(r_min + k * step, cap) for k in range(n)]
-
-    fns = {
-        CurveKind.sphere_packing: lambda r: sphere_packing_exponent(r, ch),
-        CurveKind.F_bound: lambda r: F_minimize(r, ch).value,
-        CurveKind.theorem1_min: lambda r: theorem1_bound(r, ch),
-        CurveKind.corollary1: lambda r: corollary1_exponent(r, ch),
-        CurveKind.straight_line: lambda r: straight_line(r, *_segment_anchors(ch)),
-        CurveKind.combined: lambda r: _combined(r, ch),
-    }
-    f = fns[kind]
-    pts = tuple((r, max(f(r), 0.0)) for r in rates)
-    return BoundCurve(ch, kind, pts)
+    values = _curve_values(kind, ch, rates)
+    return BoundCurve(ch, kind, tuple((r, max(v, 0.0))
+                                      for r, v in zip(rates, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ _GRADED_PANELS = 36     # geometric panels (ratio 0.6) on [0.85 G/2, G/2]
 
 
 class MuSlice:
-    """Reusable omega -> mu evaluator at fixed rate, for one alpha or a vector.
+    """Reusable omega -> mu evaluator, for one (rate, alpha) slice or a vector.
 
     The logarithmic kernel does not depend on omega, so one panel
     decomposition of [0, G/2] serves every omega on the slice: mu(omega)
@@ -158,52 +158,62 @@ class MuSlice:
     module constants _UNIFORM_PANELS and _GRADED_PANELS.  Agrees with the
     adaptive-quadrature route to ~1e-10; that route stays untouched as the
     independent reference.  For a vector of alpha, attributes are arrays
-    and ``mu`` takes one omega per slice; panels are built ``_BLOCK``
-    slices at a time, which bounds the (slice x panel x node) temporaries.
+    and ``mu`` takes one omega per slice; the rate is one number for every
+    slice or an array with one rate per slice, and enters only through
+    the degree tau.  Panels are built ``_BLOCK`` slices at a time, which
+    bounds the (slice x panel x node) temporaries.
     """
 
-    def __init__(self, rate: float, alpha) -> None:
-        if not 0.0 <= rate <= 1.0 + _TOL:
-            raise DomainError(f"rate must lie in [0, 1], got {rate!r}")
+    def __init__(self, rate, alpha) -> None:
         a = np.asarray(alpha, dtype=float)
         self._scalar = a.ndim == 0
         a = np.atleast_1d(a)
+        r = np.broadcast_to(np.asarray(rate, dtype=float), a.shape)
+        bad = ~((0.0 <= r) & (r <= 1.0 + _TOL))
+        if bad.any():
+            raise DomainError(
+                f"rate must lie in [0, 1], got {float(r[bad][0])!r}")
         bad = ~((a > 0.0) & (a <= 0.5 + _TOL))
         if bad.any():
             raise DomainError(
                 f"slice weight must lie in (0, 1/2], got {float(a[bad][0])!r}")
         a = np.minimum(a, 0.5)
-        deficit = _h2_arr(a) - 1.0 + rate
+        deficit = _h2_arr(a) - 1.0 + r
         bad = deficit < -_TOL
         if bad.any():
-            raise DomainError(
-                f"slice too light for the rate: h2({float(a[bad][0])}) < 1 - {rate}")
+            raise DomainError(f"slice too light for the rate: "
+                              f"h2({float(a[bad][0])}) < 1 - {float(r[bad][0])}")
         tau = _h2_inv_arr(np.clip(deficit, 0.0, 1.0))
         cap = omega_cap(a, tau)
-        self.rate = rate
+        self.rate, self._rate = rate, r
         self._alpha, self._tau, self._cap = a, tau, cap
         self.alpha, self.tau, self.cap = map(self._out, (a, tau, cap))
         x_end = np.maximum(0.5 * cap, 0.0)
         split = 0.85 * x_end
-        uni = np.linspace(0.0, split, _UNIFORM_PANELS + 1, axis=-1)
+        # bounds and running integrals are written in place, so a batch
+        # holds two (slice x panel) arrays and no copies of them
+        self._bounds = b = np.empty((a.size, _UNIFORM_PANELS + _GRADED_PANELS + 1))
+        b[:, :_UNIFORM_PANELS + 1] = np.linspace(0.0, split, _UNIFORM_PANELS + 1,
+                                                 axis=-1)
         ratios = np.cumprod(np.full(_GRADED_PANELS, 0.6))
-        widths = (x_end - split)[:, None] * ratios / ratios.sum()
         # widest graded panel first, so the mesh shrinks into the endpoint
-        tail = split[:, None] + np.cumsum(widths, axis=1)
+        tail = b[:, _UNIFORM_PANELS + 1:]
+        np.cumsum((x_end - split)[:, None] * ratios / ratios.sum(), axis=1,
+                  out=tail)
+        tail += split[:, None]
         tail[:, -1] = x_end
-        self._bounds = np.concatenate([uni, tail], axis=1)
-        panel = np.zeros((a.size, _UNIFORM_PANELS + _GRADED_PANELS))
+        self._cum = np.zeros_like(b)
+        panel = self._cum[:, 1:]
         live = np.flatnonzero(x_end > 0.0)
         for start in range(0, live.size, _BLOCK):
             rows = live[start:start + _BLOCK]
-            b = self._bounds[rows]
-            centers = 0.5 * (b[:, 1:] + b[:, :-1])
-            half = 0.5 * np.diff(b, axis=1)
+            br = b[rows]
+            centers = 0.5 * (br[:, 1:] + br[:, :-1])
+            half = 0.5 * np.diff(br, axis=1)
             nodes = centers[..., None] + half[..., None] * _GL_NODES
             g = log_kernel(nodes, a[rows, None, None], tau[rows, None, None])
             panel[rows] = (g @ _GL_WEIGHTS) * half
-        self._cum = np.concatenate(
-            [np.zeros((a.size, 1)), np.cumsum(panel, axis=1)], axis=1)
+        np.cumsum(panel, axis=1, out=panel)
 
     def _out(self, v: np.ndarray):
         return float(v[0]) if self._scalar else v
@@ -221,8 +231,21 @@ class MuSlice:
             hw = 0.5 * (x[part] - lo[part])
             g = log_kernel(mid[:, None] + hw[:, None] * _GL_NODES,
                            self._alpha[part, None], self._tau[part, None])
-            out[part] += hw * (g @ _GL_WEIGHTS)
+            # the BLAS sum rounds a row by its place in the call, so each
+            # rate gets a call of its own: a slice's mu is the same
+            # whichever other rates share the batch
+            rule = np.empty(part.size)
+            for rows in self._by_rate(part):
+                rule[rows] = g[rows] @ _GL_WEIGHTS
+            out[part] += hw * rule
         return out
+
+    def _by_rate(self, part: np.ndarray) -> list:
+        """Selectors of the entries of ``part`` at each distinct rate."""
+        if np.ndim(self.rate) == 0:
+            return [slice(None)]
+        _, group = np.unique(self._rate[part], return_inverse=True)
+        return [group == k for k in range(group.max() + 1)]
 
     def mu(self, omega):
         """mu at one omega per slice (or one omega for every slice)."""

@@ -35,6 +35,8 @@ from bscbounds.optimizer import (
     theorem1_bound,
     verify_claims,
 )
+from bscbounds import optimizer
+from bscbounds.cli import main
 from bscbounds.optimizer import _f1_batch, _log_quarter, _segment_anchors
 from bscbounds.spectrum import MuSlice, spectrum_exponent_at
 
@@ -157,6 +159,75 @@ def test_bound_degenerates_at_remark_channel():
         -0.012176837418086707, abs=1e-9)
     assert F1_maximize(R, 0.5, ch).value == 0.0
     assert F_minimize(R, ch).value <= 1e-12
+
+
+def test_f_minimize_at_rate_one_is_zero():
+    # at R = 1 every band collapses; the lightest end alpha = 0 is no slice,
+    # so the search stands on alpha = 1/2 alone, as at R = 0
+    for p in (0.005, 0.1):
+        res = F_minimize(1.0, ChannelParam(p))
+        assert (res.value, res.arg_omega, res.arg_alpha) == (0.0, 0.0, 0.5)
+        assert res.iterations == 0
+        assert F_minimize(0.99, ChannelParam(p)).value == 0.0
+
+
+def _fields(res):
+    return (res.value, res.arg_alpha, res.arg_omega,
+            res.attained_at_boundary["omega"],
+            res.attained_at_boundary["alpha"], res.iterations)
+
+
+def _edge_rates(ch):
+    cc = channel_constants(ch)
+    inner = np.linspace(0.0, cc.capacity, 6)[1:-1]
+    return [0.0, cc.r1, cc.r_crit, cc.capacity, *map(float, inner)]
+
+
+@pytest.mark.parametrize("p", [0.005, 0.1, 0.2])
+def test_f_grid_equals_one_rate_calls(p):
+    # the batched passes freeze each rate after its own passes, so a rate's
+    # result is bit-for-bit the one-rate result
+    ch = ChannelParam(p)
+    rates = _edge_rates(ch)
+    optimizer._f_minimize_cached.cache_clear()
+    grid = optimizer._f_grid(rates, ch)
+    optimizer._f_minimize_cached.cache_clear()
+    for r, res in zip(rates, grid):
+        assert _fields(res) == _fields(F_minimize(r, ch)), r
+    # the same grid in the other order, computed afresh
+    optimizer._f_minimize_cached.cache_clear()
+    back = optimizer._f_grid(rates[::-1], ch)[::-1]
+    assert [_fields(a) for a in back] == [_fields(a) for a in grid]
+
+
+def test_f1_batch_rate_array_freezes_each_rate():
+    # two rates whose widest bands need 11 and 10 sign-search passes share
+    # one batch, every maximum interior; each row equals its rate's own
+    # batch exactly
+    L = _log_quarter(ChannelParam(0.01))
+    alphas = {0.6: np.linspace(binary_entropy_inv(0.4), 0.5, 5),
+              0.8: np.linspace(binary_entropy_inv(0.2), 0.5, 4)}
+    alone = {r: _f1_batch(r, a, L, 1e-10) for r, a in alphas.items()}
+    assert [set(b.iterations) for b in alone.values()] == [{13}, {12}]
+    rate = np.repeat(list(alphas), [a.size for a in alphas.values()])
+    both = _f1_batch(rate, np.concatenate(list(alphas.values())), L, 1e-10)
+    for field, got in zip(both._fields, both):
+        want = np.concatenate([getattr(b, field) for b in alone.values()])
+        assert np.array_equal(got, want), field
+
+
+def test_f_pass_size_boundaries(monkeypatch, capsys):
+    # one search per pass, three global grids in a pass with the polish
+    # levels of earlier rates, and every rate of the default grid in one
+    # pass: the CSV bytes stay put
+    optimizer._f_minimize_cached.cache_clear()
+    assert main(["curve", "--p", "0.1"]) == 0
+    whole = capsys.readouterr().out
+    for slices in (1, 3 * optimizer._F_GRID, 10 ** 6):
+        monkeypatch.setattr(optimizer, "_PASS_SLICES", slices)
+        optimizer._f_minimize_cached.cache_clear()
+        assert main(["curve", "--p", "0.1"]) == 0
+        assert capsys.readouterr().out == whole, slices
 
 
 def test_negative_slice_derivative_low_rate():

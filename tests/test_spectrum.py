@@ -144,6 +144,35 @@ def test_batched_slice_equals_scalar_slices():
         sl.mu(sl.cap + 1e-6)
 
 
+def test_slice_rate_per_row_equals_one_rate_slices():
+    # a rate per slice: each rate's rows are bit-for-bit its own batch,
+    # whatever rate shares the batch and in whatever order; the BLAS sum
+    # of a partial panel rounds a row by its place in the call, which
+    # shows on about one draw in 25
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        batches = {float(r): _alpha_batch(r, np.linspace(0.0, 1.0, n))
+                   for r, n in zip(rng.uniform(0.01, 0.95, 2),
+                                   rng.integers(1, 9, 2))}
+        fracs = rng.uniform(0.0, 1.0, sum(a.size for a in batches.values()))
+        for order in (list(batches), list(batches)[::-1]):
+            rate = np.repeat(order, [batches[r].size for r in order])
+            sl = MuSlice(rate, np.concatenate([batches[r] for r in order]))
+            omegas = fracs * sl.cap
+            got, start = sl.mu(omegas), 0
+            for r in order:
+                one = MuSlice(r, batches[r])
+                rows = slice(start, start + one.cap.size)
+                start = rows.stop
+                assert np.array_equal(sl.tau[rows], one.tau)
+                assert np.array_equal(sl.cap[rows], one.cap)
+                assert np.array_equal(got[rows], one.mu(omegas[rows]))
+    with pytest.raises(DomainError, match="rate must lie"):
+        MuSlice(np.array([0.3, 1.5]), np.array([0.4, 0.45]))
+    with pytest.raises(DomainError, match="too light"):
+        MuSlice(np.array([0.9, 0.1]), np.array([0.4, 0.2]))
+
+
 def test_mu_slice_domain():
     sl = MuSlice(0.5, 0.4)
     with pytest.raises(DomainError):
