@@ -302,9 +302,11 @@ def _f_rates(rates: list[float], p: float) -> list[OptResult]:
         flight = replies
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_MAX_POINTS)
 def _f_minimize_cached(rate: float, p: float) -> list:
-    """The cache entry of F at (rate, p): a list that _f_grid fills once."""
+    """The cache entry of F at (rate, p): a list that _f_grid fills once.
+    It holds a whole curve grid, so no rate is evicted before combined
+    reads it."""
     return []
 
 

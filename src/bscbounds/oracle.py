@@ -10,9 +10,13 @@ probability on every code it is tested against, with no tolerance.
 Words are stored as integer bitmasks.  The enumerated reports all read one
 census per code, a single pass in chunks under a fixed byte budget over the
 2^(n-1) outputs with the top bit clear; each complement y ^ 1^n is mirrored
-from y (radius t -> n - t, d_min -> n - d_max), never enumerated.  Pair
-distances come in row blocks under the same budget, and a census whose work
-M^2 2^n exceeds the n = 24, M = 32 shape is refused.
+from y (radius t -> n - t, d_min -> n - d_max), never enumerated.  The
+covering maxima X_max go group by group, a group being the words at one
+distance from one reference word: a group whose column classes (coordinates
+with one bit pattern over the group, up to complement) give fewer
+representative outputs than the pass is enumerated by its flip counts per
+class instead.  Pair distances come in row blocks under the same budget, and
+a census whose work M^2 2^n exceeds the n = 24, M = 32 shape is refused.
 ``proposition3_terms`` scans the spectrum-based lower bound term by term; its
 covering count ``restricted_cover_max`` reads the census, which the verify
 suite checks against a direct count of the union-cover inequality.
@@ -61,6 +65,8 @@ _ENUM_CAP = 24          # 2^n output enumeration budget
 _CLIQUE_CAP = 10        # exhaustive constant-weight search budget
 _WORK_CAP = 1 << 34     # census work M^2 2^n: the n = 24, M = 32 shape
 _BLOCK_BYTES = 1 << 20  # byte budget of one block of outputs or pair rows
+_CLASS_COST = 1 << 17   # fixed cost of enumerating one group by its column
+                        # classes, in census keys and bins
 DOMINANCE_SLACK = 1e-15  # round-off allowed when a lower bound meets P_e
 
 
@@ -211,6 +217,166 @@ def _chunk_len(n: int, m: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * (m + (n + 1) ** 2)))
 
 
+def _group_x_max(n: int, keys: np.ndarray, sizes: np.ndarray,
+                 k: int) -> np.ndarray:
+    """max over the outputs y of #{x in S : d(x, y) = t} for one group S of
+    k words, from its column classes alone.
+
+    Class P holds sizes[P] coordinates on which bit j of keys[P] is the bit
+    of word j of S relative to its word 0.  An output that flips f_P
+    coordinates of class P, relative to word 0, lies at distance
+    sum_P (f_P or sizes[P] - f_P) from word j, as bit j of keys[P] is 0 or 1.
+    Only f <= sizes / 2 is taken on the largest class: the complement of a
+    skipped output is taken, and the census mirrors t -> n - t.  The flip
+    vectors, numbered in mixed radix, go in blocks under the byte budget: the
+    leading classes as one table, the rest per block.
+    """
+    width = n + 1
+    bits = (keys[:, None] >> np.arange(k, dtype=np.uint64) & 1).astype(np.int64)
+    steps = 1 - 2 * bits
+    bases = sizes + 1
+    big = np.argmax(sizes)
+    bases[big] = sizes[big] // 2 + 1
+    cum = np.cumprod(bases)
+    total, strides = int(cum[-1]), cum // bases
+    cap = max(1, _BLOCK_BYTES // (8 * (k + width)))
+    table = (sizes @ bits)[None, :]
+    for base, step in zip(bases[cum <= cap], steps):
+        table = (np.arange(base)[:, None, None] * step + table).reshape(-1, k)
+    rows = min(cap, total) // len(table) * len(table)
+    table = table * rows + np.arange(len(table))[:, None]
+    best = np.zeros(width, dtype=np.int64)
+    for start in range(0, total, rows):
+        hi = np.arange(start, min(start + rows, total), len(table))
+        shift = (hi[:, None] // strides % bases) @ steps * rows + (hi - start)[:, None]
+        index = (shift[:, None, :] + table).ravel()
+        best = np.maximum(best, np.bincount(index, minlength=width * rows)
+                          .reshape(width, rows).max(axis=1))
+    return best
+
+
+def _class_keys(pair: np.ndarray, bits: np.ndarray) -> tuple:
+    """The column keys of every group of a block of reference words.
+
+    Row i of pair holds the distances from reference word i to all M words;
+    the words at distance d form group (i, d), numbered from 0 in index
+    order.  Bit j of the key of a column is the column's bit in word j of
+    its group relative to word 0 (j < 64; larger groups get keys that mean
+    nothing).  Returns the keys, sorted per group as rows, each group's
+    start in the block's flattened, distance-sorted pair rows, and those
+    sorted distances.
+    """
+    m, n = bits.shape
+    order = np.argsort(pair, axis=1, kind="stable")
+    dists = np.take_along_axis(pair, order, axis=1)
+    heads = np.ones(pair.shape, dtype=bool)
+    heads[:, 1:] = dists[:, 1:] != dists[:, :-1]
+    pos = np.arange(m)
+    head = np.maximum.accumulate(np.where(heads, pos, 0), axis=1)
+    rel = (bits[order] ^ bits[np.take_along_axis(order, head, axis=1)]).astype(np.uint64)
+    rel <<= np.minimum(pos - head, 63).astype(np.uint64)[..., None]
+    starts = np.flatnonzero(heads)
+    keys = np.bitwise_or.reduceat(rel.reshape(-1, n), starts, axis=0)
+    return np.sort(keys, axis=1), starts, dists
+
+
+def _class_x_max(code: BinaryCode, x_max: np.ndarray) -> np.ndarray:
+    """Fill x_max from every group that its column classes enumerate more
+    cheaply than the census would; return the [reference, d] mask of those
+    groups, which the census skips.
+
+    A group S is the set of words at distance d from one reference word.
+    Its column classes cost rows (k + n + 1) + _CLASS_COST, rows the number
+    of representative outputs, against the 2^(n-1) (k + n + 1) keys and bins
+    it takes in the census.  Reference words go in blocks under the byte
+    budget; a block none of whose groups could pay even with a single class
+    is not analysed.  Groups of more than 64 words stay in the census: their
+    class keys would not fit 64 bits.
+    """
+    n, m = code.n, code.M
+    width, half = n + 1, 1 << (n - 1)
+    words = _word_array(code)
+    bits = ((words[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
+    classed = np.zeros((m, width), dtype=bool)
+    step = max(1, _BLOCK_BYTES // (16 * m * n))
+    for first in range(0, m, step):
+        pair = np.bitwise_count(words[first:first + step, None] ^ words[None, :])
+        k = np.bincount((np.arange(pair.shape[0])[:, None] * width + pair).ravel(),
+                        minlength=pair.shape[0] * width)
+        if not np.any((k > 0) & (k <= 64)
+                      & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)):
+            continue
+        keys, starts, dists = _class_keys(pair, bits)
+        fresh = np.ones(keys.shape, dtype=bool)
+        fresh[:, 1:] = keys[:, 1:] != keys[:, :-1]
+        runs = np.flatnonzero(fresh)                 # each class's first column
+        sizes = np.diff(runs, append=keys.size)
+        firsts = np.flatnonzero(runs % n == 0)       # each group's first class
+        largest = np.maximum.reduceat(sizes, firsts)
+        rows = (np.multiply.reduceat(sizes + 1, firsts) // (largest + 1)
+                * (largest // 2 + 1))
+        group_k = np.diff(starts, append=pair.size)
+        cost = group_k + width
+        pay = (group_k <= 64) & (rows * cost + _CLASS_COST < half * cost)
+        bounds = np.append(firsts, runs.size)
+        for g in np.flatnonzero(pay):
+            cls = slice(bounds[g], bounds[g + 1])
+            best = _group_x_max(n, keys.flat[runs[cls]], sizes[cls], int(group_k[g]))
+            ref, d = first + starts[g] // m, dists.flat[starts[g]]
+            classed[ref, d] = True
+            x_max[d] = np.maximum(x_max[d], best)
+    return classed
+
+
+def _census_batches(words: np.ndarray, classed: np.ndarray,
+                    n: int) -> Iterator[list]:
+    """Per block of reference words, the groups the census enumerates,
+    packed into batches of (columns, bin offsets, distances) whose keys and
+    bins per output stay within the M + (n+1)^2 of ``_chunk_len``.
+
+    A reference word that keeps most of its columns reads them all, as a
+    slice when it has a batch of its own: its classed columns are binned as
+    one spare group at distance n + 1, cheaper than gathering the rest.
+    """
+    m, width = words.size, n + 1
+    limit = m + width * width
+    first = 0
+    for pair in _pair_distance_rows(words):
+        batches, parts, cost = [], [], 0
+        for row, skip in zip(pair, classed[first:first + pair.shape[0]]):
+            drop = skip[row]
+            if drop.all():
+                continue
+            if 2 * drop.sum() < m:
+                keep, row = np.arange(m), np.where(drop, width, row)
+            else:
+                keep = np.flatnonzero(~drop)
+                row = row[keep]
+            dist, group = np.unique(row, return_inverse=True)
+            if parts and cost + keep.size + dist.size * width > limit:
+                batches.append(_batch(parts, m, width))
+                parts, cost = [], 0
+            parts.append((keep, group, dist))
+            cost += keep.size + dist.size * width
+        if parts:
+            batches.append(_batch(parts, m, width))
+        first += pair.shape[0]
+        yield batches
+
+
+def _batch(parts: list, m: int, width: int) -> tuple:
+    """(columns, bin offsets, distances) of census groups of some reference
+    words, given as (columns, group of each column, group distances), for
+    one bincount; int32 halves what a block of batches holds."""
+    base = np.cumsum([0] + [dist.size for _, _, dist in parts])
+    whole = len(parts) == 1 and parts[0][0].size == m
+    cols = np.concatenate([keep for keep, _, _ in parts], dtype=np.int32)
+    offs = np.concatenate([(b + group) * width for b, (_, group, _) in zip(base, parts)],
+                          dtype=np.int32)
+    return (slice(None) if whole else cols, offs,
+            np.concatenate([dist for _, _, dist in parts]))
+
+
 @functools.lru_cache(maxsize=8)
 def _census(code: BinaryCode) -> _Census:
     """One pass over half the outputs; every enumerated report reads the result.
@@ -221,10 +387,13 @@ def _census(code: BinaryCode) -> _Census:
     Per chunk the output-codeword distances D are formed once.  One bincount
     on y (n+1) + D gives cnt[y, t], the number of codewords at distance t
     from y, which feeds the d_min and cover histograms of y and, reversed in
-    t, of its complement.  Per reference word the columns are grouped by
-    their distance d from it, and one bincount on (y, group, D) followed by a
-    max over y updates x_max[d, t] for all (d, t); the complements' maxima
-    are x_max[d, n - t], taken once after the loop.
+    t, of its complement.  x_max[d, t] is a max over groups, the words at
+    distance d from one reference word.  Groups whose column classes pay
+    are enumerated by class first (``_class_x_max``); the rest go in batches
+    (``_census_batches``), one bincount on (y, group, D) per batch and chunk
+    followed by a max over y.  The complements' maxima are x_max[d, n - t],
+    taken once after the loop.  With more than one block of reference words,
+    each block repeats the chunk loop for its batches.
     """
     n, m = code.n, code.M
     if n > _ENUM_CAP:
@@ -238,31 +407,31 @@ def _census(code: BinaryCode) -> _Census:
     width = n + 1
     dmin_hist = np.zeros(width, dtype=np.int64)
     cover = np.zeros(width * (m + 1), dtype=np.int64)
-    x_max = np.zeros((width, width), dtype=np.int64)
+    x_max = np.zeros((width + 1, width), dtype=np.int64)   # row n + 1: spare groups
+    classed = _class_x_max(code, x_max)
     t_off = np.arange(width) * (m + 1)
     step = _chunk_len(n, m)
     half = 1 << (n - 1)
-    for start in range(0, half, step):
-        ys = np.arange(start, min(start + step, half), dtype=np.uint32)
-        dist = np.bitwise_count(ys[:, None] ^ words[None, :])
-        y_off = np.arange(ys.size)[:, None]
-        cnt = np.bincount((y_off * width + dist).ravel(),
-                          minlength=ys.size * width).reshape(-1, width)
-        dmin_hist += np.bincount(dist.min(axis=1), minlength=width)
-        dmin_hist += np.bincount(n - dist.max(axis=1), minlength=width)
-        for mirrored in (cnt, cnt[:, ::-1]):
-            cover += np.bincount((mirrored + t_off).ravel(), minlength=cover.size)
-        for pair in _pair_distance_rows(words):
-            present = np.zeros((pair.shape[0], width), dtype=bool)
-            np.put_along_axis(present, pair, True, axis=1)
-            ranks = np.cumsum(present, axis=1)
-            offs = (np.take_along_axis(ranks, pair, axis=1) - 1) * width
-            for seen, g, off in zip(present, ranks[:, -1] * width, offs):
-                counts = np.bincount((y_off * g + off + dist).ravel(),
-                                     minlength=ys.size * g)
-                best = counts.reshape(ys.size, g).max(axis=0).reshape(-1, width)
-                x_max[seen] = np.maximum(x_max[seen], best)
-    x_max = np.maximum(x_max, x_max[:, ::-1])
+    for block, batches in enumerate(_census_batches(words, classed, n)):
+        if block and not batches:
+            continue
+        for start in range(0, half, step):
+            ys = np.arange(start, min(start + step, half), dtype=np.uint32)
+            dist = np.bitwise_count(ys[:, None] ^ words[None, :])
+            y_off = np.arange(ys.size)[:, None]
+            if not block:
+                cnt = np.bincount((y_off * width + dist).ravel(),
+                                  minlength=ys.size * width).reshape(-1, width)
+                dmin_hist += np.bincount(dist.min(axis=1), minlength=width)
+                dmin_hist += np.bincount(n - dist.max(axis=1), minlength=width)
+                for mirrored in (cnt, cnt[:, ::-1]):
+                    cover += np.bincount((mirrored + t_off).ravel(), minlength=cover.size)
+            for cols, offs, ds in batches:
+                g = ds.size * width
+                best = np.bincount((y_off * g + offs + dist[:, cols]).ravel(),
+                                   minlength=ys.size * g).reshape(ys.size, g).max(axis=0)
+                np.maximum.at(x_max, ds, best.reshape(-1, width))
+    x_max = np.maximum(x_max, x_max[:, ::-1])[:width]
     return _Census(dmin_hist, cover.reshape(width, m + 1), x_max)
 
 

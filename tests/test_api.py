@@ -37,6 +37,15 @@ def test_package_all_matches_init_imports():
         assert hasattr(bscbounds, attr), attr
 
 
+def test_f_cache_holds_the_largest_curve_grid():
+    # a grid of more rates than the cache holds would evict F at its first
+    # rates before combined reads them, and compute F twice per rate
+    from bscbounds import optimizer
+
+    params = optimizer._f_minimize_cached.cache_parameters()
+    assert params["maxsize"] >= optimizer._MAX_POINTS
+
+
 def test_f_cache_is_an_lru_cache(capsys):
     # the benchmark's tracer finds caches as functools.lru_cache objects and
     # reads this one's hits and misses

@@ -7,6 +7,8 @@ only for float roundoff.
 """
 
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -348,12 +350,122 @@ def test_mirrored_census_matches_full_enumeration(code):
         assert abs(exact_pe_ml(code, ch) - _reference_pe(code, ch)) <= 1e-15, p
 
 
-def test_census_refuses_work_over_budget():
+def test_census_refuses_work_over_budget(monkeypatch):
     # M^2 2^n = 2^46: refused before any output is enumerated
+    def analyse(code, x_max):
+        raise AssertionError("column classes analysed before the budget check")
+
+    monkeypatch.setattr(oracle, "_class_x_max", analyse)
     with pytest.raises(SizeBudgetError, match="budget"):
         exact_pe_ml(parity_code(16), CH)
     with pytest.raises(SizeBudgetError, match="budget"):
         restricted_cover_max(random_code(24, 33, seed=1), 1, 2)
+
+
+# --- X_max from the column classes of each group -------------------------
+#
+# A group is the set of words at one distance d from one reference word.
+# _CLASS_COST = -inf sends every group to its column classes, +inf none.
+
+
+def _reference_dmin_hist(code):
+    return np.bincount(_output_distances(code).min(axis=1), minlength=code.n + 1)
+
+
+def _reference_cover(code):
+    dist = _output_distances(code)
+    return np.stack([np.bincount((dist == t).sum(axis=1), minlength=code.M + 1)
+                     for t in range(code.n + 1)])
+
+
+def _group_count(code):
+    words = np.asarray(code.words, dtype=np.uint32)
+    pair = np.bitwise_count(words[:, None] ^ words[None, :])
+    return sum(len(set(row.tolist())) for row in pair)
+
+
+def _census_at_cost(code, cost):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CLASS_COST", cost)
+        classed = oracle._class_x_max(code, np.zeros((code.n + 1,) * 2, dtype=np.int64))
+        return classed, oracle._census.__wrapped__(code)
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_codes())
+def test_class_path_matches_reference_routes(code):
+    x_ref = _reference_x_max(code)
+    cover, dmin_hist = _reference_cover(code), _reference_dmin_hist(code)
+    for cost, groups in ((-math.inf, _group_count(code)), (math.inf, 0)):
+        classed, census = _census_at_cost(code, cost)
+        assert int(classed.sum()) == groups
+        _assert_same(census.x_max, x_ref)
+        _assert_same(census.cover, cover)
+        _assert_same(census.dmin_hist, dmin_hist)
+
+
+def test_class_path_live_on_a_long_code():
+    # the default cost sends some groups of this code to their classes
+    code = random_code(16, 32, seed=7)
+    classed = oracle._class_x_max(code, np.zeros((17, 17), dtype=np.int64))
+    assert 0 < classed.sum() < _group_count(code)
+    live = oracle._census.__wrapped__(code)
+    _, whole = _census_at_cost(code, math.inf)
+    for field in ("x_max", "cover", "dmin_hist"):
+        _assert_same(getattr(live, field), getattr(whole, field))
+
+
+def _column_classes(n, group):
+    """(keys, sizes) of the column classes of a group, column by column."""
+    patterns = Counter(sum((((w ^ group[0]) >> c) & 1) << j for j, w in enumerate(group))
+                       for c in range(n))
+    keys = sorted(patterns)
+    return np.array(keys, dtype=np.uint64), np.array([patterns[k] for k in keys])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_class_blocks_of_few_rows(rows, monkeypatch):
+    # representative outputs in blocks of `rows`, against all 2^n outputs
+    n, rng = 7, np.random.default_rng(rows)
+    outputs = np.arange(1 << n, dtype=np.uint32)
+    for k in (1, 2, 3, 5, 8):
+        group = [int(w) for w in rng.choice(1 << n, size=k, replace=False)]
+        keys, sizes = _column_classes(n, group)
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", rows * 8 * (k + n + 1))
+        half = oracle._group_x_max(n, keys, sizes, k)
+        dist = np.bitwise_count(outputs[:, None] ^ np.array(group, dtype=np.uint32))
+        want = np.stack([(dist == t).sum(axis=1) for t in range(n + 1)], axis=1)
+        assert np.array_equal(np.maximum(half, half[::-1]), want.max(axis=0)), k
+    # the whole census, every group by classes, analysed one reference at a time
+    code = random_code(8, 12, seed=7)
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", rows * 8 * (code.M + code.n + 1))
+    _, census = _census_at_cost(code, -math.inf)
+    _assert_same(census.x_max, _reference_x_max(code))
+
+
+def test_census_memory_follows_the_byte_budget(monkeypatch):
+    # the class analysis, each group's representative outputs and the census
+    # all go in blocks under _BLOCK_BYTES; unblocked, the analysis of this
+    # code alone would hold M^2 n 8 bytes = 258 KB, and one group's outputs
+    # up to 2^13 (k + n + 1) 8 bytes
+    code = random_code(14, 48, seed=1)
+    assert oracle._class_x_max(code, np.zeros((15, 15), dtype=np.int64)).any()
+    peaks = []
+    for budget in (1 << 16, 1 << 18):
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            oracle._census.__wrapped__(code)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] <= 3 * budget, budget
+    assert peaks[0] < peaks[1]
 
 
 def test_proposition3_terms_count_pairs_once():
