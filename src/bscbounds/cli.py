@@ -15,9 +15,9 @@ import sys
 
 from .core import (ChannelParam, DomainError, capacity, channel_constants,
                    sphere_packing_exponent, zero_rate_exponent)
-from .optimizer import CurveKind, curve
-from .oracle import (DOMINANCE_SLACK, BinaryCode, CodeFormatError,
-                     SizeBudgetError, cover_report, distance_distribution,
+from .optimizer import CurveKind, curve, rate_regime, segment_window
+from .oracle import (BinaryCode, CodeFormatError, SizeBudgetError,
+                     cover_report, distance_distribution, dominates,
                      exact_pe_ml, hamming74, johnson_upper, load_code,
                      lower_bound_21, parity_code, proposition3_terms,
                      proposition4_check, random_code, repetition_code,
@@ -141,14 +141,6 @@ def cmd_constants(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _regime(rate: float, p: float, cc) -> str:
-    if rate > cc.r_crit + 1e-12:
-        return "sphere_packing"
-    if p > cc.p1 and rate >= cc.r1 - 1e-12:
-        return "corollary1_segment"
-    return "low_rate"
-
-
 def cmd_curve(ns: argparse.Namespace) -> int:
     kinds = _curve_kinds(ns.bounds)
     ch = ChannelParam(ns.p)
@@ -160,7 +152,7 @@ def cmd_curve(ns: argparse.Namespace) -> int:
         esp = curve(CurveKind.sphere_packing, ch, rmin, rmax, step).points
         fb = curve(CurveKind.F_bound, ch, rmin, rmax, step).points
         comb = curve(CurveKind.combined, ch, rmin, rmax, step).points
-        rows = [(r, ch.p, e, f, c, _regime(r, ch.p, cc))
+        rows = [(r, ch.p, e, f, c, rate_regime(r, ch)[0])
                 for (r, e), (_, f), (_, c) in zip(esp, fb, comb)]
         if ns.format == "csv":
             lines = ["R,p,E_sp,F,combined,regime"]
@@ -181,13 +173,8 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     for kind in kinds:
         lo, hi = rmin, rmax
         if kind in ("corollary1", "straight_line"):
-            if ch.p <= cc.p1:
-                raise DomainError(
-                    f"curve kind {kind!r} needs a segment channel (p > "
-                    f"{cc.p1:.7f})")
-            lo = max(lo, cc.r1)
-            if kind == "straight_line":
-                hi = min(hi, cc.r_crit)
+            w_lo, w_hi = segment_window(kind, ch)
+            lo, hi = max(lo, w_lo), min(hi, w_hi)
         if lo >= hi:
             raise DomainError(
                 f"curve kind {kind!r} has empty domain on [{rmin}, {rmax}]")
@@ -238,9 +225,9 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     lb21 = lower_bound_21(code, ch)
     sp23 = sphere_packing_rhs_23(code, ch)
     best = {"t": None, "omega_dist": None, "value": 0.0}
-    dominance_ok = pe >= max(lb21, sp23) - DOMINANCE_SLACK
+    dominance_ok = dominates(pe, lb21) and dominates(pe, sp23)
     for t, om_d, term in proposition3_terms(code, ch):
-        dominance_ok = dominance_ok and pe >= term - DOMINANCE_SLACK
+        dominance_ok = dominance_ok and dominates(pe, term)
         if term > best["value"]:
             best = {"t": t, "omega_dist": om_d, "value": term}
     covers = []

@@ -67,6 +67,16 @@ class ChannelParam:
     def q(self) -> float:
         return 1.0 - self.p
 
+    @property
+    def log_pair(self) -> float:
+        """log2(1/(4pq)): twice the Bhattacharyya exponent of one word pair."""
+        return math.log2(1.0 / (4.0 * self.p * self.q))
+
+    @property
+    def segment_intercept(self) -> float:
+        """1 - log2(1 + 2 sqrt(pq)): the exact segment's value at rate 0."""
+        return 1.0 - math.log2(1.0 + 2.0 * math.sqrt(self.p * self.q))
+
 
 @dataclass(frozen=True)
 class CriticalConstants:
@@ -240,8 +250,7 @@ def _constants_cached(p: float) -> CriticalConstants:
     cap = capacity(ch)
     # Normalised midpoint where the straight-line bound meets the spectrum
     # bound; the closed form avoids evaluating the spectrum exponent.
-    log_pair = math.log2(1.0 / (4.0 * p * ch.q))
-    omega_m = 2.0 * (1.0 - math.log2(1.0 + 2.0 * math.sqrt(p * ch.q)) - r1) / log_pair
+    omega_m = 2.0 * (ch.segment_intercept - r1) / ch.log_pair
     return CriticalConstants(
         p=p, tau0=tau0, r0=r0, p1=solve_p1(), tau1=tau1, r1=r1, omega1=omega1,
         tau_crit=tau_crit, r_crit=r_crit, capacity=cap, omega_m=omega_m)
@@ -263,7 +272,7 @@ def sphere_packing_exponent(rate: float, ch: ChannelParam) -> float:
 
 def zero_rate_exponent(ch: ChannelParam) -> float:
     """Exact zero-rate exponent (1/4) log2(1/(4pq)); half the sphere-packing value."""
-    return 0.25 * math.log2(1.0 / (4.0 * ch.p * ch.q))
+    return 0.25 * ch.log_pair
 
 
 def equidistant_radius(omega: float, ch: ChannelParam) -> float:

@@ -186,20 +186,22 @@ def hahn_eval(ctx: HahnContext, i: int) -> LogSigned:
     return _eval_by_degree(ctx, i)
 
 
+def _lagrange3(v_m1: float, v_0: float, v_p1: float, t: float) -> float:
+    """The quadratic through (-1, v_m1), (0, v_0) and (1, v_p1), at t."""
+    return (0.5 * v_m1 * t * (t - 1.0) + v_0 * (1.0 - t * t)
+            + 0.5 * v_p1 * t * (t + 1.0))
+
+
 def _quad_root(v_m1: float, v_0: float, v_p1: float, x_center: float,
                t_lo: float, t_hi: float) -> float:
     """Root of the quadratic through samples at x_center + {-1, 0, +1},
     bisected on the sub-cell [t_lo, t_hi] (both ends sample coordinates,
     positive at t_lo, non-positive at t_hi).  1e-6 coordinate units.
     """
-    def q(t: float) -> float:
-        return (0.5 * v_m1 * t * (t - 1.0) + v_0 * (1.0 - t * t)
-                + 0.5 * v_p1 * t * (t + 1.0))
-
     lo, hi = t_lo, t_hi
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if q(mid) > 0.0:
+        if _lagrange3(v_m1, v_0, v_p1, mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -233,30 +235,20 @@ def min_root(ctx: HahnContext) -> float:
     return _quad_root(1.0 / ratios[k - 1], 1.0, ratios[k], float(k), 0.0, 1.0)
 
 
-def _pair_sum_nodes(n: int, w: int, t: int, m: int) -> tuple[float, float, float]:
-    """Scaled values of Q_t + Q_{t+1} at integers m-1, m, m+1 (common frame)."""
-    vals = []
-    for i in (m - 1, m, m + 1):
-        vals.append((hahn_eval(HahnContext(n, w, t), i),
-                     hahn_eval(HahnContext(n, w, t + 1), i)))
-    ref = max(v.log_abs for pair in vals for v in pair if v.sign != 0)
-    out = []
-    for p, q in vals:
-        s = (p.sign * 2.0 ** (p.log_abs - ref) if p.sign else 0.0) \
-            + (q.sign * 2.0 ** (q.log_abs - ref) if q.sign else 0.0)
-        out.append(s)
-    return out[0], out[1], out[2]
+def _common_frame(nodes: list) -> tuple[list, float]:
+    """Per node, the sum of its LogSigned terms scaled by 2^-ref, ref the
+    largest log-magnitude of all terms; returns the sums and ref."""
+    ref = max(v.log_abs for terms in nodes for v in terms if v.sign != 0)
+    scaled = [[v.sign * 2.0 ** (v.log_abs - ref) if v.sign else 0.0 for v in terms]
+              for terms in nodes]
+    return [sum(vals[1:], vals[0]) for vals in scaled], ref
 
 
 def _logsigned_at(ctx: HahnContext, x: float) -> LogSigned:
     """Continuous single-polynomial evaluation by the same convention."""
     m = max(1, min(int(round(x)), ctx.w - 1))
-    nodes = [hahn_eval(ctx, i) for i in (m - 1, m, m + 1)]
-    ref = max(v.log_abs for v in nodes if v.sign != 0)
-    v = [n.sign * 2.0 ** (n.log_abs - ref) if n.sign else 0.0 for n in nodes]
-    tt = x - m
-    val = (0.5 * v[0] * tt * (tt - 1.0) + v[1] * (1.0 - tt * tt)
-           + 0.5 * v[2] * tt * (tt + 1.0))
+    v, ref = _common_frame([(hahn_eval(ctx, i),) for i in (m - 1, m, m + 1)])
+    val = _lagrange3(*v, x - m)
     if val == 0.0:
         return _LS_ZERO
     return LogSigned(math.log2(abs(val)) + ref, 1 if val > 0 else -1)
@@ -284,16 +276,21 @@ def mrrw_poly(ctx: HahnContext) -> MrrwPoly:
         raise DomainError(f"degree must satisfy 1 <= t <= w-1, got t={t}")
     x_t = min_root(HahnContext(n, w, t))
     x_t1 = min_root(HahnContext(n, w, t + 1))
+
+    def pair_terms(i: int) -> tuple[LogSigned, LogSigned]:
+        return hahn_eval(HahnContext(n, w, t), i), hahn_eval(HahnContext(n, w, t + 1), i)
+
+    def pair_sum(i: int) -> LogSigned:
+        return _ls_add(*pair_terms(i))
+
     # locate the integer cell where the pair sum flips; node values are exact,
     # so the bracketing quadratic agrees with its endpoints by construction
     lo_i = max(0, math.floor(x_t1))
     hi_i = min(w, math.ceil(x_t))
     cell = None
-    prev = _ls_add(hahn_eval(HahnContext(n, w, t), lo_i),
-                   hahn_eval(HahnContext(n, w, t + 1), lo_i)).sign
+    prev = pair_sum(lo_i).sign
     for i in range(lo_i + 1, hi_i + 1):
-        cur = _ls_add(hahn_eval(HahnContext(n, w, t), i),
-                      hahn_eval(HahnContext(n, w, t + 1), i)).sign
+        cur = pair_sum(i).sign
         if prev > 0 >= cur:
             cell = i - 1
             break
@@ -302,12 +299,10 @@ def mrrw_poly(ctx: HahnContext) -> MrrwPoly:
         raise BracketError(
             f"pair sum keeps its sign on ({x_t1:.4f}, {x_t:.4f}) "
             f"for n={n} w={w} t={t}")
-    if cell >= 1:
-        v_m1, v_0, v_p1 = _pair_sum_nodes(n, w, t, cell)
-        a = _quad_root(v_m1, v_0, v_p1, float(cell), 0.0, 1.0)
-    else:
-        v_m1, v_0, v_p1 = _pair_sum_nodes(n, w, t, 1)
-        a = _quad_root(v_m1, v_0, v_p1, 1.0, -1.0, 0.0)
+    # the nodes around the cell; a cell at 0 bisects the first half of 0, 1, 2
+    m = max(cell, 1)
+    nodes, _ = _common_frame([pair_terms(i) for i in (m - 1, m, m + 1)])
+    a = _quad_root(*nodes, float(m), float(cell - m), float(cell - m + 1))
 
     qt_a = _logsigned_at(HahnContext(n, w, t), a)
     log_qt_a_sq = 2.0 * qt_a.log_abs
@@ -323,8 +318,7 @@ def mrrw_poly(ctx: HahnContext) -> MrrwPoly:
     f_zero = LogSigned(-math.log2(a) + 2.0 * lead.log_abs + log_qt_a_sq, 1)
 
     def f_eval(i: int) -> LogSigned:
-        pair = _ls_add(hahn_eval(HahnContext(n, w, t), i),
-                       hahn_eval(HahnContext(n, w, t + 1), i))
+        pair = pair_sum(i)
         if pair.sign == 0:
             return _LS_ZERO
         sign = 1 if a > i else -1

@@ -47,6 +47,8 @@ __all__ = [
     "theorem1_bound",
     "straight_line",
     "corollary1_exponent",
+    "rate_regime",
+    "segment_window",
     "curve",
     "verify_claims",
     "default_claims_grid",
@@ -96,14 +98,10 @@ class BoundCurve:
     points: tuple[tuple[float, float], ...]
 
 
-def _log_quarter(ch: ChannelParam) -> float:
-    return math.log2(1.0 / (4.0 * ch.p * ch.q))
-
-
 def W_value(omega: float, alpha: float, rate: float, ch: ChannelParam) -> float:
     """W(omega, alpha, R, p): pair exponent minus spectrum exponent, in bits."""
     pt = SpectrumPoint.make(rate, alpha, omega)
-    return 0.5 * pt.omega * _log_quarter(ch) - spectrum_exponent_at(rate, alpha, pt.omega)
+    return 0.5 * pt.omega * ch.log_pair - spectrum_exponent_at(rate, alpha, pt.omega)
 
 
 def _w_slope(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
@@ -136,12 +134,12 @@ def _passes(top: float, tol: float) -> int:
     return math.ceil(math.log(top / (tol * max(top, 1.0)), _SECTIONS))
 
 
-def _f1_batch(rate, alphas: np.ndarray, L: float, tol: float) -> _F1Batch:
+def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1Batch:
     """max over omega in [0, G(alpha, tau)] of W for every alpha in the batch.
 
-    ``rate`` is one rate for the whole batch or an array with one rate per
-    alpha.  W is concave in omega, so its analytic slope changes sign once:
-    a slope that is still non-negative at the cap puts the maximum there.
+    ``rate`` holds one rate per alpha.  W is concave in omega, so its
+    analytic slope changes sign once: a slope that is still non-negative
+    at the cap puts the maximum there.
     Otherwise each array pass samples the slope at _SECTIONS - 1 inner
     points of every bracket and keeps the cell where its sign changes,
     until the bracket is tol * max(G, 1) wide for the widest band at the
@@ -160,19 +158,15 @@ def _f1_batch(rate, alphas: np.ndarray, L: float, tol: float) -> _F1Batch:
         out = _F1Batch(np.zeros(cap.size), np.zeros(cap.size),
                        np.ones(cap.size, bool), np.zeros(cap.size, int))
         if live.any():
-            sub_rate = rate[live] if np.ndim(rate) else rate
-            for field, sub in zip(out, _f1_batch(sub_rate, alphas[live], L, tol)):
+            for field, sub in zip(out, _f1_batch(rate[live], alphas[live], L, tol)):
                 field[live] = sub
         return out
     at_cap = _w_slope(cap * (1.0 - 1e-12), sl.alpha, sl.tau, L) >= 0.0
-    if np.ndim(rate):
-        rates, group = np.unique(rate, return_inverse=True)
-        top = np.zeros(rates.size)
-        np.maximum.at(top, group, cap)
-        passes = np.array([_passes(float(t), tol) for t in top])[group]
-        fewest, most = int(passes.min()), int(passes.max())
-    else:
-        passes = fewest = most = _passes(float(cap.max()), tol)
+    rates, group = np.unique(rate, return_inverse=True)
+    top = np.zeros(rates.size)
+    np.maximum.at(top, group, cap)
+    passes = np.array([_passes(float(t), tol) for t in top])[group]
+    fewest, most = int(passes.min()), int(passes.max())
     alpha, tau = sl.alpha[:, None], sl.tau[:, None]
     inner = np.arange(1, _SECTIONS)
     lo, width = np.zeros_like(cap), cap
@@ -211,7 +205,7 @@ def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
     if alpha < alpha0 - 1e-9:
         raise DomainError(
             f"alpha must be >= h2_inv(1-R) = {alpha0:.6f}, got {alpha!r}")
-    res = _f1_batch(rate, np.array([alpha], dtype=float), _log_quarter(ch), tol)
+    res = _f1_batch(np.array([rate], float), np.array([alpha], float), ch.log_pair, tol)
     return OptResult(float(res.value[0]), float(res.arg_omega[0]), alpha,
                      {"omega": bool(res.at_cap[0]), "alpha": False},
                      int(res.iterations[0]))
@@ -273,7 +267,7 @@ def _f_rates(rates: list[float], p: float) -> list[OptResult]:
     and leaves as soon as its bracket is narrow enough, so the bound on
     the slices of a pass bounds the panels it holds.
     """
-    L = _log_quarter(ChannelParam(p))
+    L = ChannelParam(p).log_pair
     results: list = [None] * len(rates)
     waiting = iter(range(len(rates)))
     flight: dict = {}       # rate index -> (search, alpha grid it asks for)
@@ -340,12 +334,11 @@ def F_minimize(rate: float, ch: ChannelParam) -> OptResult:
 
 
 def theorem1_bound(R: float, ch: ChannelParam) -> float:
-    """Pointwise min of the F bound and the sphere-packing exponent."""
+    """Pointwise min of F and E_sp: the one-rate ``theorem1_min`` curve."""
     cap = capacity(ch)
     if not -_TOL <= R <= cap + _TOL:
         raise DomainError(f"rate must lie in [0, C={cap:.6f}], got {R!r}")
-    R = min(max(R, 0.0), cap)
-    return min(F_minimize(R, ch).value, sphere_packing_exponent(R, ch))
+    return _curve_values(CurveKind.theorem1_min, ch, [min(max(R, 0.0), cap)])[0]
 
 
 def straight_line(R: float, anchor_low: tuple[float, float],
@@ -360,36 +353,50 @@ def straight_line(R: float, anchor_low: tuple[float, float],
     return e0 + (e1 - e0) * (R - r0) / (r1 - r0)
 
 
+def rate_regime(R: float, ch: ChannelParam) -> tuple[str, CurveKind]:
+    """The rate window of R and the kind ``combined`` takes there.  Split at
+    R1 and R_crit within _TOL: ``low_rate``, ``corollary1_segment`` on
+    [R1, R_crit] (only channels above p1 have it), ``sphere_packing``."""
+    cc = channel_constants(ch)
+    if R > cc.r_crit + _TOL:
+        # below p1 this is min(F, E_sp) < E_sp, which ROADMAP item 1 mends:
+        # see the FOUND: line on combined above R_crit in CHANGES.md
+        return "sphere_packing", (CurveKind.sphere_packing if ch.p > cc.p1
+                                  else CurveKind.theorem1_min)
+    if ch.p > cc.p1 and R >= cc.r1 - _TOL:
+        return "corollary1_segment", CurveKind.corollary1
+    return "low_rate", CurveKind.theorem1_min
+
+
+def segment_window(kind: CurveKind, ch: ChannelParam) -> tuple[float, float]:
+    """The rates of a segment kind: [R1, R_crit] for ``straight_line``,
+    [R1, C] for ``corollary1``.  Refuses channels with p <= p1."""
+    cc = channel_constants(ch)
+    if ch.p <= cc.p1:
+        raise DomainError(f"curve kind {CurveKind(kind).value!r} needs a "
+                          f"segment channel (p > {cc.p1:.7f})")
+    return cc.r1, cc.r_crit if kind == CurveKind.straight_line else cc.capacity
+
+
 def corollary1_exponent(R: float, ch: ChannelParam) -> float:
     """The exact-exponent segment 1 - log2(1 + 2 sqrt(pq)) - R continued by
     sphere packing above the critical rate.
 
-    Only meaningful when the segment exists, i.e. when the low-rate anchor
-    R1 sits below the critical rate (p above the crossover channel p1).
+    Refuses channels without the segment, as ``segment_window`` does.
     """
-    cc = channel_constants(ch)
-    if ch.p <= cc.p1:
-        raise DomainError(
-            f"segment requires p > p1 = {cc.p1:.7f}, got p = {ch.p!r}")
-    cap = cc.capacity
-    if not cc.r1 - 1e-9 <= R <= cap + _TOL:
-        raise DomainError(
-            f"rate must lie in [R1={cc.r1:.6f}, C={cap:.6f}], got {R!r}")
-    R = min(max(R, cc.r1), cap)
-    if R <= cc.r_crit:
-        return 1.0 - math.log2(1.0 + 2.0 * math.sqrt(ch.p * ch.q)) - R
+    r1, cap = segment_window(CurveKind.corollary1, ch)
+    if not r1 - 1e-9 <= R <= cap + _TOL:
+        raise DomainError(f"rate must lie in [R1={r1:.6f}, C={cap:.6f}], got {R!r}")
+    R = min(max(R, r1), cap)
+    if R <= channel_constants(ch).r_crit:
+        return ch.segment_intercept - R
     return sphere_packing_exponent(R, ch)
 
 
 def _segment_anchors(ch: ChannelParam) -> tuple[tuple[float, float], tuple[float, float]]:
-    cc = channel_constants(ch)
-    if ch.p <= cc.p1 or cc.r1 >= cc.r_crit:
-        raise DomainError(
-            f"straight segment requires p > p1 = {cc.p1:.7f} so that "
-            f"R1 < R_crit; got p = {ch.p!r}")
-    low = (cc.r1, F_minimize(cc.r1, ch).value)
-    high = (cc.r_crit, sphere_packing_exponent(cc.r_crit, ch))
-    return low, high
+    r1, r_crit = segment_window(CurveKind.straight_line, ch)
+    return ((r1, F_minimize(r1, ch).value),
+            (r_crit, sphere_packing_exponent(r_crit, ch)))
 
 
 def _curve_values(kind: CurveKind, ch: ChannelParam,
@@ -397,14 +404,10 @@ def _curve_values(kind: CurveKind, ch: ChannelParam,
     """The bound of one kind at every rate of a grid.
 
     Every F the kind reads comes from one grid call.  ``combined`` is the
-    best-known upper bound on the reliability function, piecewise: from the
-    anchor rate R1 upward (when the channel has a segment, p > p1) the
-    exact-exponent segment and its sphere-packing continuation are the
-    bound — on that range the exponent is known exactly, and the two-level
-    optimization is not allowed to loosen it.  Below R1, and everywhere for
-    p <= p1, it is the pointwise min of F with sphere packing, as
-    ``theorem1_min`` is everywhere.  The two pieces meet at R1, where F
-    equals the segment value.
+    best-known upper bound on the reliability function: at each rate the
+    kind ``rate_regime`` names, so the two-level optimization cannot loosen
+    an exactly known exponent.  The pieces meet at R1, where F equals the
+    segment value.
     """
     if kind is CurveKind.sphere_packing:
         return [sphere_packing_exponent(r, ch) for r in rates]
@@ -415,14 +418,14 @@ def _curve_values(kind: CurveKind, ch: ChannelParam,
         return [straight_line(r, *anchors) for r in rates]
     if kind is CurveKind.F_bound:
         return [res.value for res in _f_grid(rates, ch)]
-    exact = [False] * len(rates)
-    if kind is CurveKind.combined:
-        cc = channel_constants(ch)
-        exact = [ch.p > cc.p1 and r >= cc.r1 - _TOL for r in rates]
-    F = iter(_f_grid([r for r, e in zip(rates, exact) if not e], ch))
-    return [corollary1_exponent(r, ch) if e
-            else min(next(F).value, sphere_packing_exponent(r, ch))
-            for r, e in zip(rates, exact)]
+    if kind is CurveKind.theorem1_min:
+        return [min(res.value, sphere_packing_exponent(r, ch))
+                for r, res in zip(rates, _f_grid(rates, ch))]
+    pieces = [rate_regime(r, ch)[1] for r in rates]
+    values = {piece: iter(_curve_values(
+        piece, ch, [r for r, k in zip(rates, pieces) if k is piece]))
+        for piece in dict.fromkeys(pieces)}
+    return [next(values[k]) for k in pieces]
 
 
 def curve(kind: CurveKind, ch: ChannelParam, r_min: float, r_max: float,

@@ -56,6 +56,7 @@ __all__ = [
     "proposition3_rhs",
     "proposition3_terms",
     "DOMINANCE_SLACK",
+    "dominates",
     "johnson_upper",
     "exhaustive_max_constant_weight",
     "proposition4_check",
@@ -138,6 +139,10 @@ def random_code(n: int, m: int, seed: int) -> BinaryCode:
     """m distinct uniformly random words of length n, reproducible from seed."""
     if n < 1:
         raise CodeFormatError("random code needs n >= 1")
+    if n > _ENUM_CAP:
+        raise SizeBudgetError(f"random code of length {n} exceeds the n <= {_ENUM_CAP} budget")
+    if seed < 0:
+        raise CodeFormatError(f"random code needs seed >= 0, got {seed}")
     if not 1 <= m <= 1 << n:
         raise CodeFormatError(f"cannot place {m} distinct words in length {n}")
     rng = np.random.default_rng(seed)
@@ -168,8 +173,11 @@ def parse_code(text: str) -> BinaryCode:
 
 
 def load_code(path: str) -> BinaryCode:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_code(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return parse_code(fh.read())
+    except UnicodeDecodeError as exc:
+        raise CodeFormatError(f"{path!r} is not ASCII text (byte {exc.start})") from None
 
 
 def _word_array(code: BinaryCode) -> np.ndarray:
@@ -476,6 +484,11 @@ def sphere_packing_rhs_23(code: BinaryCode, ch: ChannelParam) -> float:
         if surplus > 0:
             best = max(best, ratio ** t * surplus)
     return ch.q ** n / (2.0 * M) * best
+
+
+def dominates(pe: float, bound: float) -> bool:
+    """Whether exact ML error pe meets a lower bound, up to DOMINANCE_SLACK."""
+    return pe >= bound - DOMINANCE_SLACK
 
 
 def z_pair_count(n: int, d: int, t: int) -> int:

@@ -185,8 +185,7 @@ class MuSlice:
                               f"h2({float(a[bad][0])}) < 1 - {float(r[bad][0])}")
         tau = _h2_inv_arr(np.clip(deficit, 0.0, 1.0))
         cap = omega_cap(a, tau)
-        self.rate, self._rate = rate, r
-        self._alpha, self._tau, self._cap = a, tau, cap
+        self._rate, self._alpha, self._tau, self._cap = r, a, tau, cap
         self.alpha, self.tau, self.cap = map(self._out, (a, tau, cap))
         x_end = np.maximum(0.5 * cap, 0.0)
         split = 0.85 * x_end
@@ -234,18 +233,13 @@ class MuSlice:
             # the BLAS sum rounds a row by its place in the call, so each
             # rate gets a call of its own: a slice's mu is the same
             # whichever other rates share the batch
+            _, group = np.unique(self._rate[part], return_inverse=True)
             rule = np.empty(part.size)
-            for rows in self._by_rate(part):
+            for k in range(group.max() + 1):
+                rows = group == k
                 rule[rows] = g[rows] @ _GL_WEIGHTS
             out[part] += hw * rule
         return out
-
-    def _by_rate(self, part: np.ndarray) -> list:
-        """Selectors of the entries of ``part`` at each distinct rate."""
-        if np.ndim(self.rate) == 0:
-            return [slice(None)]
-        _, group = np.unique(self._rate[part], return_inverse=True)
-        return [group == k for k in range(group.max() + 1)]
 
     def mu(self, omega):
         """mu at one omega per slice (or one omega for every slice)."""

@@ -17,7 +17,7 @@ from .core import (ChannelParam, DomainError, binary_entropy,
                    binary_entropy_inv, channel_constants, omega_cap)
 from .hahn import HahnContext, delsarte_margins, hahn_eval, hahn_ratios, min_root, q0_exponent
 from .optimizer import F1_maximize, verify_claims
-from .oracle import (DOMINANCE_SLACK, BinaryCode, cover_report,
+from .oracle import (BinaryCode, cover_report, dominates,
                      distance_distribution, exact_pe_ml, hamming74,
                      lower_bound_21, parity_code, proposition3_terms,
                      proposition4_check, random_code, repetition_code,
@@ -284,20 +284,17 @@ def suite_oracle() -> dict:
     roster = builtin_roster()
     ps = (0.01, 0.05, 0.1, 0.25, 0.4)
 
-    dom_viol = 0
+    dom_viol = compared = 0
     min_slack = math.inf
-    compared = 0
     for name, code in roster:
         for p in ps:
             ch = ChannelParam(p)
             pe = exact_pe_ml(code, ch)
             bounds = [lower_bound_21(code, ch), sphere_packing_rhs_23(code, ch)]
             bounds += [term for _, _, term in proposition3_terms(code, ch)]
-            for b in bounds:
-                compared += 1
-                min_slack = min(min_slack, pe - b)
-                if b > pe + DOMINANCE_SLACK:
-                    dom_viol += 1
+            compared += len(bounds)
+            min_slack = min(min_slack, *(pe - b for b in bounds))
+            dom_viol += sum(not dominates(pe, b) for b in bounds)
     checks.append({"name": "lower_bound_dominance", "passed": dom_viol == 0,
                    "violations": dom_viol, "compared": compared,
                    "min_slack": min_slack})

@@ -122,6 +122,26 @@ def test_curve_default_grid_matches_golden(p, capsys):
             assert abs(float(g_field) - float(w_field)) <= 1e-9, (g_line, w_line)
 
 
+_ALL_KINDS = ("sphere_packing,F_bound,theorem1_min,corollary1,straight_line,"
+              "combined")
+_GRID = ["--rmin", "0.05", "--rmax", "0.5", "--step", "0.05"]
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("curve_p0.1_grid.json", ["--p", "0.1", "--format", "json"] + _GRID),
+    ("curve_p0.1_segment_kinds.svg",
+     ["--p", "0.1", "--format", "svg",
+      "--bounds", "theorem1_min,combined,straight_line"] + _GRID),
+    ("curve_p0.2_all_kinds.svg",      # every kind, on a grid in [R1, R_crit]
+     ["--p", "0.2", "--format", "svg", "--bounds", _ALL_KINDS,
+      "--rmin", "0.035", "--rmax", "0.08", "--step", "0.005"]),
+], ids=["json", "svg-segment-kinds", "svg-all-kinds"])
+def test_curve_output_matches_golden_bytes(golden, argv, capsys):
+    # tests/data holds these outputs as first recorded, byte for byte
+    assert main(["curve"] + argv) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="ascii")
+
+
 def test_curve_json(capsys):
     rc = main(["curve", "--p", "0.1", "--rmin", "0.1", "--rmax", "0.2",
                "--step", "0.05", "--format", "json"])
@@ -306,6 +326,34 @@ def test_oracle_random_negative_length_is_one_line(capsys):
                "--p", "0.1"])
     assert rc == 2
     assert capsys.readouterr().err == "bscbounds: random code needs n >= 1\n"
+
+
+def test_oracle_random_length_over_census_cap_is_one_line(capsys):
+    # a raised --budget lets n = 70 past the CLI; the generator refuses it
+    # before drawing 70-bit words
+    rc = main(["oracle", "--generator", "random", "--n", "70", "--m", "2",
+               "--budget", "100", "--p", "0.1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "bscbounds: random code of length 70 exceeds the n <= 24 budget\n")
+
+
+def test_oracle_random_negative_seed_is_one_line(capsys):
+    rc = main(["oracle", "--generator", "random", "--n", "12", "--m", "4",
+               "--seed", "-1", "--p", "0.1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "bscbounds: random code needs seed >= 0, got -1\n")
+
+
+def test_oracle_code_file_not_ascii_is_one_line(tmp_path, capsys):
+    src = tmp_path / "code.txt"
+    src.write_bytes(b"000\n11\xe91\n")
+    rc = main(["oracle", "--code-file", str(src), "--p", "0.1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bscbounds: ") and err.count("\n") == 1
+    assert "not ASCII" in err and "byte 6" in err
 
 
 def test_oracle_census_over_budget_exits_at_once(capsys):

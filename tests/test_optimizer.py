@@ -8,6 +8,7 @@ the module's piecewise dispatch relies on; see also the verification
 suites.
 """
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from bscbounds.core import (
     ChannelParam,
     DomainError,
     binary_entropy_inv,
+    capacity,
     channel_constants,
     omega_cap,
     sphere_packing_exponent,
@@ -31,13 +33,15 @@ from bscbounds.optimizer import (
     curve,
     default_claims_grid,
     max_band_width,
+    rate_regime,
+    segment_window,
     straight_line,
     theorem1_bound,
     verify_claims,
 )
 from bscbounds import optimizer
 from bscbounds.cli import main
-from bscbounds.optimizer import _f1_batch, _log_quarter, _segment_anchors
+from bscbounds.optimizer import _f1_batch, _segment_anchors
 from bscbounds.spectrum import MuSlice, spectrum_exponent_at
 
 CH = ChannelParam(0.1)
@@ -75,7 +79,7 @@ def test_f1_batch_mixes_collapsed_and_open_bands():
     # stay open; each batch entry must equal the slice's own inner maximum
     rate = 1.0 - 1e-9
     alphas = np.linspace(binary_entropy_inv(1e-9), 0.5, 5)
-    batch = _f1_batch(rate, alphas, _log_quarter(CH), 1e-10)
+    batch = _f1_batch(np.full(alphas.size, rate), alphas, CH.log_pair, 1e-10)
     assert batch.iterations[0] == 0 and batch.iterations[1:].min() > 0
     for k, alpha in enumerate(alphas):
         one = F1_maximize(rate, float(alpha), CH)
@@ -204,10 +208,11 @@ def test_f1_batch_rate_array_freezes_each_rate():
     # two rates whose widest bands need 11 and 10 sign-search passes share
     # one batch, every maximum interior; each row equals its rate's own
     # batch exactly
-    L = _log_quarter(ChannelParam(0.01))
+    L = ChannelParam(0.01).log_pair
     alphas = {0.6: np.linspace(binary_entropy_inv(0.4), 0.5, 5),
               0.8: np.linspace(binary_entropy_inv(0.2), 0.5, 4)}
-    alone = {r: _f1_batch(r, a, L, 1e-10) for r, a in alphas.items()}
+    alone = {r: _f1_batch(np.full(a.size, r), a, L, 1e-10)
+             for r, a in alphas.items()}
     assert [set(b.iterations) for b in alone.values()] == [{13}, {12}]
     rate = np.repeat(list(alphas), [a.size for a in alphas.values()])
     both = _f1_batch(rate, np.concatenate(list(alphas.values())), L, 1e-10)
@@ -354,6 +359,80 @@ def test_curve_domain_errors():
         curve(CurveKind.corollary1, ChannelParam(0.005), 0.1, 0.2, 0.05)
     with pytest.raises(ValueError):
         curve("no_such_bound", CH, 0.1, 0.2, 0.05)
+
+
+# --- one rate-window policy ---------------------------------------------
+
+
+@pytest.mark.parametrize("p", [0.005, 0.1, 0.2])
+def test_theorem1_bound_is_the_one_rate_theorem1_curve(p):
+    # on the CLI's default grid; test_f_grid_equals_one_rate_calls shows
+    # the batched F equal to the one-rate F that the cache then serves
+    ch = ChannelParam(p)
+    rmax = capacity(ch) - 0.001
+    got = curve(CurveKind.theorem1_min, ch, 0.01, rmax, (rmax - 0.01) / 199.0).points
+    assert len(got) == 200
+    for r, v in got:
+        assert theorem1_bound(r, ch) == v, r
+
+
+def test_rate_windows_split_at_r1_and_r_crit_within_tol():
+    tol = 1e-12
+    at = {R: rate_regime(R, CH) for R in (
+        CC.r1 - 2 * tol, CC.r1 - tol / 2, CC.r_crit + tol / 2, CC.r_crit + 2 * tol)}
+    assert list(at.values()) == [
+        ("low_rate", CurveKind.theorem1_min),
+        ("corollary1_segment", CurveKind.corollary1),
+        ("corollary1_segment", CurveKind.corollary1),
+        ("sphere_packing", CurveKind.sphere_packing)]
+    # below the crossover there is no segment window
+    ch = ChannelParam(0.005)
+    cc = channel_constants(ch)
+    assert [rate_regime(R, ch)[0] for R in (cc.r_crit, cc.r_crit + 2 * tol)] == [
+        "low_rate", "sphere_packing"]
+    assert segment_window(CurveKind.straight_line, CH) == (CC.r1, CC.r_crit)
+    assert segment_window(CurveKind.corollary1, CH) == (CC.r1, CC.capacity)
+
+
+@pytest.mark.parametrize("p", [0.005, 0.1, 0.2])
+def test_regime_label_picks_the_combined_piece(p, capsys):
+    # the rows of the default-grid curve JSON: R, E_sp, F, combined, regime
+    assert main(["curve", "--p", str(p), "--format", "json"]) == 0
+    ch = ChannelParam(p)
+    seen = set()
+    for row in json.loads(capsys.readouterr().out)["value"]:
+        r, regime = row["R"], row["regime"]
+        assert rate_regime(r, ch)[0] == regime
+        seen.add(regime)
+        if regime == "corollary1_segment":
+            assert row["combined"] == corollary1_exponent(r, ch), r
+        elif regime == "low_rate":
+            assert row["combined"] == min(row["F"], row["E_sp"]), r
+        elif p > CC.p1:
+            assert row["combined"] == row["E_sp"], r
+    want = {"low_rate", "sphere_packing"}
+    assert seen == (want | {"corollary1_segment"} if p > CC.p1 else want)
+
+
+@pytest.mark.parametrize("kind", ["corollary1", "straight_line"])
+def test_segment_kinds_refuse_p_below_p1_with_one_message(kind, capsys):
+    ch = ChannelParam(0.005)
+    assert main(["curve", "--p", "0.005", "--format", "svg",
+                 "--bounds", kind]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"bscbounds: curve kind {kind!r} needs a segment channel "
+                   f"(p > {CC.p1:.7f})\n")
+    raised = []
+    for call in (lambda: curve(CurveKind(kind), ch, 0.1, 0.2, 0.05),
+                 lambda: segment_window(kind, ch)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        raised.append(str(exc.value))
+    if kind == "corollary1":
+        with pytest.raises(DomainError) as exc:
+            corollary1_exponent(0.7, ch)
+        raised.append(str(exc.value))
+    assert raised == [err[len("bscbounds: "):-1]] * len(raised)
 
 
 # --- claims report ------------------------------------------------------

@@ -17,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 from bscbounds import oracle, verify
 from bscbounds.core import ChannelParam, DomainError
 from bscbounds.oracle import (
+    DOMINANCE_SLACK,
     BinaryCode,
     CodeFormatError,
     SizeBudgetError,
     cover_report,
     distance_distribution,
+    dominates,
     exact_pe_ml,
     exhaustive_max_constant_weight,
     hamming74,
@@ -509,6 +511,14 @@ def test_lower_bounds_dominated_by_exact(code):
                     continue
                 assert proposition3_rhs(code, ch, t, om_d) <= pe + 1e-12, (
                     code.n, code.M, p, t, om_d)
+
+
+def test_dominance_rule_forgives_round_off_only():
+    # a lower bound may exceed P_e by at most DOMINANCE_SLACK
+    assert dominates(0.1, 0.1) and dominates(0.1, 0.1 + 0.5 * DOMINANCE_SLACK)
+    assert not dominates(0.1, 0.1 + 10 * DOMINANCE_SLACK)
+    assert dominates(0.0, DOMINANCE_SLACK)
+    assert not dominates(0.0, 2 * DOMINANCE_SLACK)
 
 
 def test_counting_bound_positive_for_large_codes():
