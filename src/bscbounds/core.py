@@ -154,6 +154,8 @@ def binary_entropy_inv(y: float) -> float:
     lo, hi = 0.0, 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break   # no float lies strictly between: the bracket is final
         if binary_entropy(mid) < y:
             lo = mid
         else:

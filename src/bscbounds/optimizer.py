@@ -162,8 +162,8 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
                 field[live] = sub
         return out
     at_cap = _w_slope(cap * (1.0 - 1e-12), sl.alpha, sl.tau, L) >= 0.0
-    rates, group = np.unique(rate, return_inverse=True)
-    top = np.zeros(rates.size)
+    group = sl.rate_group
+    top = np.zeros(group.max() + 1)
     np.maximum.at(top, group, cap)
     passes = np.array([_passes(float(t), tol) for t in top])[group]
     fewest, most = int(passes.min()), int(passes.max())

@@ -12,11 +12,12 @@ census per code, a single pass in chunks under a fixed byte budget over the
 2^(n-1) outputs with the top bit clear; each complement y ^ 1^n is mirrored
 from y (radius t -> n - t, d_min -> n - d_max), never enumerated.  The
 covering maxima X_max go group by group, a group being the words at one
-distance from one reference word: a group whose column classes (coordinates
-with one bit pattern over the group, up to complement) give fewer
-representative outputs than the pass is enumerated by its flip counts per
-class instead.  Pair distances come in row blocks under the same budget, and
-a census whose work M^2 2^n exceeds the n = 24, M = 32 shape is refused.
+distance from one reference word.  Each group is priced on its own: one
+whose column classes (coordinates with one bit pattern over the group, up to
+complement) give fewer representative outputs than the pass is enumerated by
+its flip counts per class instead.  Pair distances come in row blocks under
+the same budget, shared by the pair counts, the class analysis and the pass,
+and a census whose work M^2 2^n exceeds the n = 24, M = 32 shape is refused.
 ``proposition3_terms`` scans the spectrum-based lower bound term by term; its
 covering count ``restricted_cover_max`` reads the census, which the verify
 suite checks against a direct count of the union-cover inequality.
@@ -263,76 +264,43 @@ def _group_x_max(n: int, keys: np.ndarray, sizes: np.ndarray,
     return best
 
 
-def _class_keys(pair: np.ndarray, bits: np.ndarray) -> tuple:
-    """The column keys of every group of a block of reference words.
-
-    Row i of pair holds the distances from reference word i to all M words;
-    the words at distance d form group (i, d), numbered from 0 in index
-    order.  Bit j of the key of a column is the column's bit in word j of
-    its group relative to word 0 (j < 64; larger groups get keys that mean
-    nothing).  Returns the keys, sorted per group as rows, each group's
-    start in the block's flattened, distance-sorted pair rows, and those
-    sorted distances.
-    """
-    m, n = bits.shape
-    order = np.argsort(pair, axis=1, kind="stable")
-    dists = np.take_along_axis(pair, order, axis=1)
-    heads = np.ones(pair.shape, dtype=bool)
-    heads[:, 1:] = dists[:, 1:] != dists[:, :-1]
-    pos = np.arange(m)
-    head = np.maximum.accumulate(np.where(heads, pos, 0), axis=1)
-    rel = (bits[order] ^ bits[np.take_along_axis(order, head, axis=1)]).astype(np.uint64)
-    rel <<= np.minimum(pos - head, 63).astype(np.uint64)[..., None]
-    starts = np.flatnonzero(heads)
-    keys = np.bitwise_or.reduceat(rel.reshape(-1, n), starts, axis=0)
-    return np.sort(keys, axis=1), starts, dists
-
-
 def _class_x_max(code: BinaryCode, x_max: np.ndarray) -> np.ndarray:
     """Fill x_max from every group that its column classes enumerate more
     cheaply than the census would; return the [reference, d] mask of those
     groups, which the census skips.
 
     A group S is the set of words at distance d from one reference word.
-    Its column classes cost rows (k + n + 1) + _CLASS_COST, rows the number
-    of representative outputs, against the 2^(n-1) (k + n + 1) keys and bins
-    it takes in the census.  Reference words go in blocks under the byte
-    budget; a block none of whose groups could pay even with a single class
-    is not analysed.  Groups of more than 64 words stay in the census: their
-    class keys would not fit 64 bits.
+    Bit j of a column's key is the column's bit in word j of S relative to
+    its word 0, so equal keys make a class.  The classes cost rows (k + n + 1)
+    + _CLASS_COST, rows the number of representative outputs, against the
+    2^(n-1) (k + n + 1) keys and bins S takes in the census; each group is
+    priced on its own.  Reference words go in the pair-row blocks of the
+    census, and only groups that could pay even with a single class are
+    analysed.  Groups of more than 64 words stay in the census: their keys
+    would not fit 64 bits.
     """
     n, m = code.n, code.M
     width, half = n + 1, 1 << (n - 1)
     words = _word_array(code)
-    bits = ((words[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
+    bits = (words[:, None] >> np.arange(n, dtype=np.uint32) & 1).astype(np.uint64)
     classed = np.zeros((m, width), dtype=bool)
-    step = max(1, _BLOCK_BYTES // (16 * m * n))
-    for first in range(0, m, step):
-        pair = np.bitwise_count(words[first:first + step, None] ^ words[None, :])
+    first = 0
+    for pair in _pair_distance_rows(words):
         k = np.bincount((np.arange(pair.shape[0])[:, None] * width + pair).ravel(),
-                        minlength=pair.shape[0] * width)
-        if not np.any((k > 0) & (k <= 64)
-                      & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)):
-            continue
-        keys, starts, dists = _class_keys(pair, bits)
-        fresh = np.ones(keys.shape, dtype=bool)
-        fresh[:, 1:] = keys[:, 1:] != keys[:, :-1]
-        runs = np.flatnonzero(fresh)                 # each class's first column
-        sizes = np.diff(runs, append=keys.size)
-        firsts = np.flatnonzero(runs % n == 0)       # each group's first class
-        largest = np.maximum.reduceat(sizes, firsts)
-        rows = (np.multiply.reduceat(sizes + 1, firsts) // (largest + 1)
-                * (largest // 2 + 1))
-        group_k = np.diff(starts, append=pair.size)
-        cost = group_k + width
-        pay = (group_k <= 64) & (rows * cost + _CLASS_COST < half * cost)
-        bounds = np.append(firsts, runs.size)
-        for g in np.flatnonzero(pay):
-            cls = slice(bounds[g], bounds[g + 1])
-            best = _group_x_max(n, keys.flat[runs[cls]], sizes[cls], int(group_k[g]))
-            ref, d = first + starts[g] // m, dists.flat[starts[g]]
-            classed[ref, d] = True
-            x_max[d] = np.maximum(x_max[d], best)
+                        minlength=pair.shape[0] * width).reshape(-1, width)
+        could = (k > 0) & (k <= 64) & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)
+        for i, d in zip(*np.nonzero(could)):
+            group = np.flatnonzero(pair[i] == d)
+            shifts = np.arange(group.size, dtype=np.uint64)[:, None]
+            keys = np.bitwise_or.reduce((bits[group] ^ bits[group[0]]) << shifts, axis=0)
+            keys, sizes = np.unique(keys, return_counts=True)
+            big = sizes.max()
+            rows = np.prod(sizes + 1) // (big + 1) * (big // 2 + 1)
+            cost = group.size + width
+            if rows * cost + _CLASS_COST < half * cost:
+                classed[first + i, d] = True
+                x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, group.size))
+        first += pair.shape[0]
     return classed
 
 

@@ -185,7 +185,9 @@ class MuSlice:
                               f"h2({float(a[bad][0])}) < 1 - {float(r[bad][0])}")
         tau = _h2_inv_arr(np.clip(deficit, 0.0, 1.0))
         cap = omega_cap(a, tau)
-        self._rate, self._alpha, self._tau, self._cap = r, a, tau, cap
+        self._alpha, self._tau, self._cap = a, tau, cap
+        # each slice's rate, numbered over the distinct rates in order
+        self.rate_group = np.unique(r, return_inverse=True)[1]
         self.alpha, self.tau, self.cap = map(self._out, (a, tau, cap))
         x_end = np.maximum(0.5 * cap, 0.0)
         split = 0.85 * x_end
@@ -233,7 +235,7 @@ class MuSlice:
             # the BLAS sum rounds a row by its place in the call, so each
             # rate gets a call of its own: a slice's mu is the same
             # whichever other rates share the batch
-            _, group = np.unique(self._rate[part], return_inverse=True)
+            group = self.rate_group[part]
             rule = np.empty(part.size)
             for k in range(group.max() + 1):
                 rows = group == k

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bscbounds import core
 from bscbounds.core import (
     ChannelParam,
     DomainError,
@@ -59,6 +60,45 @@ def test_entropy_inverse_roundtrip(y):
 def test_entropy_inverse_endpoints_exact():
     assert binary_entropy_inv(0.0) == 0.0
     assert binary_entropy_inv(1.0) == 0.5
+
+
+def _bisection_200(y):
+    """The inverse as a fixed 200-step bisection, exiting only on 1e-17."""
+    if y <= 0.0:
+        return 0.0
+    if y >= 1.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if binary_entropy(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-17:
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_entropy_inverse_stops_when_the_bracket_stops(monkeypatch):
+    # once the midpoint equals an end of the bracket, further steps change
+    # nothing; above a preimage of 1/16 the 1e-17 exit never fires
+    ys = np.concatenate([[0.0, 1.0, 1e-300, 5e-324, 0.9, 0.5],
+                         np.linspace(0.0, 1.0, 2001),
+                         np.geomspace(1e-300, 1e-3, 200),
+                         1.0 - np.geomspace(1e-16, 1e-3, 200),
+                         np.nextafter(1.0, 0.0) - np.arange(20) * 2.0 ** -53])
+    for y in ys:
+        assert binary_entropy_inv(float(y)) == _bisection_200(float(y)), y
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return binary_entropy(x)
+
+    monkeypatch.setattr(core, "binary_entropy", counted)
+    core.binary_entropy_inv(0.9)
+    assert 0 < len(calls) <= 64
 
 
 def test_vectorised_entropy_inverse_matches_scalar_reference():

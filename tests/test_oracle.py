@@ -6,6 +6,7 @@ at or below the enumerated ML error probability on every code, with slack
 only for float roundoff.
 """
 
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -412,14 +413,32 @@ def test_class_path_matches_reference_routes(code):
 
 
 def test_class_path_live_on_a_long_code():
-    # the default cost sends some groups of this code to their classes
+    # the default cost sends 265 of this code's 299 groups to their classes
     code = random_code(16, 32, seed=7)
     classed = oracle._class_x_max(code, np.zeros((17, 17), dtype=np.int64))
-    assert 0 < classed.sum() < _group_count(code)
+    assert (int(classed.sum()), _group_count(code)) == (265, 299)
     live = oracle._census.__wrapped__(code)
     _, whole = _census_at_cost(code, math.inf)
     for field in ("x_max", "cover", "dmin_hist"):
         _assert_same(getattr(live, field), getattr(whole, field))
+
+
+@pytest.mark.parametrize("shape, classed_groups, groups, digest", [
+    ((16, 32, 7), 265, 299,
+     "baf1f3082bd39baaf09421b4b28a7cb9e450952c77706227246fde54ac7f8e4c"),
+    ((14, 48, 1), 166, 462,
+     "dadd86ff00762e63e6c7bedb33eb9c8e44965a4a9a4fd9c0bea08956b6e4c3b5"),
+    ((20, 32, 1), 315, 332,
+     "2181d892e53032c57178a3ea8b339f5f811dfb5cf19bbde9680e614d931cabc7"),
+])
+def test_class_pricing_pinned(shape, classed_groups, groups, digest):
+    # which groups go by their classes is pinned to the byte: a drift in the
+    # cost rule shows here even where every census integer still matches
+    code = random_code(*shape)
+    classed = oracle._class_x_max(code, np.zeros((code.n + 1,) * 2, dtype=np.int64))
+    assert classed.dtype == bool and classed.shape == (code.M, code.n + 1)
+    assert (int(classed.sum()), _group_count(code)) == (classed_groups, groups)
+    assert hashlib.sha256(classed.tobytes()).hexdigest() == digest
 
 
 def _column_classes(n, group):

@@ -173,6 +173,25 @@ def test_slice_rate_per_row_equals_one_rate_slices():
         MuSlice(np.array([0.9, 0.1]), np.array([0.4, 0.2]))
 
 
+def test_interleaved_rates_equal_one_rate_slices():
+    # rates alternating slice by slice: a rate's rows keep their order in
+    # its BLAS call, so each slice has the bits of its one-rate slice
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        r1, r2 = rng.uniform(0.01, 0.95, 2)
+        size = int(rng.integers(2, 9))
+        a1 = _alpha_batch(r1, rng.uniform(0.0, 1.0, size))
+        a2 = _alpha_batch(r2, rng.uniform(0.0, 1.0, size))
+        sl = MuSlice(np.tile([r1, r2], size), np.column_stack([a1, a2]).ravel())
+        omegas = rng.uniform(0.0, 1.0, 2 * size) * sl.cap
+        got = sl.mu(omegas)
+        for col, (r, a) in enumerate(((r1, a1), (r2, a2))):
+            one = MuSlice(r, a)
+            assert np.array_equal(sl.rate_group[col::2], np.full(size, int(r > min(r1, r2))))
+            assert np.array_equal(sl.cap[col::2], one.cap)
+            assert np.array_equal(got[col::2], one.mu(omegas[col::2]))
+
+
 def test_mu_slice_domain():
     sl = MuSlice(0.5, 0.4)
     with pytest.raises(DomainError):
