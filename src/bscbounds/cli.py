@@ -17,8 +17,8 @@ from .core import (ChannelParam, DomainError, capacity, channel_constants,
                    sphere_packing_exponent, zero_rate_exponent)
 from .optimizer import CurveKind, curve, rate_regime, segment_window
 from .oracle import (BinaryCode, CodeFormatError, SizeBudgetError,
-                     cover_report, distance_distribution, dominates,
-                     exact_pe_ml, hamming74, johnson_upper, load_code,
+                     _check_census_work, cover_report, distance_distribution,
+                     dominates, exact_pe_ml, hamming74, johnson_upper, load_code,
                      lower_bound_21, parity_code, proposition3_terms,
                      proposition4_check, random_code, repetition_code,
                      sphere_packing_rhs_23)
@@ -211,6 +211,9 @@ def _build_code(ns: argparse.Namespace) -> BinaryCode:
     _check_budget(ns.n, ns.budget)      # before any n-bit word is drawn
     if ns.generator == "repetition":
         return repetition_code(ns.n)
+    # a census over budget is refused before its 2^(n-1) or m words are built
+    words = ns.m if ns.generator == "random" else 1 << max(ns.n - 1, 0)
+    _check_census_work(ns.n, words)
     if ns.generator == "parity":
         return parity_code(ns.n)
     return random_code(ns.n, ns.m, ns.seed)

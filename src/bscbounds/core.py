@@ -250,6 +250,9 @@ def _constants_cached(p: float) -> CriticalConstants:
     r_crit = _r_crit(p)
     tau_crit = binary_entropy_inv(r_crit)
     cap = capacity(ch)
+    if ch.log_pair <= 0.0:
+        raise DomainError(f"crossover probability {p!r} is too close to 1/2: "
+                          f"log2(1/(4pq)) rounds to 0")
     # Normalised midpoint where the straight-line bound meets the spectrum
     # bound; the closed form avoids evaluating the spectrum exponent.
     omega_m = 2.0 * (ch.segment_intercept - r1) / ch.log_pair

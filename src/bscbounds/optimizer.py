@@ -60,7 +60,7 @@ _TOL = 1e-12
 _MAX_POINTS = 100_000   # largest rate grid curve() samples
 _F_GRID = 129           # alphas in the global pass of F_minimize
 _POLISH = 33            # alphas per polishing level of F_minimize
-_F1_TOL = 1e-10         # relative bracket width of the inner sign search
+_F1_TOL = 1e-10         # bracket width of the inner sign search
 _SECTIONS = 8           # cells the inner sign search splits its bracket into
 _PASS_SLICES = 4 * _F_GRID  # slices in one pass of the batched F searches
 
@@ -129,11 +129,6 @@ class _F1Batch(NamedTuple):
     iterations: np.ndarray
 
 
-def _passes(top: float, tol: float) -> int:
-    """Sign-search passes that narrow a band of width top to tol * max(top, 1)."""
-    return math.ceil(math.log(top / (tol * max(top, 1.0)), _SECTIONS))
-
-
 def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1Batch:
     """max over omega in [0, G(alpha, tau)] of W for every alpha in the batch.
 
@@ -141,12 +136,12 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
     analytic slope changes sign once: a slope that is still non-negative
     at the cap puts the maximum there.
     Otherwise each array pass samples the slope at _SECTIONS - 1 inner
-    points of every bracket and keeps the cell where its sign changes,
-    until the bracket is tol * max(G, 1) wide for the widest band at the
-    slice's rate: about 11 passes where bisection needs about 32, and with
-    numpy's per-call overhead 7 samples cost about what 1 does.  A slice
-    whose rate needs fewer passes than the batch makes is frozen after its
-    own, so its result does not depend on the other rates in the batch.
+    points of every bracket and keeps the cell where its sign changes.
+    Every band is at most 1/2 wide (G <= 1/2), so ceil(log_8(1/(2 tol)))
+    passes, 11 at the default tol, narrow every bracket to at most tol,
+    where bisection needs about 32; with numpy's per-call overhead 7
+    samples cost about what 1 does.  The count depends on tol alone, so a
+    slice's result does not depend on the other slices in the batch.
     The value error is quadratic in the bracket width.  The cap endpoint is
     compared explicitly and an interior maximum below 0 (the value at
     omega = 0) is clamped.  Slices with G <= tol get 0.
@@ -162,23 +157,15 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
                 field[live] = sub
         return out
     at_cap = _w_slope(cap * (1.0 - 1e-12), sl.alpha, sl.tau, L) >= 0.0
-    group = sl.rate_group
-    top = np.zeros(group.max() + 1)
-    np.maximum.at(top, group, cap)
-    passes = np.array([_passes(float(t), tol) for t in top])[group]
-    fewest, most = int(passes.min()), int(passes.max())
+    passes = math.ceil(math.log(0.5 / tol, _SECTIONS))
     alpha, tau = sl.alpha[:, None], sl.tau[:, None]
     inner = np.arange(1, _SECTIONS)
     lo, width = np.zeros_like(cap), cap
-    for k in range(most):
+    for _ in range(passes):
         cell = width / _SECTIONS
         # the slope falls with omega, so its positive samples are a prefix
         probes = lo[:, None] + cell[:, None] * inner
         count = (_w_slope(probes, alpha, tau, L) > 0.0).sum(axis=1)
-        if k >= fewest:
-            done = passes <= k
-            count[done] = 0
-            cell = np.where(done, width, cell)
         lo, width = lo + cell * count, cell
     x = np.where(at_cap, cap, lo + 0.5 * width)
     w_x = 0.5 * x * L - sl.mu(x)
@@ -200,7 +187,11 @@ def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
     ``_f1_batch``).  The cap flag records a non-negative slope of W at the
     cap, or the cap value winning against the interior: the form of
     boundary attainment the band criterion G >= omega_1(p) describes.
+    The argmax bracket is narrowed to ``tol`` in (0, 1/2); the result is
+    bit-for-bit the slice's entry in any batch of ``_f1_batch``.
     """
+    if not 0.0 < tol < 0.5:
+        raise DomainError(f"tol must be finite and lie in (0, 1/2), got {tol!r}")
     alpha0 = binary_entropy_inv(1.0 - rate)
     if alpha < alpha0 - 1e-9:
         raise DomainError(
@@ -265,7 +256,8 @@ def _f_rates(rates: list[float], p: float) -> list[OptResult]:
     in flight asks for next.  A search joins while the pass has room for
     its global grid within _PASS_SLICES slices (one search always runs),
     and leaves as soon as its bracket is narrow enough, so the bound on
-    the slices of a pass bounds the panels it holds.
+    the slices of a pass bounds the panels it holds.  Batch entries do not
+    depend on their batch, so neither does a rate's F.
     """
     L = ChannelParam(p).log_pair
     results: list = [None] * len(rates)

@@ -353,6 +353,15 @@ def _batch(parts: list, m: int, width: int) -> tuple:
             np.concatenate([dist for _, _, dist in parts]))
 
 
+def _check_census_work(n: int, m: int) -> None:
+    """Refuse a census of m words of length n whose work M^2 2^n exceeds
+    _WORK_CAP; other lengths are left to the census and code generators."""
+    if 1 <= n <= _ENUM_CAP and m * m << n > _WORK_CAP:
+        raise SizeBudgetError(
+            f"output census work M^2 2^n = {m}^2 2^{n} exceeds the "
+            f"2^{_WORK_CAP.bit_length() - 1} budget")
+
+
 @functools.lru_cache(maxsize=8)
 def _census(code: BinaryCode) -> _Census:
     """One pass over half the outputs; every enumerated report reads the result.
@@ -375,10 +384,7 @@ def _census(code: BinaryCode) -> _Census:
     if n > _ENUM_CAP:
         raise SizeBudgetError(
             f"2^{n} output enumeration exceeds the n <= {_ENUM_CAP} budget")
-    if m * m * (1 << n) > _WORK_CAP:
-        raise SizeBudgetError(
-            f"output census work M^2 2^n = {m}^2 2^{n} exceeds the "
-            f"2^{_WORK_CAP.bit_length() - 1} budget")
+    _check_census_work(n, m)
     words = _word_array(code)
     width = n + 1
     dmin_hist = np.zeros(width, dtype=np.int64)

@@ -161,7 +161,9 @@ class MuSlice:
     and ``mu`` takes one omega per slice; the rate is one number for every
     slice or an array with one rate per slice, and enters only through
     the degree tau.  Panels are built ``_BLOCK`` slices at a time, which
-    bounds the (slice x panel x node) temporaries.
+    bounds the (slice x panel x node) temporaries.  Gauss rules are summed
+    by ``einsum``, row by row: a BLAS product ``g @ w`` rounds a row by its
+    place in the call, and a slice's mu must not depend on its batch.
     """
 
     def __init__(self, rate, alpha) -> None:
@@ -186,8 +188,6 @@ class MuSlice:
         tau = _h2_inv_arr(np.clip(deficit, 0.0, 1.0))
         cap = omega_cap(a, tau)
         self._alpha, self._tau, self._cap = a, tau, cap
-        # each slice's rate, numbered over the distinct rates in order
-        self.rate_group = np.unique(r, return_inverse=True)[1]
         self.alpha, self.tau, self.cap = map(self._out, (a, tau, cap))
         x_end = np.maximum(0.5 * cap, 0.0)
         split = 0.85 * x_end
@@ -213,7 +213,7 @@ class MuSlice:
             half = 0.5 * np.diff(br, axis=1)
             nodes = centers[..., None] + half[..., None] * _GL_NODES
             g = log_kernel(nodes, a[rows, None, None], tau[rows, None, None])
-            panel[rows] = (g @ _GL_WEIGHTS) * half
+            panel[rows] = np.einsum("...k,k->...", g, _GL_WEIGHTS) * half
         np.cumsum(panel, axis=1, out=panel)
 
     def _out(self, v: np.ndarray):
@@ -232,15 +232,7 @@ class MuSlice:
             hw = 0.5 * (x[part] - lo[part])
             g = log_kernel(mid[:, None] + hw[:, None] * _GL_NODES,
                            self._alpha[part, None], self._tau[part, None])
-            # the BLAS sum rounds a row by its place in the call, so each
-            # rate gets a call of its own: a slice's mu is the same
-            # whichever other rates share the batch
-            group = self.rate_group[part]
-            rule = np.empty(part.size)
-            for k in range(group.max() + 1):
-                rows = group == k
-                rule[rows] = g[rows] @ _GL_WEIGHTS
-            out[part] += hw * rule
+            out[part] += hw * np.einsum("...k,k->...", g, _GL_WEIGHTS)
         return out
 
     def mu(self, omega):

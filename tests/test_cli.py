@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from bscbounds.cli import build_parser, main
-from bscbounds import verify
+from bscbounds import cli, verify
 from bscbounds.verify import SUITE_NAMES
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -61,6 +61,15 @@ def test_constants_out_file(tmp_path, capsys):
 def test_constants_bad_channel(capsys):
     assert main(["constants", "--p", "0.7"]) == 2
     assert capsys.readouterr().err.startswith("bscbounds: ")
+
+
+@pytest.mark.parametrize("command", ["constants", "curve"])
+def test_p_next_to_half_is_one_line(command, capsys):
+    # 4pq rounds to 1, so log2(1/(4pq)) is 0: refused before dividing by it
+    assert main([command, "--p", "0.499999999"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bscbounds: ") and err.count("\n") == 1
+    assert "too close to 1/2" in err
 
 
 def test_curve_csv_small_grid(capsys):
@@ -367,6 +376,22 @@ def test_oracle_census_over_budget_exits_at_once(capsys):
     assert "budget" in err
     assert err.startswith("bscbounds:") and err.count("\n") == 1
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--generator", "parity", "--n", "24"],
+    ["--generator", "random", "--n", "24", "--m", "4000000"],
+])
+def test_oracle_census_refused_before_building(argv, monkeypatch, capsys):
+    # the code would take hundreds of MB before the census refused it
+    def unreachable(*args):
+        raise AssertionError("code constructor called")
+    for name in ("parity_code", "random_code"):
+        monkeypatch.setattr(cli, name, unreachable)
+    assert main(["oracle", *argv, "--p", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bscbounds: output census work M^2 2^n = ")
+    assert err.endswith(" exceeds the 2^34 budget\n")
 
 
 def test_oracle_random_needs_m(capsys):

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bscbounds.core import (
     ChannelParam,
@@ -67,6 +68,15 @@ def test_f1_alpha_domain():
         F1_maximize(0.2, a0 - 1e-3, CH)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10, 0.5])
+def test_f1_tol_domain(tol):
+    # each is refused by name, not answered with 0.0 (the maximum is
+    # 0.0620) or a bare arithmetic error
+    with pytest.raises(DomainError, match="tol"):
+        F1_maximize(0.3, 0.4, CH, tol=tol)
+    assert F1_maximize(0.3, 0.4, CH).value == pytest.approx(0.0620, abs=1e-4)
+
+
 def test_f1_collapsed_band_is_zero():
     # at rate 1 the induced tau equals alpha and the band [0, G] collapses
     res = F1_maximize(1.0, 0.3, CH)
@@ -83,9 +93,10 @@ def test_f1_batch_mixes_collapsed_and_open_bands():
     assert batch.iterations[0] == 0 and batch.iterations[1:].min() > 0
     for k, alpha in enumerate(alphas):
         one = F1_maximize(rate, float(alpha), CH)
-        assert batch.value[k] == pytest.approx(one.value, abs=1e-15)
-        assert batch.arg_omega[k] == pytest.approx(one.arg_omega, abs=1e-10)
+        assert batch.value[k] == one.value
+        assert batch.arg_omega[k] == one.arg_omega
         assert bool(batch.at_cap[k]) is one.attained_at_boundary["omega"]
+        assert batch.iterations[k] == one.iterations
 
 
 def test_f1_at_constraint_edge_is_sphere_packing():
@@ -189,8 +200,8 @@ def _edge_rates(ch):
 
 @pytest.mark.parametrize("p", [0.005, 0.1, 0.2])
 def test_f_grid_equals_one_rate_calls(p):
-    # the batched passes freeze each rate after its own passes, so a rate's
-    # result is bit-for-bit the one-rate result
+    # every slice takes the same passes whatever shares its batch, so a
+    # rate's result is bit-for-bit the one-rate result
     ch = ChannelParam(p)
     rates = _edge_rates(ch)
     optimizer._f_minimize_cached.cache_clear()
@@ -204,16 +215,43 @@ def test_f_grid_equals_one_rate_calls(p):
     assert [_fields(a) for a in back] == [_fields(a) for a in grid]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batch_rows_equal_one_slice_calls(data):
+    # 1-3 rates, their alphas shuffled together and split into batches:
+    # every _f1_batch row is the one-alpha F1_maximize in every field, and
+    # every MuSlice row is the one-slice mu, whatever shares the batch
+    ch = ChannelParam(data.draw(st.floats(0.001, 0.49)))
+    unit = st.floats(0.0, 1.0)
+    rates = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3,
+                               unique=True))
+    rows = [(r, binary_entropy_inv(1.0 - r), f)
+            for r in rates for f in data.draw(st.lists(unit, min_size=1, max_size=8))]
+    rows = data.draw(st.permutations(rows))
+    cuts = data.draw(st.sets(st.integers(1, max(len(rows) - 1, 1)), max_size=3))
+    for part in np.split(np.array(rows), sorted(c for c in cuts if c < len(rows))):
+        rate, alphas = part[:, 0], part[:, 1] + (0.5 - part[:, 1]) * part[:, 2]
+        batch = _f1_batch(rate, alphas, ch.log_pair, 1e-10)
+        sl = MuSlice(rate, alphas)
+        omegas = np.array([data.draw(unit) for _ in alphas]) * sl.cap
+        mu = sl.mu(omegas)
+        for k, (r, a) in enumerate(zip(rate, alphas)):
+            one = F1_maximize(float(r), float(a), ch)
+            assert (batch.value[k], batch.arg_omega[k], bool(batch.at_cap[k]),
+                    batch.iterations[k]) == (
+                one.value, one.arg_omega, one.attained_at_boundary["omega"],
+                one.iterations)
+            assert mu[k] == MuSlice(float(r), float(a)).mu(float(omegas[k]))
+
+
 def test_f1_batch_rate_array_freezes_each_rate():
-    # two rates whose widest bands need 11 and 10 sign-search passes share
-    # one batch, every maximum interior; each row equals its rate's own
-    # batch exactly
+    # two rates share one batch, every maximum interior; each row equals
+    # its rate's own batch exactly
     L = ChannelParam(0.01).log_pair
     alphas = {0.6: np.linspace(binary_entropy_inv(0.4), 0.5, 5),
               0.8: np.linspace(binary_entropy_inv(0.2), 0.5, 4)}
     alone = {r: _f1_batch(np.full(a.size, r), a, L, 1e-10)
              for r, a in alphas.items()}
-    assert [set(b.iterations) for b in alone.values()] == [{13}, {12}]
     rate = np.repeat(list(alphas), [a.size for a in alphas.values()])
     both = _f1_batch(rate, np.concatenate(list(alphas.values())), L, 1e-10)
     for field, got in zip(both._fields, both):
