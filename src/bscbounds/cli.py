@@ -16,12 +16,11 @@ import sys
 from .core import (ChannelParam, DomainError, capacity, channel_constants,
                    sphere_packing_exponent, zero_rate_exponent)
 from .optimizer import CurveKind, curve, rate_regime, segment_window
-from .oracle import (BinaryCode, CodeFormatError, SizeBudgetError,
-                     _check_census_work, cover_report, distance_distribution,
-                     dominates, exact_pe_ml, hamming74, johnson_upper, load_code,
-                     lower_bound_21, parity_code, proposition3_terms,
-                     proposition4_check, random_code, repetition_code,
-                     sphere_packing_rhs_23)
+from .oracle import (BinaryCode, CodeFormatError, SizeBudgetError, cover_report,
+                     distance_distribution, dominates, exact_pe_ml, hamming74,
+                     johnson_upper, load_code, lower_bound_21, parity_code,
+                     proposition3_terms, proposition4_check, random_code,
+                     repetition_code, sphere_packing_rhs_23)
 from .quadrature import QuadratureError
 from .svg import SeamMark, render_chart
 from .verify import SUITE_NAMES, run_suite
@@ -73,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--n", type=int, help="block length (repetition/parity/random)")
     orc.add_argument("--m", type=int, help="code size (random generator)")
     orc.add_argument("--seed", type=int, default=0)
-    orc.add_argument("--budget", type=int, default=24,
-                     help="largest block length enumerated exhaustively")
     orc.add_argument("--out", help="write here instead of stdout")
     return ap
 
@@ -193,12 +190,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
-def _check_budget(n: int, budget: int) -> None:
-    if n > budget:
-        raise SizeBudgetError(
-            f"code length {n} exceeds the exhaustive budget {budget}")
-
-
 def _build_code(ns: argparse.Namespace) -> BinaryCode:
     if ns.code_file is not None:
         return load_code(ns.code_file)
@@ -206,24 +197,19 @@ def _build_code(ns: argparse.Namespace) -> BinaryCode:
         return hamming74()
     if ns.n is None:
         raise CodeFormatError(f"generator {ns.generator!r} needs --n")
-    if ns.generator == "random" and ns.m is None:
-        raise CodeFormatError("random generator needs --m")
-    _check_budget(ns.n, ns.budget)      # before any n-bit word is drawn
     if ns.generator == "repetition":
         return repetition_code(ns.n)
-    # a census over budget is refused before its 2^(n-1) or m words are built
-    words = ns.m if ns.generator == "random" else 1 << max(ns.n - 1, 0)
-    _check_census_work(ns.n, words)
     if ns.generator == "parity":
         return parity_code(ns.n)
+    if ns.m is None:
+        raise CodeFormatError("random generator needs --m")
     return random_code(ns.n, ns.m, ns.seed)
 
 
 def cmd_oracle(ns: argparse.Namespace) -> int:
     ch = ChannelParam(ns.p)
     code = _build_code(ns)
-    _check_budget(code.n, ns.budget)
-    pe = exact_pe_ml(code, ch)      # refuses an over-budget census first
+    pe = exact_pe_ml(code, ch)
     dd = distance_distribution(code)
     lb21 = lower_bound_21(code, ch)
     sp23 = sphere_packing_rhs_23(code, ch)

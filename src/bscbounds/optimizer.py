@@ -144,11 +144,12 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
     slice's result does not depend on the other slices in the batch.
     The value error is quadratic in the bracket width.  The cap endpoint is
     compared explicitly and an interior maximum below 0 (the value at
-    omega = 0) is clamped.  Slices with G <= tol get 0.
+    omega = 0) is clamped.  Slices with G <= min(tol, _F1_TOL) get 0: a
+    coarse search tolerance does not collapse a band.
     """
     sl = MuSlice(rate, alphas)
     cap = sl.cap
-    live = cap > tol
+    live = cap > min(tol, _F1_TOL)
     if not live.all():
         out = _F1Batch(np.zeros(cap.size), np.zeros(cap.size),
                        np.ones(cap.size, bool), np.zeros(cap.size, int))

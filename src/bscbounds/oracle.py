@@ -12,12 +12,14 @@ census per code, a single pass in chunks under a fixed byte budget over the
 2^(n-1) outputs with the top bit clear; each complement y ^ 1^n is mirrored
 from y (radius t -> n - t, d_min -> n - d_max), never enumerated.  The
 covering maxima X_max go group by group, a group being the words at one
-distance from one reference word.  Each group is priced on its own: one
-whose column classes (coordinates with one bit pattern over the group, up to
-complement) give fewer representative outputs than the pass is enumerated by
-its flip counts per class instead.  Pair distances come in row blocks under
-the same budget, shared by the pair counts, the class analysis and the pass,
-and a census whose work M^2 2^n exceeds the n = 24, M = 32 shape is refused.
+distance from one reference word.  One planner prices each group once: a
+group whose column classes (coordinates with one bit pattern over the group,
+up to complement) give fewer representative outputs than the pass is
+enumerated by its flip counts per class, and the rest are batched into the
+pass.  Pair distances come in row blocks under the same budget, shared by
+the pair counts and the planner.  ``BinaryCode`` itself refuses a length
+over 24 or a census work M^2 2^n over that of the n = 24, M = 32 shape, so
+no code the census cannot take is ever built.
 ``proposition3_terms`` scans the spectrum-based lower bound term by term; its
 covering count ``restricted_cover_max`` reads the census, which the verify
 suite checks against a direct count of the union-cover inequality.
@@ -90,6 +92,7 @@ class BinaryCode:
     def __post_init__(self) -> None:
         if not 1 <= self.n:
             raise CodeFormatError(f"length must be positive, got {self.n!r}")
+        _check_size(self.n, len(self.words))
         if len(set(self.words)) != len(self.words):
             raise CodeFormatError("codewords must be pairwise distinct")
         if any(not 0 <= x < (1 << self.n) for x in self.words):
@@ -105,10 +108,22 @@ class BinaryCode:
         return [format(x, f"0{self.n}b") for x in self.words]
 
 
+def _check_size(n: int, m: int) -> None:
+    """Refuse m words of length n >= 1 that the census cannot take: a length
+    over _ENUM_CAP, or census work M^2 2^n over _WORK_CAP."""
+    if n > _ENUM_CAP:
+        raise SizeBudgetError(f"code length {n} exceeds the n <= {_ENUM_CAP} budget")
+    if m * m << n > _WORK_CAP:
+        raise SizeBudgetError(
+            f"output census work M^2 2^n = {m}^2 2^{n} exceeds the "
+            f"2^{_WORK_CAP.bit_length() - 1} budget")
+
+
 def repetition_code(n: int) -> BinaryCode:
     """The two-word code {00...0, 11...1}."""
     if n < 1:
         raise CodeFormatError("repetition code needs n >= 1")
+    _check_size(n, 2)
     return BinaryCode(n, (0, (1 << n) - 1))
 
 
@@ -116,8 +131,7 @@ def parity_code(n: int) -> BinaryCode:
     """All even-weight words of length n (a single parity check)."""
     if n < 2:
         raise CodeFormatError("parity code needs n >= 2")
-    if n > _ENUM_CAP:
-        raise SizeBudgetError(f"parity code of length {n} exceeds the n <= {_ENUM_CAP} budget")
+    _check_size(n, 1 << (min(n, _ENUM_CAP + 1) - 1))   # M = 2^(n-1), unformed past the cap
     all_words = np.arange(1 << n, dtype=np.uint32)
     even = all_words[np.bitwise_count(all_words) % 2 == 0]
     return BinaryCode(n, tuple(int(x) for x in even))
@@ -140,8 +154,7 @@ def random_code(n: int, m: int, seed: int) -> BinaryCode:
     """m distinct uniformly random words of length n, reproducible from seed."""
     if n < 1:
         raise CodeFormatError("random code needs n >= 1")
-    if n > _ENUM_CAP:
-        raise SizeBudgetError(f"random code of length {n} exceeds the n <= {_ENUM_CAP} budget")
+    _check_size(n, m)
     if seed < 0:
         raise CodeFormatError(f"random code needs seed >= 0, got {seed}")
     if not 1 <= m <= 1 << n:
@@ -264,79 +277,54 @@ def _group_x_max(n: int, keys: np.ndarray, sizes: np.ndarray,
     return best
 
 
-def _class_x_max(code: BinaryCode, x_max: np.ndarray) -> np.ndarray:
-    """Fill x_max from every group that its column classes enumerate more
-    cheaply than the census would; return the [reference, d] mask of those
-    groups, which the census skips.
+def _census_batches(words: np.ndarray, n: int, x_max: np.ndarray) -> Iterator[list]:
+    """Plan the census group by group: fill x_max from every group that its
+    column classes enumerate more cheaply than the census would, and yield,
+    per block of reference words, the rest packed into batches of (columns,
+    bin offsets, distances) whose keys and bins per output stay within the
+    M + (n+1)^2 of ``_chunk_len``.
 
     A group S is the set of words at distance d from one reference word.
     Bit j of a column's key is the column's bit in word j of S relative to
     its word 0, so equal keys make a class.  The classes cost rows (k + n + 1)
     + _CLASS_COST, rows the number of representative outputs, against the
     2^(n-1) (k + n + 1) keys and bins S takes in the census; each group is
-    priced on its own.  Reference words go in the pair-row blocks of the
-    census, and only groups that could pay even with a single class are
-    analysed.  Groups of more than 64 words stay in the census: their keys
-    would not fit 64 bits.
+    priced once, and only if it could pay even with a single class.  Groups
+    of more than 64 words stay in the census: their keys would not fit 64
+    bits.  A reference word none of whose groups went by classes keeps its
+    whole row, read as a slice when it has a batch of its own.
     """
-    n, m = code.n, code.M
-    width, half = n + 1, 1 << (n - 1)
-    words = _word_array(code)
+    m, width, half = words.size, n + 1, 1 << (n - 1)
+    limit = m + width * width
     bits = (words[:, None] >> np.arange(n, dtype=np.uint32) & 1).astype(np.uint64)
-    classed = np.zeros((m, width), dtype=bool)
-    first = 0
     for pair in _pair_distance_rows(words):
         k = np.bincount((np.arange(pair.shape[0])[:, None] * width + pair).ravel(),
                         minlength=pair.shape[0] * width).reshape(-1, width)
         could = (k > 0) & (k <= 64) & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)
-        for i, d in zip(*np.nonzero(could)):
-            group = np.flatnonzero(pair[i] == d)
-            shifts = np.arange(group.size, dtype=np.uint64)[:, None]
-            keys = np.bitwise_or.reduce((bits[group] ^ bits[group[0]]) << shifts, axis=0)
-            keys, sizes = np.unique(keys, return_counts=True)
-            big = sizes.max()
-            rows = np.prod(sizes + 1) // (big + 1) * (big // 2 + 1)
-            cost = group.size + width
-            if rows * cost + _CLASS_COST < half * cost:
-                classed[first + i, d] = True
-                x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, group.size))
-        first += pair.shape[0]
-    return classed
-
-
-def _census_batches(words: np.ndarray, classed: np.ndarray,
-                    n: int) -> Iterator[list]:
-    """Per block of reference words, the groups the census enumerates,
-    packed into batches of (columns, bin offsets, distances) whose keys and
-    bins per output stay within the M + (n+1)^2 of ``_chunk_len``.
-
-    A reference word that keeps most of its columns reads them all, as a
-    slice when it has a batch of its own: its classed columns are binned as
-    one spare group at distance n + 1, cheaper than gathering the rest.
-    """
-    m, width = words.size, n + 1
-    limit = m + width * width
-    first = 0
-    for pair in _pair_distance_rows(words):
         batches, parts, cost = [], [], 0
-        for row, skip in zip(pair, classed[first:first + pair.shape[0]]):
-            drop = skip[row]
-            if drop.all():
+        for row, candidates in zip(pair, could):
+            classed = np.zeros(width, dtype=bool)
+            for d in np.flatnonzero(candidates):
+                members = np.flatnonzero(row == d)
+                shifts = np.arange(members.size, dtype=np.uint64)[:, None]
+                keys = np.bitwise_or.reduce((bits[members] ^ bits[members[0]]) << shifts, axis=0)
+                keys, sizes = np.unique(keys, return_counts=True)
+                big, per_output = sizes.max(), members.size + width
+                rows = np.prod(sizes + 1) // (big + 1) * (big // 2 + 1)
+                if rows * per_output + _CLASS_COST < half * per_output:
+                    classed[d] = True
+                    x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, members.size))
+            cols = np.flatnonzero(~classed[row])
+            if not cols.size:
                 continue
-            if 2 * drop.sum() < m:
-                keep, row = np.arange(m), np.where(drop, width, row)
-            else:
-                keep = np.flatnonzero(~drop)
-                row = row[keep]
-            dist, group = np.unique(row, return_inverse=True)
-            if parts and cost + keep.size + dist.size * width > limit:
+            dist, group = np.unique(row[cols], return_inverse=True)
+            if parts and cost + cols.size + dist.size * width > limit:
                 batches.append(_batch(parts, m, width))
                 parts, cost = [], 0
-            parts.append((keep, group, dist))
-            cost += keep.size + dist.size * width
+            parts.append((cols, group, dist))
+            cost += cols.size + dist.size * width
         if parts:
             batches.append(_batch(parts, m, width))
-        first += pair.shape[0]
         yield batches
 
 
@@ -353,15 +341,6 @@ def _batch(parts: list, m: int, width: int) -> tuple:
             np.concatenate([dist for _, _, dist in parts]))
 
 
-def _check_census_work(n: int, m: int) -> None:
-    """Refuse a census of m words of length n whose work M^2 2^n exceeds
-    _WORK_CAP; other lengths are left to the census and code generators."""
-    if 1 <= n <= _ENUM_CAP and m * m << n > _WORK_CAP:
-        raise SizeBudgetError(
-            f"output census work M^2 2^n = {m}^2 2^{n} exceeds the "
-            f"2^{_WORK_CAP.bit_length() - 1} budget")
-
-
 @functools.lru_cache(maxsize=8)
 def _census(code: BinaryCode) -> _Census:
     """One pass over half the outputs; every enumerated report reads the result.
@@ -373,28 +352,24 @@ def _census(code: BinaryCode) -> _Census:
     on y (n+1) + D gives cnt[y, t], the number of codewords at distance t
     from y, which feeds the d_min and cover histograms of y and, reversed in
     t, of its complement.  x_max[d, t] is a max over groups, the words at
-    distance d from one reference word.  Groups whose column classes pay
-    are enumerated by class first (``_class_x_max``); the rest go in batches
-    (``_census_batches``), one bincount on (y, group, D) per batch and chunk
-    followed by a max over y.  The complements' maxima are x_max[d, n - t],
-    taken once after the loop.  With more than one block of reference words,
-    each block repeats the chunk loop for its batches.
+    distance d from one reference word.  The planner (``_census_batches``)
+    enumerates the groups whose column classes pay as it meets them, block
+    by block of reference words, and batches the rest: one bincount on
+    (y, group, D) per batch and chunk, followed by a max over y.  The
+    complements' maxima are x_max[d, n - t], taken once after the loop.
+    With more than one block, each block repeats the chunk loop for its
+    batches.  The code's size was checked when it was built.
     """
     n, m = code.n, code.M
-    if n > _ENUM_CAP:
-        raise SizeBudgetError(
-            f"2^{n} output enumeration exceeds the n <= {_ENUM_CAP} budget")
-    _check_census_work(n, m)
     words = _word_array(code)
     width = n + 1
     dmin_hist = np.zeros(width, dtype=np.int64)
     cover = np.zeros(width * (m + 1), dtype=np.int64)
-    x_max = np.zeros((width + 1, width), dtype=np.int64)   # row n + 1: spare groups
-    classed = _class_x_max(code, x_max)
+    x_max = np.zeros((width, width), dtype=np.int64)
     t_off = np.arange(width) * (m + 1)
     step = _chunk_len(n, m)
     half = 1 << (n - 1)
-    for block, batches in enumerate(_census_batches(words, classed, n)):
+    for block, batches in enumerate(_census_batches(words, n, x_max)):
         if block and not batches:
             continue
         for start in range(0, half, step):
@@ -413,7 +388,7 @@ def _census(code: BinaryCode) -> _Census:
                 best = np.bincount((y_off * g + offs + dist[:, cols]).ravel(),
                                    minlength=ys.size * g).reshape(ys.size, g).max(axis=0)
                 np.maximum.at(x_max, ds, best.reshape(-1, width))
-    x_max = np.maximum(x_max, x_max[:, ::-1])[:width]
+    x_max = np.maximum(x_max, x_max[:, ::-1])
     return _Census(dmin_hist, cover.reshape(width, m + 1), x_max)
 
 

@@ -6,6 +6,7 @@ captured with capsys and files land in tmp_path.
 
 import json
 import time
+import tracemalloc
 import math
 import pathlib
 import xml.etree.ElementTree as ET
@@ -13,7 +14,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from bscbounds.cli import build_parser, main
-from bscbounds import cli, verify
+from bscbounds import verify
 from bscbounds.verify import SUITE_NAMES
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -315,10 +316,14 @@ def test_oracle_code_file(tmp_path, capsys):
 
 
 def test_oracle_budget_exceeded(capsys):
-    rc = main(["oracle", "--generator", "parity", "--n", "20", "--p", "0.1",
-               "--budget", "10"])
+    # the size rule is fixed: parity n = 13 is past it, and no flag moves it
+    rc = main(["oracle", "--generator", "parity", "--n", "13", "--p", "0.1"])
     assert rc == 2
     assert "budget" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--generator", "parity", "--n", "8", "--p", "0.1",
+              "--budget", "10"])
+    assert exc.value.code == 2
 
 
 def test_oracle_generator_length_checked_before_building(capsys):
@@ -327,7 +332,7 @@ def test_oracle_generator_length_checked_before_building(capsys):
                "--p", "0.1"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "bscbounds: code length 70 exceeds the exhaustive budget 24\n"
+    assert err == "bscbounds: code length 70 exceeds the n <= 24 budget\n"
 
 
 def test_oracle_random_negative_length_is_one_line(capsys):
@@ -338,13 +343,12 @@ def test_oracle_random_negative_length_is_one_line(capsys):
 
 
 def test_oracle_random_length_over_census_cap_is_one_line(capsys):
-    # a raised --budget lets n = 70 past the CLI; the generator refuses it
-    # before drawing 70-bit words
-    rc = main(["oracle", "--generator", "random", "--n", "70", "--m", "2",
-               "--budget", "100", "--p", "0.1"])
+    # one past the length cap: the generator refuses before drawing a word
+    rc = main(["oracle", "--generator", "random", "--n", "25", "--m", "2",
+               "--p", "0.1"])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "bscbounds: random code of length 70 exceeds the n <= 24 budget\n")
+        "bscbounds: code length 25 exceeds the n <= 24 budget\n")
 
 
 def test_oracle_random_negative_seed_is_one_line(capsys):
@@ -382,13 +386,14 @@ def test_oracle_census_over_budget_exits_at_once(capsys):
     ["--generator", "parity", "--n", "24"],
     ["--generator", "random", "--n", "24", "--m", "4000000"],
 ])
-def test_oracle_census_refused_before_building(argv, monkeypatch, capsys):
-    # the code would take hundreds of MB before the census refused it
-    def unreachable(*args):
-        raise AssertionError("code constructor called")
-    for name in ("parity_code", "random_code"):
-        monkeypatch.setattr(cli, name, unreachable)
-    assert main(["oracle", *argv, "--p", "0.1"]) == 2
+def test_oracle_census_refused_before_building(argv, capsys):
+    # the code would take hundreds of MB; the generator refuses it first
+    tracemalloc.start()
+    try:
+        assert main(["oracle", *argv, "--p", "0.1"]) == 2
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
     err = capsys.readouterr().err
     assert err.startswith("bscbounds: output census work M^2 2^n = ")
     assert err.endswith(" exceeds the 2^34 budget\n")

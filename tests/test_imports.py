@@ -103,3 +103,13 @@ def test_unreferenced_private_name_is_caught(tmp_path):
     (tmp_path / "other.py").write_text("from .mod import public\n", encoding="utf-8")
     assert unreferenced_private_names(sorted(tmp_path.glob("*.py"))) == [
         ("mod", 2, "_LEFT"), ("mod", 4, "_walk")]
+
+
+def test_cli_imports_public_names_only():
+    # the front end reaches the package through its public names alone
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    private = sorted((node.lineno, alias.name) for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.level or (node.module or "").startswith("bscbounds"))
+                     for alias in node.names if alias.name.startswith("_"))
+    assert private == []

@@ -77,6 +77,16 @@ def test_f1_tol_domain(tol):
     assert F1_maximize(0.3, 0.4, CH).value == pytest.approx(0.0620, abs=1e-4)
 
 
+@pytest.mark.parametrize("tol", [0.49, 0.3, 0.125])
+def test_f1_coarse_tol_keeps_the_band_open(tol):
+    # the band [0, G] is 0.28 wide: a coarse search tolerance narrows the
+    # bracket less, but must not collapse the band to 0.0
+    want = F1_maximize(0.3, 0.4, CH).value
+    res = F1_maximize(0.3, 0.4, CH, tol=tol)
+    assert res.iterations > 0
+    assert abs(res.value - want) <= 1e-3
+
+
 def test_f1_collapsed_band_is_zero():
     # at rate 1 the induced tau equals alpha and the band [0, G] collapses
     res = F1_maximize(1.0, 0.3, CH)

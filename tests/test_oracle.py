@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bscbounds import oracle, verify
+from bscbounds.cli import main
 from bscbounds.core import ChannelParam, DomainError
 from bscbounds.oracle import (
     DOMINANCE_SLACK,
@@ -67,6 +68,69 @@ def test_parity_code_words():
     assert all(bin(x).count("1") % 2 == 0 for x in c.words)
     with pytest.raises(SizeBudgetError):
         parity_code(25)
+
+
+def _refusal(call, *args):
+    """The SizeBudgetError message of call(*args), and the peak bytes it
+    allocated before refusing."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBudgetError) as exc:
+            call(*args)
+        return str(exc.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _cli_refusal(argv, capsys):
+    """The stderr of a refused ``oracle`` call, and its peak bytes."""
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["oracle", *argv, "--p", "0.1"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return capsys.readouterr().err, peak
+
+
+_PAST_N = "code length {} exceeds the n <= 24 budget"
+_PAST_WORK = "output census work M^2 2^n = {}^2 2^{} exceeds the 2^34 budget"
+
+
+# (constructor or generator, args) routes to one code shape, each of which
+# must build it (refusal None) or refuse it with one message; the word
+# tuples are formed here, outside the traced calls
+@pytest.mark.parametrize("routes, argvs, refusal", [
+    ([(BinaryCode, (24, (0, 1))), (repetition_code, (24,)), (random_code, (24, 2, 0))],
+     [], None),
+    ([(BinaryCode, (25, (0, 1))), (repetition_code, (25,)), (random_code, (25, 2, 0))],
+     [["--generator", "repetition", "--n", "25"],
+      ["--generator", "random", "--n", "25", "--m", "2"]], _PAST_N.format(25)),
+    ([(BinaryCode, (24, tuple(range(32)))), (random_code, (24, 32, 0))], [], None),
+    ([(BinaryCode, (24, tuple(range(33)))), (random_code, (24, 33, 0))],
+     [["--generator", "random", "--n", "24", "--m", "33"]], _PAST_WORK.format(33, 24)),
+    ([(BinaryCode, (12, tuple(range(2048)))), (parity_code, (12,))], [], None),
+    ([(BinaryCode, (13, tuple(range(4096)))), (parity_code, (13,))],
+     [["--generator", "parity", "--n", "13"]], _PAST_WORK.format(4096, 13)),
+    ([(random_code, (24, 4_000_000, 0))],
+     [["--generator", "random", "--n", "24", "--m", "4000000"]],
+     _PAST_WORK.format(4_000_000, 24)),
+    ([(BinaryCode, (10**8, (0, 1))), (repetition_code, (10**8,))],
+     [["--generator", "repetition", "--n", str(10**8)]], _PAST_N.format(10**8)),
+], ids=["n24", "n25", "work2^34", "work_past", "parity12", "parity13",
+        "random24_4e6", "repetition1e8"])
+def test_size_rule_at_and_past_each_limit(routes, argvs, refusal, capsys):
+    # one rule, enforced when a code is built: n <= 24 and M^2 2^n <= 2^34
+    for call, args in routes:
+        if refusal is None:
+            assert call(*args).n == args[0]
+        else:
+            message, peak = _refusal(call, *args)
+            assert (message, peak < 1 << 20) == (refusal, True), call.__name__
+    for argv in argvs:
+        err, peak = _cli_refusal(argv, capsys)
+        assert (err, peak < 1 << 20) == (f"bscbounds: {refusal}\n", True), argv
 
 
 def test_hamming74_weight_enumerator():
@@ -141,8 +205,8 @@ def test_pe_hamming_literals():
 
 def test_pe_trivial_and_budget():
     assert exact_pe_ml(BinaryCode(3, (5,)), CH) == 0.0
-    with pytest.raises(SizeBudgetError):
-        exact_pe_ml(BinaryCode(30, (0, 1)), CH)
+    with pytest.raises(SizeBudgetError):      # no code the census refuses is built
+        BinaryCode(30, (0, 1))
 
 
 # --- pair counting ------------------------------------------------------
@@ -191,10 +255,12 @@ def test_restricted_cover_two_word_code():
 
 
 def test_restricted_cover_out_of_range_skips_census():
-    # out-of-range (t, omega) is 0 even where the census would be refused
-    code = random_code(24, 33, seed=1)
-    for t, d in ((25, 2), (1, 25), (-1, 2), (1, -1)):
+    # out-of-range (t, omega) is 0 without taking the census
+    code = random_code(12, 40, seed=5)
+    oracle._census.cache_clear()
+    for t, d in ((13, 2), (1, 13), (-1, 2), (1, -1)):
         assert restricted_cover_max(code, t, d) == 0
+    assert oracle._census.cache_info().misses == 0
 
 
 def test_proposition3_terms_match_double_loop():
@@ -353,16 +419,13 @@ def test_mirrored_census_matches_full_enumeration(code):
         assert abs(exact_pe_ml(code, ch) - _reference_pe(code, ch)) <= 1e-15, p
 
 
-def test_census_refuses_work_over_budget(monkeypatch):
-    # M^2 2^n = 2^46: refused before any output is enumerated
-    def analyse(code, x_max):
-        raise AssertionError("column classes analysed before the budget check")
-
-    monkeypatch.setattr(oracle, "_class_x_max", analyse)
+def test_census_refuses_work_over_budget():
+    # M^2 2^n = 2^46 and 33^2 2^24: no such code is built, so no census
+    # is ever asked for one
     with pytest.raises(SizeBudgetError, match="budget"):
-        exact_pe_ml(parity_code(16), CH)
+        parity_code(16)
     with pytest.raises(SizeBudgetError, match="budget"):
-        restricted_cover_max(random_code(24, 33, seed=1), 1, 2)
+        random_code(24, 33, seed=1)
 
 
 # --- X_max from the column classes of each group -------------------------
@@ -387,11 +450,19 @@ def _group_count(code):
     return sum(len(set(row.tolist())) for row in pair)
 
 
-def _census_at_cost(code, cost):
+def _census_at_cost(code, cost=oracle._CLASS_COST):
+    """The census of code at a class cost, and the (keys, sizes, k) of each
+    group it enumerates by column classes, in call order."""
+    calls, by_classes = [], oracle._group_x_max
+
+    def counted(n, keys, sizes, k):
+        calls.append((keys, sizes, k))
+        return by_classes(n, keys, sizes, k)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_CLASS_COST", cost)
-        classed = oracle._class_x_max(code, np.zeros((code.n + 1,) * 2, dtype=np.int64))
-        return classed, oracle._census.__wrapped__(code)
+        mp.setattr(oracle, "_group_x_max", counted)
+        return calls, oracle._census.__wrapped__(code)
 
 
 def _assert_same(got, want):
@@ -405,8 +476,8 @@ def test_class_path_matches_reference_routes(code):
     x_ref = _reference_x_max(code)
     cover, dmin_hist = _reference_cover(code), _reference_dmin_hist(code)
     for cost, groups in ((-math.inf, _group_count(code)), (math.inf, 0)):
-        classed, census = _census_at_cost(code, cost)
-        assert int(classed.sum()) == groups
+        calls, census = _census_at_cost(code, cost)
+        assert len(calls) == groups
         _assert_same(census.x_max, x_ref)
         _assert_same(census.cover, cover)
         _assert_same(census.dmin_hist, dmin_hist)
@@ -415,30 +486,38 @@ def test_class_path_matches_reference_routes(code):
 def test_class_path_live_on_a_long_code():
     # the default cost sends 265 of this code's 299 groups to their classes
     code = random_code(16, 32, seed=7)
-    classed = oracle._class_x_max(code, np.zeros((17, 17), dtype=np.int64))
-    assert (int(classed.sum()), _group_count(code)) == (265, 299)
-    live = oracle._census.__wrapped__(code)
+    calls, live = _census_at_cost(code)
+    assert (len(calls), _group_count(code)) == (265, 299)
     _, whole = _census_at_cost(code, math.inf)
     for field in ("x_max", "cover", "dmin_hist"):
         _assert_same(getattr(live, field), getattr(whole, field))
 
 
+def _calls_digest(calls):
+    """SHA-256 of a sequence of (keys, sizes, k) class calls."""
+    h = hashlib.sha256()
+    for keys, sizes, k in calls:
+        h.update(np.array([keys.size, k], dtype="<i8").tobytes())
+        h.update(keys.astype("<u8").tobytes() + sizes.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("shape, classed_groups, groups, digest", [
     ((16, 32, 7), 265, 299,
-     "baf1f3082bd39baaf09421b4b28a7cb9e450952c77706227246fde54ac7f8e4c"),
+     "1c285840181d5d0330473237c4a309b10c55cd8c76b6552bd62209dfaf13defc"),
     ((14, 48, 1), 166, 462,
-     "dadd86ff00762e63e6c7bedb33eb9c8e44965a4a9a4fd9c0bea08956b6e4c3b5"),
+     "6622b089496ce69d437576e70a7c9402d83fad5977c64a460e879bec9529d0f3"),
     ((20, 32, 1), 315, 332,
-     "2181d892e53032c57178a3ea8b339f5f811dfb5cf19bbde9680e614d931cabc7"),
-])
+     "e30032456560a67320a91d491089d9cef4395457d418040ed14f90a991407178"),
+], ids=["16x32s7", "14x48s1", "20x32s1"])
 def test_class_pricing_pinned(shape, classed_groups, groups, digest):
-    # which groups go by their classes is pinned to the byte: a drift in the
-    # cost rule shows here even where every census integer still matches
+    # which groups go by their classes, with what classes and in what order,
+    # is pinned to the byte: a drift in the cost rule or the planner's walk
+    # shows here even where every census integer still matches
     code = random_code(*shape)
-    classed = oracle._class_x_max(code, np.zeros((code.n + 1,) * 2, dtype=np.int64))
-    assert classed.dtype == bool and classed.shape == (code.M, code.n + 1)
-    assert (int(classed.sum()), _group_count(code)) == (classed_groups, groups)
-    assert hashlib.sha256(classed.tobytes()).hexdigest() == digest
+    calls, _ = _census_at_cost(code)
+    assert (len(calls), _group_count(code)) == (classed_groups, groups)
+    assert _calls_digest(calls) == digest
 
 
 def _column_classes(n, group):
@@ -470,12 +549,11 @@ def test_class_blocks_of_few_rows(rows, monkeypatch):
 
 
 def test_census_memory_follows_the_byte_budget(monkeypatch):
-    # the class analysis, each group's representative outputs and the census
-    # all go in blocks under _BLOCK_BYTES; unblocked, the analysis of this
-    # code alone would hold M^2 n 8 bytes = 258 KB, and one group's outputs
-    # up to 2^13 (k + n + 1) 8 bytes
+    # the planner's pair rows, each group's representative outputs and the
+    # census all go in blocks under _BLOCK_BYTES; unblocked, one group's
+    # outputs alone would take up to 2^13 (k + n + 1) 8 bytes
     code = random_code(14, 48, seed=1)
-    assert oracle._class_x_max(code, np.zeros((15, 15), dtype=np.int64)).any()
+    assert _census_at_cost(code)[0]
     peaks = []
     for budget in (1 << 16, 1 << 18):
         monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
