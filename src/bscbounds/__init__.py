@@ -6,162 +6,17 @@ upper bound with its exactly-known segment, Hahn-polynomial machinery, and
 exact oracles for small explicit codes.
 """
 
-from .core import (
-    ChannelParam,
-    CriticalConstants,
-    DomainError,
-    binary_entropy,
-    binary_entropy_inv,
-    capacity,
-    channel_constants,
-    cleaning_gap,
-    cleaning_gap_generic,
-    equidistant_exponent,
-    equidistant_radius,
-    kl_divergence,
-    omega_cap,
-    solve_p1,
-    solve_tau0,
-    sphere_packing_exponent,
-    zero_rate_exponent,
-)
-from .hahn import (
-    BracketError,
-    HahnContext,
-    LogSigned,
-    MrrwPoly,
-    choose_degree,
-    delsarte_margins,
-    hahn_at_zero,
-    hahn_eval,
-    hahn_ratios,
-    min_root,
-    mrrw_poly,
-    q0_exponent,
-)
-from .optimizer import (
-    BoundCurve,
-    CurveKind,
-    OptResult,
-    F1_maximize,
-    F_minimize,
-    W_value,
-    claims_stats,
-    corollary1_exponent,
-    curve,
-    default_claims_grid,
-    max_band_width,
-    straight_line,
-    theorem1_bound,
-    verify_claims,
-)
-from .oracle import (
-    BinaryCode,
-    CodeFormatError,
-    CoverReport,
-    SizeBudgetError,
-    cover_report,
-    distance_distribution,
-    exact_pe_ml,
-    exhaustive_max_constant_weight,
-    hamming74,
-    johnson_upper,
-    load_code,
-    lower_bound_21,
-    parity_code,
-    parse_code,
-    proposition3_rhs,
-    proposition3_terms,
-    proposition4_check,
-    random_code,
-    repetition_code,
-    sphere_packing_rhs_23,
-    z_pair_count,
-)
-from .quadrature import QuadratureError, integrate
-from .spectrum import (
-    MuSlice,
-    SpectrumPoint,
-    spectrum_exponent,
-    spectrum_exponent_at,
-    spectrum_exponent_half,
-)
-from .verify import SUITE_NAMES, run_suite
+from . import core, hahn, optimizer, oracle, quadrature, spectrum, verify
+from .core import *
+from .hahn import *
+from .optimizer import *
+from .oracle import *
+from .quadrature import *
+from .spectrum import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryCode",
-    "BoundCurve",
-    "BracketError",
-    "ChannelParam",
-    "CodeFormatError",
-    "CoverReport",
-    "CriticalConstants",
-    "CurveKind",
-    "DomainError",
-    "F1_maximize",
-    "F_minimize",
-    "HahnContext",
-    "LogSigned",
-    "MrrwPoly",
-    "MuSlice",
-    "OptResult",
-    "QuadratureError",
-    "SUITE_NAMES",
-    "SizeBudgetError",
-    "SpectrumPoint",
-    "W_value",
-    "binary_entropy",
-    "binary_entropy_inv",
-    "capacity",
-    "channel_constants",
-    "choose_degree",
-    "claims_stats",
-    "cleaning_gap",
-    "cleaning_gap_generic",
-    "corollary1_exponent",
-    "cover_report",
-    "curve",
-    "default_claims_grid",
-    "delsarte_margins",
-    "distance_distribution",
-    "equidistant_exponent",
-    "equidistant_radius",
-    "exact_pe_ml",
-    "exhaustive_max_constant_weight",
-    "hahn_at_zero",
-    "hahn_eval",
-    "hahn_ratios",
-    "hamming74",
-    "integrate",
-    "johnson_upper",
-    "kl_divergence",
-    "load_code",
-    "lower_bound_21",
-    "max_band_width",
-    "min_root",
-    "mrrw_poly",
-    "omega_cap",
-    "parity_code",
-    "parse_code",
-    "proposition3_rhs",
-    "proposition3_terms",
-    "proposition4_check",
-    "q0_exponent",
-    "random_code",
-    "repetition_code",
-    "run_suite",
-    "solve_p1",
-    "solve_tau0",
-    "spectrum_exponent",
-    "spectrum_exponent_at",
-    "spectrum_exponent_half",
-    "sphere_packing_exponent",
-    "sphere_packing_rhs_23",
-    "straight_line",
-    "theorem1_bound",
-    "verify_claims",
-    "z_pair_count",
-    "zero_rate_exponent",
-]
+# each module's __all__ is its public API; the package re-exports them all
+__all__ = (core.__all__ + hahn.__all__ + optimizer.__all__ + oracle.__all__
+           + quadrature.__all__ + spectrum.__all__ + verify.__all__)

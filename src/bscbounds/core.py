@@ -73,6 +73,11 @@ class ChannelParam:
         return math.log2(1.0 / (4.0 * self.p * self.q))
 
     @property
+    def log_ratio(self) -> float:
+        """log2(q/p): the exponent cost per unit of radius in the cleaning gap."""
+        return math.log2(self.q / self.p)
+
+    @property
     def segment_intercept(self) -> float:
         """1 - log2(1 + 2 sqrt(pq)): the exact segment's value at rate 0."""
         return 1.0 - math.log2(1.0 + 2.0 * math.sqrt(self.p * self.q))
@@ -323,9 +328,8 @@ def cleaning_gap_generic(lam: float, s: float, ch: ChannelParam) -> float:
     """
     _check_gap_domain(lam, s)
     ts, tl = equidistant_radius(s, ch), equidistant_radius(lam, ch)
-    ratio = math.log2(ch.q / ch.p)
     return (equidistant_exponent(ts, lam) - equidistant_exponent(tl, lam)
-            - (ts - tl) * ratio)
+            - (ts - tl) * ch.log_ratio)
 
 
 def _check_gap_domain(lam: float, s: float) -> None:
@@ -352,20 +356,18 @@ def cleaning_gap_case1(lam, s, ch: ChannelParam):
     """
     lam = np.asarray(lam, dtype=float)
     s = np.asarray(s, dtype=float)
-    ratio = math.log2(ch.q / ch.p)
     rl = np.sqrt(1.0 - 2.0 * lam)
     rs = np.sqrt(1.0 - 2.0 * s)
     out = ((1.0 - lam) * (_h2_arr(0.5 - rs / (2.0 * (1.0 - s)))
                           - _h2_arr(0.5 - rl / (2.0 * (1.0 - lam))))
-           + 0.5 * (rs - rl) * ratio)
+           + 0.5 * (rs - rl) * ch.log_ratio)
     return out if out.ndim else float(out)
 
 
 def _cleaning_gap_case2(lam: float, s: float, ch: ChannelParam) -> float:
-    ratio = math.log2(ch.q / ch.p)
     arg = 0.5 - (1.0 - 2.0 * ch.p) * (1.0 - s) / (2.0 * (1.0 - lam))
     return ((1.0 - lam) * (binary_entropy(arg) - binary_entropy(ch.p))
-            - (0.5 - ch.p) * (s - lam) * ratio)
+            - (0.5 - ch.p) * (s - lam) * ch.log_ratio)
 
 
 def _cleaning_gap_case3(lam: float, s: float, ch: ChannelParam) -> float:
@@ -373,13 +375,12 @@ def _cleaning_gap_case3(lam: float, s: float, ch: ChannelParam) -> float:
     # out of the ratio-exponent composition exactly, the remainder is the
     # below-omega1 closed form evaluated at (lam, omega1).
     omega1 = channel_constants(ch).omega1
-    ratio = math.log2(ch.q / ch.p)
     denom = 2.0 * (1.0 - lam)
     scale = 1.0 - 2.0 * ch.p
     straddle = ((1.0 - lam)
                 * (binary_entropy(0.5 - (1.0 - s) * scale / denom)
                    - binary_entropy(0.5 - (1.0 - omega1) * scale / denom))
-                - 0.5 * (s - omega1) * scale * ratio)
+                - 0.5 * (s - omega1) * scale * ch.log_ratio)
     return straddle + float(cleaning_gap_case1(lam, omega1, ch))
 
 

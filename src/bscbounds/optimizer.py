@@ -8,10 +8,6 @@ minimizes F1 over the constraint curve in ``alpha``, and the final upper
 bound on the reliability function takes the pointwise min of F with the
 sphere-packing exponent at low rates, handing over to the exact-exponent
 segment (and its sphere-packing continuation) from the anchor rate up.
-
-The claims report at the bottom certifies the numerical facts the low-rate
-argument rests on: convexity and linear decay of the cleaning gap on the
-band [omega_m, omega_1], and the width of that band across channels.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     ChannelParam,
@@ -31,8 +26,6 @@ from .core import (
     binary_entropy_inv,
     capacity,
     channel_constants,
-    cleaning_gap,
-    cleaning_gap_case1,
     sphere_packing_exponent,
 )
 from .spectrum import MuSlice, SpectrumPoint, log_kernel, spectrum_exponent_at
@@ -50,10 +43,6 @@ __all__ = [
     "rate_regime",
     "segment_window",
     "curve",
-    "verify_claims",
-    "default_claims_grid",
-    "claims_stats",
-    "max_band_width",
 ]
 
 _TOL = 1e-12
@@ -450,113 +439,3 @@ def curve(kind: CurveKind, ch: ChannelParam, r_min: float, r_max: float,
     return BoundCurve(ch, kind, tuple((r, max(v, 0.0))
                                       for r, v in zip(rates, values)))
 
-
-# ---------------------------------------------------------------------------
-# claims report: the certified facts about the cleaning gap
-
-
-_CLAIMS_P = (0.003, 0.22)   # channel range the gap claims are stated on
-_CLAIMS_COUNT = 44          # channels in the default claims grid
-_GAP_GRID = 200             # lambda samples per band in claims_stats
-_GAP_STEP = 1e-5            # step of the second-difference stencil
-
-
-def default_claims_grid() -> list[ChannelParam]:
-    """Log-spaced channel grid strictly inside the claims range (0.003, 0.22).
-
-    The interior of a (_CLAIMS_COUNT + 2)-point net on the closed interval:
-    the endpoints are deliberately excluded — the gap analysis is stated on the
-    open interval, and the linear-decay margin genuinely degenerates at the
-    upper endpoint itself.
-    """
-    ps = np.geomspace(*_CLAIMS_P, _CLAIMS_COUNT + 2)[1:-1]
-    return [ChannelParam(float(p)) for p in ps]
-
-
-def claims_stats(ch: ChannelParam) -> dict:
-    """Measured gap statistics for one channel on the band [omega_m, omega_1].
-
-    curvature_min: min over the lambda grid (both ends included) of the
-    centred second difference of the case-1 gap in lambda — the s-terms
-    cancel in the stencil, so the measurement is s-independent.
-    linear_decay_constant: min over grid pairs lambda < s of
-    -g(lambda, s)/(s - lambda), the largest D for which the linear-decay
-    bound holds on this grid.
-    """
-    cc = channel_constants(ch)
-    om, o1 = cc.omega_m, cc.omega1
-    lam = np.linspace(om, o1, _GAP_GRID)
-    h = _GAP_STEP
-    stencil = (cleaning_gap_case1(lam + h, o1, ch)
-               - 2.0 * cleaning_gap_case1(lam, o1, ch)
-               + cleaning_gap_case1(lam - h, o1, ch)) / h ** 2
-    L, S = np.meshgrid(lam, lam, indexing="ij")
-    G = cleaning_gap_case1(L, S, ch)
-    pairs = S > L + 1e-12
-    decay = np.where(pairs, -G / np.maximum(S - L, 1e-300), np.inf)
-    corner = cleaning_gap(om, o1, ch)
-    return {
-        "p": ch.p,
-        "omega_m": om,
-        "omega_1": o1,
-        "corner_value": corner,
-        "curvature_min": float(stencil.min()),
-        "linear_decay_constant": float(decay.min()),
-    }
-
-
-def max_band_width() -> tuple[float, float]:
-    """max over p in the claims range of omega_1(p) - omega_m(p);
-    returns (argmax p, width)."""
-
-    def neg_width(p: float) -> float:
-        cc = channel_constants(ChannelParam(p))
-        return cc.omega_m - cc.omega1
-
-    res = minimize_scalar(neg_width, bounds=_CLAIMS_P, method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x), float(-res.fun)
-
-
-_CORNER_THRESHOLD = -0.0008
-_DECAY_THRESHOLD = 0.013
-
-
-def verify_claims(ch_grid: list[ChannelParam] | None = None) -> dict:
-    """Certify the gap claims on a channel grid; grid must avoid the
-    endpoints 0.003 and 0.22 (see default_claims_grid).
-
-    Per channel: corner value g(omega_m, omega_1) below -0.0008, curvature
-    positive, linear-decay constant above 0.013.  The report also carries
-    the band-width maximum over p and, under ``checks``, the curvature
-    reference measured at the endpoint p = 0.003.
-    """
-    if ch_grid is None:
-        ch_grid = default_claims_grid()
-    p_lo, p_hi = _CLAIMS_P
-    for ch in ch_grid:
-        if not p_lo < ch.p < p_hi:
-            raise DomainError(
-                f"claims grid must lie strictly inside ({p_lo}, {p_hi}), got {ch.p!r}")
-    per_p = []
-    ok = True
-    for ch in ch_grid:
-        st = claims_stats(ch)
-        st["corner_ok"] = st["corner_value"] < _CORNER_THRESHOLD
-        st["curvature_ok"] = st["curvature_min"] > 0.0
-        st["decay_ok"] = st["linear_decay_constant"] > _DECAY_THRESHOLD
-        st["ok"] = st["corner_ok"] and st["curvature_ok"] and st["decay_ok"]
-        ok = ok and st["ok"]
-        per_p.append(st)
-    p_star, width = max_band_width()
-    curvature = claims_stats(ChannelParam(p_lo))["curvature_min"]
-    curv_ok = abs(curvature - 0.009) <= 2e-3
-    return {
-        "suite": "claims",
-        "thresholds": {"corner": _CORNER_THRESHOLD, "decay": _DECAY_THRESHOLD},
-        "per_p": per_p,
-        "band_width_max": {"p": p_star, "width": width},
-        "passed": bool(ok and abs(width - 0.1076) <= 2e-3 and curv_ok),
-        "checks": [{"name": "curvature_reference_p003", "passed": curv_ok,
-                    "measured": curvature, "target": 0.009}],
-    }

@@ -22,6 +22,7 @@ class QuadratureError(RuntimeError):
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
 _MAX_DEPTH = 60     # bisections allowed below an initial panel
+_MAX_PANELS = 65536  # panels one integral may visit
 
 
 def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
@@ -35,8 +36,7 @@ def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
-              tol: float = 1e-9, refine_end: bool = False,
-              max_panels: int = 65536) -> float:
+              tol: float = 1e-9, refine_end: bool = False) -> float:
     """Integrate a vectorised integrand over [a, b] to absolute tolerance.
 
     ``f`` must accept a 1-d numpy array and return values of the same shape.
@@ -79,6 +79,6 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
         hi = np.concatenate([mid[keep], hi[keep]])
         depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
         panels_seen += lo.size
-        if panels_seen > max_panels:
-            raise QuadratureError(f"panel budget {max_panels} exceeded")
+        if panels_seen > _MAX_PANELS:
+            raise QuadratureError(f"panel budget {_MAX_PANELS} exceeded")
     return total

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .core import (ChannelParam, DomainError, binary_entropy,
-                   binary_entropy_inv, channel_constants, omega_cap)
+                   binary_entropy_inv, channel_constants, cleaning_gap,
+                   cleaning_gap_case1, omega_cap)
 from .hahn import HahnContext, delsarte_margins, hahn_eval, hahn_ratios, min_root, q0_exponent
-from .optimizer import F1_maximize, verify_claims
+from .optimizer import _F1_TOL, _f1_batch
 from .oracle import (BinaryCode, cover_report, dominates,
                      distance_distribution, exact_pe_ml, hamming74,
                      lower_bound_21, parity_code, proposition3_terms,
@@ -33,11 +35,20 @@ __all__ = [
     "suite_hahn",
     "suite_oracle",
     "run_suite",
+    "default_claims_grid",
+    "claims_stats",
+    "max_band_width",
 ]
 
 _RANDOM_SHAPES = ((8, 4), (10, 6), (12, 8), (9, 12), (11, 16))
 _PROP1_P = (0.01, 0.05, 0.1, 0.2)       # channels of the cap-attainment rows
 _IDENTITY_TAUS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.35, 0.45)
+_CLAIMS_P = (0.003, 0.22)   # channel range the gap claims are stated on
+_CLAIMS_COUNT = 44          # channels in the default claims grid
+_GAP_GRID = 200             # lambda samples per band in claims_stats
+_GAP_STEP = 1e-5            # step of the second-difference stencil
+_CORNER_THRESHOLD = -0.0008
+_DECAY_THRESHOLD = 0.013
 
 
 def builtin_roster() -> list:
@@ -113,35 +124,27 @@ def suite_prop1() -> dict:
     tested = 0
     for p in _PROP1_P:
         ch = ChannelParam(p)
-        tau1 = channel_constants(ch).tau1
-        taus = sorted({round(tau1 * s, 9) for s in
+        cc = channel_constants(ch)
+        rows = []       # (rate, alpha, expected cap flag)
+        taus = sorted({round(cc.tau1 * s, 9) for s in
                        (0.3, 0.6, 0.85, 1.2, 1.6, 3.0, 6.0)} | {0.05, 0.1, 0.2})
         for tau in taus:
-            if not 1e-4 < tau < 0.49 or abs(tau - tau1) < 1e-3:
-                continue
-            rate = binary_entropy(tau)
-            res = F1_maximize(rate, 0.5, ch)
-            expect = tau <= tau1
-            tested += 1
-            if res.attained_at_boundary["omega"] != expect:
-                mismatches += 1
-    # the same criterion governs generic alpha: attained at the cap iff
-    # the band reaches omega_1 = sqrt(4pq)/(1 + sqrt(4pq))
-    for p in _PROP1_P:
-        ch = ChannelParam(p)
-        om1 = channel_constants(ch).omega1
+            if 1e-4 < tau < 0.49 and abs(tau - cc.tau1) >= 1e-3:
+                rows.append((binary_entropy(tau), 0.5, tau <= cc.tau1))
+        # the same criterion governs generic alpha: attained at the cap iff
+        # the band reaches omega_1 = sqrt(4pq)/(1 + sqrt(4pq))
         for rate in (0.1, 0.3, 0.5, 0.7):
             a0 = binary_entropy_inv(1.0 - rate)
             for s in (0.25, 0.55, 0.85):
                 alpha = float(a0 + s * (0.5 - a0))
                 tau = binary_entropy_inv(binary_entropy(alpha) - 1.0 + rate)
                 cap = omega_cap(alpha, tau)
-                if abs(cap - om1) < 1e-4:
-                    continue
-                res = F1_maximize(rate, alpha, ch)
-                tested += 1
-                if res.attained_at_boundary["omega"] != (cap >= om1):
-                    mismatches += 1
+                if abs(cap - cc.omega1) >= 1e-4:
+                    rows.append((rate, alpha, cap >= cc.omega1))
+        rates, alphas, expect = map(np.array, zip(*rows))
+        at_cap = _f1_batch(rates, alphas, ch.log_pair, _F1_TOL).at_cap
+        tested += len(rows)
+        mismatches += int((at_cap != expect).sum())
     checks.append({"name": "cap_attainment_iff_band_reaches_omega1",
                    "passed": mismatches == 0,
                    "mismatches": mismatches, "tested": tested})
@@ -171,10 +174,104 @@ def suite_identity16() -> dict:
             "checks": checks, "tau_count": len(_IDENTITY_TAUS)}
 
 
+def default_claims_grid() -> list[ChannelParam]:
+    """Log-spaced channel grid strictly inside the claims range (0.003, 0.22).
+
+    The interior of a (_CLAIMS_COUNT + 2)-point net on the closed interval:
+    the endpoints are deliberately excluded — the gap analysis is stated on the
+    open interval, and the linear-decay margin genuinely degenerates at the
+    upper endpoint itself.
+    """
+    ps = np.geomspace(*_CLAIMS_P, _CLAIMS_COUNT + 2)[1:-1]
+    return [ChannelParam(float(p)) for p in ps]
+
+
+def claims_stats(ch: ChannelParam) -> dict:
+    """Measured gap statistics for one channel on the band [omega_m, omega_1].
+
+    curvature_min: min over the lambda grid (both ends included) of the
+    centred second difference of the case-1 gap in lambda — the s-terms
+    cancel in the stencil, so the measurement is s-independent.
+    linear_decay_constant: min over grid pairs lambda < s of
+    -g(lambda, s)/(s - lambda), the largest D for which the linear-decay
+    bound holds on this grid.  The pairs are a column of lambdas against a
+    row of s, so each lambda-only and s-only term is computed once per grid
+    point.
+    """
+    cc = channel_constants(ch)
+    om, o1 = cc.omega_m, cc.omega1
+    lam = np.linspace(om, o1, _GAP_GRID)
+    h = _GAP_STEP
+    stencil = (cleaning_gap_case1(lam + h, o1, ch)
+               - 2.0 * cleaning_gap_case1(lam, o1, ch)
+               + cleaning_gap_case1(lam - h, o1, ch)) / h ** 2
+    L, S = lam[:, None], lam[None, :]
+    G = cleaning_gap_case1(L, S, ch)
+    decay = np.where(S > L + 1e-12, -G / np.maximum(S - L, 1e-300), np.inf)
+    return {
+        "p": ch.p,
+        "omega_m": om,
+        "omega_1": o1,
+        "corner_value": cleaning_gap(om, o1, ch),
+        "curvature_min": float(stencil.min()),
+        "linear_decay_constant": float(decay.min()),
+    }
+
+
+def max_band_width() -> tuple[float, float]:
+    """max over p in the claims range of omega_1(p) - omega_m(p);
+    returns (argmax p, width)."""
+
+    def neg_width(p: float) -> float:
+        cc = channel_constants(ChannelParam(p))
+        return cc.omega_m - cc.omega1
+
+    res = minimize_scalar(neg_width, bounds=_CLAIMS_P, method="bounded",
+                          options={"xatol": 1e-10})
+    return float(res.x), float(-res.fun)
+
+
 def suite_claims(p_values=None) -> dict:
-    """Cleaning-gap claims (``verify_claims``) on a grid of p values."""
-    return verify_claims(None if p_values is None
-                         else [ChannelParam(p) for p in p_values])
+    """Certify the cleaning-gap claims on a grid of p values, by default
+    ``default_claims_grid``; the grid must hold at least one p and avoid
+    the endpoints 0.003 and 0.22.
+
+    Per channel: corner value g(omega_m, omega_1) below -0.0008, curvature
+    positive, linear-decay constant above 0.013.  The report also carries
+    the band-width maximum over p and, under ``checks``, the curvature
+    reference measured at the endpoint p = 0.003.
+    """
+    ch_grid = (default_claims_grid() if p_values is None
+               else [ChannelParam(p) for p in p_values])
+    if not ch_grid:
+        raise DomainError("the claims grid needs at least one p value")
+    p_lo, p_hi = _CLAIMS_P
+    for ch in ch_grid:
+        if not p_lo < ch.p < p_hi:
+            raise DomainError(
+                f"claims grid must lie strictly inside ({p_lo}, {p_hi}), got {ch.p!r}")
+    per_p = []
+    ok = True
+    for ch in ch_grid:
+        st = claims_stats(ch)
+        st["corner_ok"] = st["corner_value"] < _CORNER_THRESHOLD
+        st["curvature_ok"] = st["curvature_min"] > 0.0
+        st["decay_ok"] = st["linear_decay_constant"] > _DECAY_THRESHOLD
+        st["ok"] = st["corner_ok"] and st["curvature_ok"] and st["decay_ok"]
+        ok = ok and st["ok"]
+        per_p.append(st)
+    p_star, width = max_band_width()
+    curvature = claims_stats(ChannelParam(p_lo))["curvature_min"]
+    curv_ok = abs(curvature - 0.009) <= 2e-3
+    return {
+        "suite": "claims",
+        "thresholds": {"corner": _CORNER_THRESHOLD, "decay": _DECAY_THRESHOLD},
+        "per_p": per_p,
+        "band_width_max": {"p": p_star, "width": width},
+        "passed": bool(ok and abs(width - 0.1076) <= 2e-3 and curv_ok),
+        "checks": [{"name": "curvature_reference_p003", "passed": curv_ok,
+                    "measured": curvature, "target": 0.009}],
+    }
 
 
 def suite_hahn() -> dict:

@@ -25,13 +25,7 @@ from bscbounds.core import (
     solve_tau0,
     sphere_packing_exponent,
 )
-from bscbounds.optimizer import (
-    CurveKind,
-    W_value,
-    claims_stats,
-    curve,
-    verify_claims,
-)
+from bscbounds.optimizer import CurveKind, W_value, curve
 from bscbounds.oracle import proposition4_check
 from bscbounds.spectrum import (
     SpectrumPoint,
@@ -40,6 +34,8 @@ from bscbounds.spectrum import (
 )
 from bscbounds.verify import (
     builtin_roster,
+    claims_stats,
+    suite_claims,
     suite_hahn,
     suite_identity16,
     suite_oracle,
@@ -165,7 +161,7 @@ def test_slice_monotonicity_convexity_and_attainment():
 
 def test_gap_claims_across_channel_grid():
     start = time.monotonic()
-    report = verify_claims()
+    report = suite_claims()
     ref = claims_stats(ChannelParam(0.003))
     elapsed = time.monotonic() - start
 

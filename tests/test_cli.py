@@ -259,6 +259,12 @@ def test_verify_all_runs_suite_table_with_grid(capsys):
     assert rec["passed"] is True
 
 
+def test_verify_all_matches_golden_bytes(capsys):
+    # tests/data holds the full report as first recorded, byte for byte
+    assert main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_all.json").read_text(encoding="ascii")
+
+
 def test_verify_looks_suites_up_when_run(monkeypatch, capsys):
     # a wrapper set on the module attribute (as a tracer sets one) is called
     stub = {"suite": "identity16", "passed": True, "checks": []}

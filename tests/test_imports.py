@@ -26,17 +26,21 @@ def _imported(tree: ast.Module) -> dict:
             for alias in node.names:
                 names[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            # a star import binds the names of the module's own __all__
             for alias in node.names:
-                names[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
     return names
 
 
 def _used(tree: ast.Module) -> set:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
+        # a computed __all__ reads its names as identifiers, counted above
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
+                        for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
             used |= set(ast.literal_eval(node.value))
     return used
 

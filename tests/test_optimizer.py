@@ -29,21 +29,24 @@ from bscbounds.optimizer import (
     F1_maximize,
     F_minimize,
     W_value,
-    claims_stats,
     corollary1_exponent,
     curve,
-    default_claims_grid,
-    max_band_width,
     rate_regime,
     segment_window,
     straight_line,
     theorem1_bound,
-    verify_claims,
 )
 from bscbounds import optimizer
 from bscbounds.cli import main
 from bscbounds.optimizer import _f1_batch, _segment_anchors
 from bscbounds.spectrum import MuSlice, spectrum_exponent_at
+from bscbounds.verify import (
+    claims_stats,
+    default_claims_grid,
+    max_band_width,
+    run_suite,
+    suite_claims,
+)
 
 CH = ChannelParam(0.1)
 CC = channel_constants(CH)
@@ -510,8 +513,7 @@ def test_max_band_width_literal():
 
 
 def test_verify_claims_small_grid():
-    grid = [ChannelParam(p) for p in (0.01, 0.05, 0.15)]
-    report = verify_claims(grid)
+    report = suite_claims([0.01, 0.05, 0.15])
     assert report["passed"] is True
     assert len(report["per_p"]) == 3
     assert all(st["ok"] for st in report["per_p"])
@@ -519,4 +521,13 @@ def test_verify_claims_small_grid():
 
 def test_verify_claims_rejects_endpoint_channels():
     with pytest.raises(DomainError):
-        verify_claims([ChannelParam(0.003)])
+        suite_claims([0.003])
+
+
+def test_suite_claims_rejects_empty_grid():
+    # a certificate that checked no channel must not report success
+    for empty in ([], ()):
+        with pytest.raises(DomainError, match="at least one"):
+            suite_claims(empty)
+    with pytest.raises(DomainError, match="at least one"):
+        run_suite("claims", p_values=[])

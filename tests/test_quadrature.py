@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from bscbounds import quadrature
 from bscbounds.quadrature import QuadratureError, integrate
 
 
@@ -59,9 +60,10 @@ def test_depth_exhaustion_raises():
         integrate(lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300)), 0, 1)
 
 
-def test_panel_budget_raises():
-    with pytest.raises(QuadratureError, match="panel budget"):
-        integrate(lambda x: np.sin(200 * x), 0, 10, tol=1e-13, max_panels=64)
+def test_panel_budget_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
+    with pytest.raises(QuadratureError, match="panel budget 64"):
+        integrate(lambda x: np.sin(200 * x), 0, 10, tol=1e-13)
 
 
 def test_deterministic():
