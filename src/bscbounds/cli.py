@@ -144,6 +144,9 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     cc = channel_constants(ch)
     rmin = ns.rmin
     rmax = ns.rmax if ns.rmax is not None else capacity(ch) - 0.001
+    if ns.rmax is None and rmax <= rmin:
+        raise DomainError(f"the default grid end C(p) - 0.001 = {rmax:.6g} does "
+                          f"not exceed --rmin {rmin}; pass --rmax")
     step = ns.step if ns.step is not None else (rmax - rmin) / 199.0
     if ns.format in ("csv", "json"):
         esp = curve(CurveKind.sphere_packing, ch, rmin, rmax, step).points

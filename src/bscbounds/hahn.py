@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import DomainError, binary_entropy, omega_cap
+from .core import _LOG2E, DomainError, binary_entropy, omega_cap
 from .quadrature import integrate
 from .spectrum import log_kernel
 
@@ -39,7 +39,6 @@ __all__ = [
     "delsarte_margins",
 ]
 
-_LOG2E = math.log2(math.e)
 _Q0_TOL = 1e-9          # absolute tolerance of the q0 kernel integral
 
 

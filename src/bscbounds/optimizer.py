@@ -178,14 +178,11 @@ def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
     cap, or the cap value winning against the interior: the form of
     boundary attainment the band criterion G >= omega_1(p) describes.
     The argmax bracket is narrowed to ``tol`` in (0, 1/2); the result is
-    bit-for-bit the slice's entry in any batch of ``_f1_batch``.
+    bit-for-bit the slice's entry in any batch of ``_f1_batch``, whose
+    ``MuSlice`` refuses a slice the rule h2(alpha) >= 1 - R excludes.
     """
     if not 0.0 < tol < 0.5:
         raise DomainError(f"tol must be finite and lie in (0, 1/2), got {tol!r}")
-    alpha0 = binary_entropy_inv(1.0 - rate)
-    if alpha < alpha0 - 1e-9:
-        raise DomainError(
-            f"alpha must be >= h2_inv(1-R) = {alpha0:.6f}, got {alpha!r}")
     res = _f1_batch(np.array([rate], float), np.array([alpha], float), ch.log_pair, tol)
     return OptResult(float(res.value[0]), float(res.arg_omega[0]), alpha,
                      {"omega": bool(res.at_cap[0]), "alpha": False},

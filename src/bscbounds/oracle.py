@@ -561,21 +561,18 @@ def exhaustive_max_constant_weight(n: int, d: int, w: int) -> int:
     s = w - (d - 1) // 2
     if s <= 0:
         return 1  # d exceeds the layer diameter 2w: no two words fit
-    layer = [x for x in range(1 << n) if x.bit_count() == w]
-    rows = []
-    for combo in itertools.combinations(range(n), s):
-        t_mask = 0
-        for c in combo:
-            t_mask |= 1 << c
-        row = np.fromiter(((x & t_mask) == t_mask for x in layer),
-                          dtype=float, count=len(layer))
-        if row.sum() > 1.0:
-            rows.append(row)
-    if not rows:
-        return len(layer)
-    res = milp(c=-np.ones(len(layer)),
-               constraints=LinearConstraint(np.array(rows), -np.inf, 1.0),
-               integrality=np.ones(len(layer)),
+    words = np.arange(1 << n)
+    layer = words[np.bitwise_count(words) == w]
+    masks = np.array([sum(1 << c for c in combo)
+                      for combo in itertools.combinations(range(n), s)])
+    # one row per s-subset: the layer words that contain it
+    rows = (layer & masks[:, None]) == masks[:, None]
+    rows = rows[rows.sum(axis=1) > 1]
+    if not rows.size:
+        return layer.size
+    res = milp(c=-np.ones(layer.size),
+               constraints=LinearConstraint(rows.astype(float), -np.inf, 1.0),
+               integrality=np.ones(layer.size),
                bounds=Bounds(0.0, 1.0))
     if not res.success:
         raise RuntimeError(f"packing solve failed for {(n, d, w)!r}: {res.message}")

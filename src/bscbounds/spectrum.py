@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DomainError, _h2_arr, _h2_inv_arr, binary_entropy,
+from .core import (_LOG2E, DomainError, _h2_arr, _h2_inv_arr, binary_entropy,
                    binary_entropy_inv, omega_cap)
 from .quadrature import integrate
 
@@ -28,7 +28,6 @@ __all__ = [
     "log_kernel",
 ]
 
-_LOG2E = math.log2(math.e)
 _TOL = 1e-12
 _DISC_SLACK = 1e-12
 _QUAD_TOL = 1e-11       # absolute tolerance of the quadrature route
@@ -40,7 +39,9 @@ class SpectrumPoint:
 
     tau = h2^{-1}(h2(alpha) - 1 + rate) is the normalised degree of the
     certifying Hahn polynomial; validity requires h2(alpha) >= 1 - rate and
-    0 <= omega <= G(alpha, tau).
+    0 <= omega <= G(alpha, tau).  ``make`` is the one scalar statement of
+    this slice rule, within _TOL on each side; ``MuSlice`` states it for
+    arrays.
     """
 
     rate: float
@@ -65,6 +66,11 @@ class SpectrumPoint:
             raise DomainError(
                 f"normalised distance {omega!r} outside [0, cap={cap:.6f}]")
         return cls(rate=rate, alpha=alpha, tau=tau, omega=min(max(omega, 0.0), cap))
+
+    @property
+    def cap(self) -> float:
+        """The weight cap G(alpha, tau): the largest admissible omega."""
+        return omega_cap(self.alpha, self.tau)
 
 
 def log_kernel(u: np.ndarray, alpha: float, tau: float) -> np.ndarray:
@@ -104,21 +110,13 @@ def spectrum_exponent_half(rate: float, omega: float) -> float:
     """Closed form of the spectrum exponent on the symmetric slice alpha = 1/2.
 
     Finite combination of logarithms; the radical vanishes exactly at the
-    weight cap, where the expression still evaluates finitely.
+    weight cap, where the expression still evaluates finitely.  The point
+    is checked by ``SpectrumPoint.make``.
     """
-    if not 0.0 <= rate <= 1.0 + _TOL:
-        raise DomainError(f"rate must lie in [0, 1], got {rate!r}")
-    if omega < -_TOL:
-        raise DomainError(f"normalised distance must be non-negative, got {omega!r}")
-    if omega <= 0.0:
-        return 0.0
-    tau = binary_entropy_inv(rate)
-    if tau < 1e-14:
-        return 0.0  # zero-rate limit: the exponent vanishes for every omega
-    cap = omega_cap(0.5, tau)
-    if omega > cap + _TOL:
-        raise DomainError(f"normalised distance {omega!r} beyond cap {cap:.6f}")
-    omega = min(omega, cap)
+    pt = SpectrumPoint.make(rate, 0.5, omega)
+    tau, omega = pt.tau, pt.omega
+    if omega <= 0.0 or tau < 1e-14:
+        return 0.0  # tau -> 0 is the zero-rate limit: mu vanishes on the band
     disc = (1.0 - 2.0 * tau) ** 2 - 4.0 * omega * (1.0 - omega)
     if disc < -_DISC_SLACK:
         raise DomainError(f"radical argument fell below the clamp window: {disc:.3e}")

@@ -89,9 +89,8 @@ def suite_prop1() -> dict:
         a0 = binary_entropy_inv(1.0 - rate)
         for alpha in np.linspace(a0 + 0.02 * (0.5 - a0), 0.495, 10):
             alpha = float(alpha)
-            tau_a = binary_entropy_inv(binary_entropy(alpha) - 1.0 + rate)
-            tau_b = binary_entropy_inv(binary_entropy(alpha + h) - 1.0 + rate)
-            cap = min(omega_cap(alpha, tau_a), omega_cap(alpha + h, tau_b))
+            cap = min(SpectrumPoint.make(rate, alpha, 0.0).cap,
+                      SpectrumPoint.make(rate, alpha + h, 0.0).cap)
             for frac in (0.25, 0.5, 0.75, 0.95):
                 om = frac * cap
                 diff = _mu(rate, alpha + h, om) - _mu(rate, alpha, om)
@@ -107,8 +106,7 @@ def suite_prop1() -> dict:
         a0 = binary_entropy_inv(1.0 - rate)
         for alpha in (a0 + 0.3 * (0.5 - a0), 0.5):
             alpha = float(alpha)
-            tau = binary_entropy_inv(binary_entropy(alpha) - 1.0 + rate)
-            cap = omega_cap(alpha, tau)
+            cap = SpectrumPoint.make(rate, alpha, 0.0).cap
             oms = np.linspace(0.05 * cap, 0.95 * cap, 9)
             vals = [_mu(rate, alpha, float(om)) for om in oms]
             step = float(oms[1] - oms[0])
@@ -137,8 +135,7 @@ def suite_prop1() -> dict:
             a0 = binary_entropy_inv(1.0 - rate)
             for s in (0.25, 0.55, 0.85):
                 alpha = float(a0 + s * (0.5 - a0))
-                tau = binary_entropy_inv(binary_entropy(alpha) - 1.0 + rate)
-                cap = omega_cap(alpha, tau)
+                cap = SpectrumPoint.make(rate, alpha, 0.0).cap
                 if abs(cap - cc.omega1) >= 1e-4:
                     rows.append((rate, alpha, cap >= cc.omega1))
         rates, alphas, expect = map(np.array, zip(*rows))

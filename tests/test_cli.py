@@ -73,6 +73,14 @@ def test_p_next_to_half_is_one_line(command, capsys):
     assert "too close to 1/2" in err
 
 
+def test_curve_default_rmax_below_rmin_is_one_line(capsys):
+    # C(0.4999) = 2.9e-8, so the default end C(p) - 0.001 is below --rmin
+    assert main(["curve", "--p", "0.4999"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bscbounds: ") and err.count("\n") == 1
+    assert "C(p) - 0.001" in err and "--rmax" in err
+
+
 def test_curve_csv_small_grid(capsys):
     rc = main(["curve", "--p", "0.1", "--rmin", "0.1", "--rmax", "0.2",
                "--step", "0.02"])

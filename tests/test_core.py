@@ -179,6 +179,15 @@ def test_omega_cap_domain():
 # --- solved constants ---------------------------------------------------
 
 
+def test_universal_constants_pinned_bit_for_bit():
+    # the roots every reported number was computed with; the mpmath
+    # re-derivations below bound their distance from the true roots
+    tau0, r0 = solve_tau0()
+    assert tau0.hex() == "0x1.be85611fdfe1fp-5"
+    assert r0 == binary_entropy(tau0)
+    assert solve_p1().hex() == "0x1.002a5d248bea1p-7"
+
+
 def test_tau0_against_mpmath():
     # independent re-derivation of the defining root at 50 digits
     mpmath.mp.dps = 50

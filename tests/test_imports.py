@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+module-level private name is used somewhere in the package, and each module
+imports from third parties only what the declared map allows.
 
 Parsed with ``ast`` from the standard library, so no lint tool is needed.
 An import counts as used when it appears as an identifier anywhere in the
@@ -10,6 +11,7 @@ when some package module reads it outside the statement that defines it.
 
 import ast
 import pathlib
+import sys
 from typing import Iterator
 
 import pytest
@@ -17,6 +19,14 @@ import pytest
 import bscbounds
 
 SOURCES = sorted(pathlib.Path(bscbounds.__file__).parent.glob("*.py"))
+# Third-party names each module may import; numpy is allowed everywhere.
+# The scipy solvers stay with their only users, so none creeps back into
+# the scalar layer.
+THIRD_PARTY = {
+    "oracle": {"scipy.optimize.Bounds", "scipy.optimize.LinearConstraint",
+               "scipy.optimize.milp"},
+    "verify": {"scipy.optimize.minimize_scalar"},
+}
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -117,3 +127,22 @@ def test_cli_imports_public_names_only():
                      and (node.level or (node.module or "").startswith("bscbounds"))
                      for alias in node.names if alias.name.startswith("_"))
     assert private == []
+
+
+def third_party_imports(tree: ast.Module) -> set:
+    """Dotted names a module imports from outside the standard library and
+    the package, numpy excepted."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names |= {f"{node.module}.{alias.name}" for alias in node.names}
+    own = sys.stdlib_module_names | {"numpy", "bscbounds"}
+    return {name for name in names if name.split(".")[0] not in own}
+
+
+def test_third_party_imports_match_declared_map():
+    found = {path.stem: third_party_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES}
+    assert {stem: names for stem, names in found.items() if names} == THIRD_PARTY
