@@ -2,10 +2,12 @@
 
 Everything in this module is exact: maximum-likelihood error probabilities
 come from enumerating all 2^n channel outputs, covering multiplicities from
-counting, and the small constant-weight maxima from an exact 0/1 packing
-solve.  These values anchor the asymptotic bounds elsewhere in the
-package — every analytic lower bound must sit below the enumerated error
-probability on every code it is tested against, with no tolerance.
+counting, and the small constant-weight maxima from a closed form when
+two words may share no coordinate, otherwise from an exact 0/1 packing
+solve (scipy's ``milp``, imported on first use).  These values anchor the
+asymptotic bounds elsewhere in the package — every analytic lower bound
+must sit below the enumerated error probability on every code it is tested
+against, with no tolerance.
 
 Words are stored as integer bitmasks.  The enumerated reports all read one
 census per code, a single pass in chunks under a fixed byte budget over the
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .core import ChannelParam, DomainError, equidistant_radius
 
@@ -543,10 +544,12 @@ def exhaustive_max_constant_weight(n: int, d: int, w: int) -> int:
     Two equal-weight words are always an even distance apart, so they are
     too close exactly when they share at least s = w - (d-1)//2 positions,
     and a valid code picks at most one word containing any given s-subset.
-    Those clique constraints describe the feasible sets completely, and the
-    resulting 0/1 packing program is dispatched to an exact MILP solve.
-    (A branch-and-bound clique search over the weight-w layer is correct
-    too, but needs minutes on the dense w = 3 layer at n = 10; the packing
+    At s = 1 that leaves words with disjoint supports, so the maximum is
+    n // w.  For s >= 2 those clique constraints describe the feasible sets
+    completely, and the resulting 0/1 packing program is dispatched to an
+    exact MILP solve; scipy is imported there, on first use.  (A
+    branch-and-bound clique search over the weight-w layer is correct too,
+    but needs minutes on the dense w = 3 layer at n = 10; the packing
     formulation closes the same instance in milliseconds.)
     """
     if n > _CLIQUE_CAP:
@@ -561,15 +564,15 @@ def exhaustive_max_constant_weight(n: int, d: int, w: int) -> int:
     s = w - (d - 1) // 2
     if s <= 0:
         return 1  # d exceeds the layer diameter 2w: no two words fit
+    if s == 1:
+        return n // w  # no shared coordinate: words with disjoint supports
     words = np.arange(1 << n)
     layer = words[np.bitwise_count(words) == w]
     masks = np.array([sum(1 << c for c in combo)
                       for combo in itertools.combinations(range(n), s)])
-    # one row per s-subset: the layer words that contain it
+    # one row per s-subset: the C(n-s, w-s) >= 2 layer words that contain it
     rows = (layer & masks[:, None]) == masks[:, None]
-    rows = rows[rows.sum(axis=1) > 1]
-    if not rows.size:
-        return layer.size
+    from scipy.optimize import Bounds, LinearConstraint, milp
     res = milp(c=-np.ones(layer.size),
                constraints=LinearConstraint(rows.astype(float), -np.inf, 1.0),
                integrality=np.ones(layer.size),

@@ -1,6 +1,8 @@
 """Every name a package module imports is used in that module, every
-module-level private name is used somewhere in the package, and each module
-imports from third parties only what the declared map allows.
+module-level private name is used somewhere in the package, each module
+imports from third parties only what the declared map allows, and scipy
+stays off the cold path: no module imports it at module level, and no CLI
+command of the benchmark loads it.
 
 Parsed with ``ast`` from the standard library, so no lint tool is needed.
 An import counts as used when it appears as an identifier anywhere in the
@@ -10,8 +12,11 @@ when some package module reads it outside the statement that defines it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
+import textwrap
 from typing import Iterator
 
 import pytest
@@ -20,12 +25,11 @@ import bscbounds
 
 SOURCES = sorted(pathlib.Path(bscbounds.__file__).parent.glob("*.py"))
 # Third-party names each module may import; numpy is allowed everywhere.
-# The scipy solvers stay with their only users, so none creeps back into
-# the scalar layer.
+# The scipy solver stays with its only user, the s >= 2 packing solve, so
+# none creeps back into the scalar layer.
 THIRD_PARTY = {
     "oracle": {"scipy.optimize.Bounds", "scipy.optimize.LinearConstraint",
                "scipy.optimize.milp"},
-    "verify": {"scipy.optimize.minimize_scalar"},
 }
 
 
@@ -146,3 +150,55 @@ def test_third_party_imports_match_declared_map():
     found = {path.stem: third_party_imports(ast.parse(path.read_text(encoding="utf-8")))
              for path in SOURCES}
     assert {stem: names for stem, names in found.items() if names} == THIRD_PARTY
+
+
+def module_level_imports(tree: ast.Module) -> Iterator[tuple]:
+    """(line, dotted name) of every import that runs when the module is
+    imported: anywhere but inside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_module_level_import_is_caught():
+    tree = ast.parse("import scipy\nif True:\n    from scipy import optimize\n"
+                     "def solve():\n    from scipy.optimize import milp\n")
+    assert sorted(module_level_imports(tree)) == [(1, "scipy"), (3, "scipy")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_module_level_scipy_import(path):
+    # scipy costs most of the CLI's start-up; it is imported inside the
+    # function that needs it, on first use
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [(line, name) for line, name in module_level_imports(tree)
+            if name.split(".")[0] == "scipy"] == []
+
+
+def test_benchmark_commands_do_not_load_scipy(tmp_path):
+    # a fresh interpreter, as a CLI user starts one: none of the commands
+    # perfbench runs may load scipy, n > 10 oracle codes included
+    code_file = tmp_path / "code.txt"
+    code_file.write_text("".join(format(w, "012b") + "\n"
+                                 for w in range(5, 4096, 97)), encoding="ascii")
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from bscbounds.cli import main
+        for argv in (["curve", "--p", "0.1"], ["constants", "--p", "0.1"],
+                     ["oracle", "--code-file", {str(code_file)!r}, "--p", "0.1"],
+                     ["verify", "--suite", "all"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            assert "scipy" not in sys.modules, argv
+        """)
+    src = str(pathlib.Path(bscbounds.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -41,6 +41,7 @@ from bscbounds.cli import main
 from bscbounds.optimizer import _f1_batch, _segment_anchors
 from bscbounds.spectrum import MuSlice, spectrum_exponent_at
 from bscbounds.verify import (
+    _minimize_bounded,
     claims_stats,
     default_claims_grid,
     max_band_width,
@@ -510,6 +511,29 @@ def test_max_band_width_literal():
     p_star, width = max_band_width()
     assert p_star == pytest.approx(0.0466798420, abs=1e-5)
     assert width == pytest.approx(0.1076043045, abs=1e-6)
+
+
+def _band_objective(p: float) -> float:
+    cc = channel_constants(ChannelParam(p))
+    return cc.omega_m - cc.omega1
+
+
+@pytest.mark.parametrize("func, bounds", [
+    (_band_objective, (0.003, 0.22)),          # max_band_width's objective
+    (lambda x: x, (0.0, 1.0)),                 # minimum at the left end
+    (lambda x: math.exp(-x), (-2.0, 3.0)),     # minimum at the right end
+    (lambda x: 0.25, (0.1, 0.9)),              # constant
+    (lambda x: abs(x - 0.3), (0.0, 1.0)),      # kink
+    (lambda x: math.cos(x) + 0.1 * x, (1.0, 5.0)),  # smooth interior minimum
+], ids=["band", "left", "right", "constant", "kink", "interior"])
+def test_minimize_bounded_matches_scipy_bits(func, bounds):
+    # the plain-float transcription returns scipy's bounded Brent iterate
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(func, bounds=bounds, method="bounded",
+                          options={"xatol": 1e-10})
+    x, f = _minimize_bounded(func, *bounds, xatol=1e-10)
+    assert (float(x).hex(), float(f).hex()) == (float(res.x).hex(), float(res.fun).hex())
 
 
 def test_verify_claims_small_grid():

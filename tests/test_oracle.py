@@ -658,8 +658,10 @@ def test_exhaustive_matches_clique_search():
     # independent route: maximum clique of the explicit layer graph
     import networkx as nx
 
+    # s = w - (d-1)//2 = 1 takes the closed form n // w, s >= 2 the MILP
     for n, d, w in ((6, 3, 2), (6, 4, 3), (7, 4, 3), (7, 3, 2), (8, 4, 3),
-                    (8, 6, 3), (9, 5, 3), (9, 4, 3), (10, 5, 4)):
+                    (8, 6, 3), (9, 5, 3), (9, 4, 3), (10, 5, 4), (8, 3, 2),
+                    (8, 4, 2), (10, 4, 2), (10, 5, 3)):
         layer = [x for x in range(1 << n) if x.bit_count() == w]
         g = nx.Graph()
         g.add_nodes_from(layer)
