@@ -7,18 +7,17 @@ independent: a ratio chain seeded at the origin (cheap, valid below the
 first root where all values are positive) and a three-term recurrence in
 the degree index (valid everywhere, used past the root and as a fallback).
 
-The minimal root x1 of the degree-j polynomial drives two consumers: its
-scaled position 2*x1/n converges to the band cap G(alpha, tau), and the
-extremal polynomial f(x) built from two consecutive degrees yields the
-spectrum-component lower bound whose exponent q0 feeds the spectrum
-module's integral form.
+The Hahn verification suite reads the least root ``min_root``, whose scaled
+position 2*x1/n converges to the band cap G(alpha, tau); ``q0_exponent``,
+which bounds log2 Q_j from above below that root (Lemma 4); and
+``delsarte_margins``, the LP sums of a constant-weight distance distribution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import _LOG2E, DomainError, binary_entropy, omega_cap
 from .quadrature import integrate
@@ -32,9 +31,6 @@ __all__ = [
     "hahn_ratios",
     "hahn_eval",
     "min_root",
-    "MrrwPoly",
-    "mrrw_poly",
-    "choose_degree",
     "q0_exponent",
     "delsarte_margins",
 ]
@@ -81,21 +77,6 @@ class LogSigned:
 
 
 _LS_ZERO = LogSigned(-math.inf, 0)
-
-
-def _ls_add(a: LogSigned, b: LogSigned) -> LogSigned:
-    if a.sign == 0:
-        return b
-    if b.sign == 0:
-        return a
-    hi, lo = (a, b) if a.log_abs >= b.log_abs else (b, a)
-    d = lo.log_abs - hi.log_abs  # <= 0
-    if a.sign == b.sign:
-        return LogSigned(hi.log_abs + math.log2(1.0 + 2.0 ** d), a.sign)
-    rem = 1.0 - 2.0 ** d
-    if rem <= 0.0:
-        return _LS_ZERO
-    return LogSigned(hi.log_abs + math.log2(rem), hi.sign)
 
 
 def _log2_binom(n: int, k: int) -> float:
@@ -208,14 +189,18 @@ def _quad_root(v_m1: float, v_0: float, v_p1: float, x_center: float,
 
 
 def min_root(ctx: HahnContext) -> float:
-    """Location x1 of the smallest root of Q_j, to 1e-6 of a coordinate unit.
+    """Location x1 of the smallest root of Q_j.
 
-    Discrete orthogonality puts at most one root per unit interval, so the
-    first non-positive entry of the ratio chain brackets x1 in (k, k+1];
-    a quadratic through the three neighbouring integer values pins it down.
+    The first non-positive entry of the ratio chain brackets x1 in its exact
+    sign-change cell (k, k+1] (discrete orthogonality allows one root per
+    cell).  Inside it x1 is the root of the quadratic through three integer
+    samples, bisected to 1e-6: Q_j's own root only for j <= 2, and up to 0.3
+    units off at (n, w, j) = (500, 250, 50).  Linear Q_1 returns w(n-w)/n.
     """
     if ctx.j < 1:
         raise DomainError("the constant polynomial has no root")
+    if ctx.j == 1:
+        return ctx.w * (ctx.n - ctx.w) / ctx.n
     cap = min(ctx.w, ctx.n - ctx.w) - 1
     ratios = hahn_ratios(ctx, cap)
     k = next((m for m, r in enumerate(ratios) if r <= 0.0), None)
@@ -234,122 +219,18 @@ def min_root(ctx: HahnContext) -> float:
     return _quad_root(1.0 / ratios[k - 1], 1.0, ratios[k], float(k), 0.0, 1.0)
 
 
-def _common_frame(nodes: list) -> tuple[list, float]:
-    """Per node, the sum of its LogSigned terms scaled by 2^-ref, ref the
-    largest log-magnitude of all terms; returns the sums and ref."""
-    ref = max(v.log_abs for terms in nodes for v in terms if v.sign != 0)
-    scaled = [[v.sign * 2.0 ** (v.log_abs - ref) if v.sign else 0.0 for v in terms]
-              for terms in nodes]
-    return [sum(vals[1:], vals[0]) for vals in scaled], ref
-
-
-def _logsigned_at(ctx: HahnContext, x: float) -> LogSigned:
-    """Continuous single-polynomial evaluation by the same convention."""
-    m = max(1, min(int(round(x)), ctx.w - 1))
-    v, ref = _common_frame([(hahn_eval(ctx, i),) for i in (m - 1, m, m + 1)])
-    val = _lagrange3(*v, x - m)
-    if val == 0.0:
-        return _LS_ZERO
-    return LogSigned(math.log2(abs(val)) + ref, 1 if val > 0 else -1)
-
-
-@dataclass(frozen=True)
-class MrrwPoly:
-    """The extremal polynomial (1/(a-x)) Q_t^2(a) [Q_t(x) + Q_{t+1}(x)]^2."""
-
-    a: float
-    f0: LogSigned
-    f_at_zero: LogSigned
-    f_eval: Callable[[int], LogSigned]
-
-
-def mrrw_poly(ctx: HahnContext) -> MrrwPoly:
-    """Build the two-degree extremal polynomial for t = ctx.j.
-
-    The pivot a solves Q_t(a) = -Q_{t+1}(a) between the two minimal roots;
-    interlacing guarantees the sign change (the sum is positive at the
-    deeper root, negative at the shallower one).
-    """
-    n, w, t = ctx.n, ctx.w, ctx.j
-    if not 1 <= t <= w - 1:
-        raise DomainError(f"degree must satisfy 1 <= t <= w-1, got t={t}")
-    x_t = min_root(HahnContext(n, w, t))
-    x_t1 = min_root(HahnContext(n, w, t + 1))
-
-    def pair_terms(i: int) -> tuple[LogSigned, LogSigned]:
-        return hahn_eval(HahnContext(n, w, t), i), hahn_eval(HahnContext(n, w, t + 1), i)
-
-    def pair_sum(i: int) -> LogSigned:
-        return _ls_add(*pair_terms(i))
-
-    # locate the integer cell where the pair sum flips; node values are exact,
-    # so the bracketing quadratic agrees with its endpoints by construction
-    lo_i = max(0, math.floor(x_t1))
-    hi_i = min(w, math.ceil(x_t))
-    cell = None
-    prev = pair_sum(lo_i).sign
-    for i in range(lo_i + 1, hi_i + 1):
-        cur = pair_sum(i).sign
-        if prev > 0 >= cur:
-            cell = i - 1
-            break
-        prev = cur
-    if cell is None:
-        raise BracketError(
-            f"pair sum keeps its sign on ({x_t1:.4f}, {x_t:.4f}) "
-            f"for n={n} w={w} t={t}")
-    # the nodes around the cell; a cell at 0 bisects the first half of 0, 1, 2
-    m = max(cell, 1)
-    nodes, _ = _common_frame([pair_terms(i) for i in (m - 1, m, m + 1)])
-    a = _quad_root(*nodes, float(m), float(cell - m), float(cell - m + 1))
-
-    qt_a = _logsigned_at(HahnContext(n, w, t), a)
-    log_qt_a_sq = 2.0 * qt_a.log_abs
-
-    mu_t = hahn_at_zero(HahnContext(n, w, t)).log_abs
-    f0 = LogSigned(
-        mu_t + math.log2((n - 2 * t) * (n - 2 * t - 1))
-        - math.log2((t + 1) * (w - t) * (n - w - t)) + log_qt_a_sq, 1)
-
-    # binom(n, t+1) - binom(n, t-1) > 0 for t+1 <= n/2
-    lead = _ls_add(LogSigned(_log2_binom(n, t + 1), 1),
-                   LogSigned(_log2_binom(n, t - 1), -1))
-    f_zero = LogSigned(-math.log2(a) + 2.0 * lead.log_abs + log_qt_a_sq, 1)
-
-    def f_eval(i: int) -> LogSigned:
-        pair = pair_sum(i)
-        if pair.sign == 0:
-            return _LS_ZERO
-        sign = 1 if a > i else -1
-        return LogSigned(-math.log2(abs(a - i)) + log_qt_a_sq
-                         + 2.0 * pair.log_abs, sign)
-
-    return MrrwPoly(a, f0, f_zero, f_eval)
-
-
-def choose_degree(n: int, w: int, log2_size: float) -> int:
-    """Largest degree t for which f(0)/f0 <= 2^-(n+1) binom(n,w) * size.
-
-    Scans t downward from w-1; the ratio f(0)/f0 is free of the Q_t(a)^2
-    factor, but still needs the pivot a of each candidate polynomial.
-    """
-    budget = -(n + 1) + _log2_binom(n, w) + log2_size
-    for t in range(w - 1, 0, -1):
-        poly = mrrw_poly(HahnContext(n, w, t))
-        if poly.f_at_zero.log_abs - poly.f0.log_abs <= budget:
-            return t
-    raise BracketError(f"no degree satisfies the size budget for n={n} w={w}")
-
-
 def q0_exponent(alpha: float, tau: float, xi: float) -> float:
-    """Asymptotic upper exponent of the ratio-chain sum, in bits.
+    """Upper exponent of log2 Q_j(xi n) / n, in bits (Lemma 4).
+
+    For w = alpha n and j = tau n, below the least root of Q_j,
 
     q0 = h2(tau) - alpha h2(xi/alpha) - (1-alpha) h2(xi/(1-alpha))
          - 2 xi log2(xi/e) - xi + int_0^xi log2[s(u) + 2u^2
          + sqrt(s^2(u) - 4 tau(1-tau) u^2)] du,
     with s(u) = alpha(1-alpha) - tau(1-tau) - u (the integrand is the
     spectrum module's log_kernel), valid strictly below the
-    scaled root position omega_cap(alpha, tau)/2.
+    scaled root position omega_cap(alpha, tau)/2.  The Hahn suite checks
+    hahn_eval against q0 plus Lemma 4's finite-n term.
     """
     if not 0.0 < tau <= alpha <= 0.5:
         raise DomainError(f"need 0 < tau <= alpha <= 1/2, got ({alpha!r}, {tau!r})")

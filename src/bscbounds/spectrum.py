@@ -117,18 +117,25 @@ def spectrum_exponent_half(rate: float, omega: float) -> float:
     tau, omega = pt.tau, pt.omega
     if omega <= 0.0 or tau < 1e-14:
         return 0.0  # tau -> 0 is the zero-rate limit: mu vanishes on the band
+    d = 1.0 - 2.0 * omega
     disc = (1.0 - 2.0 * tau) ** 2 - 4.0 * omega * (1.0 - omega)
     if disc < -_DISC_SLACK:
         raise DomainError(f"radical argument fell below the clamp window: {disc:.3e}")
-    g = 0.5 * (1.0 - 2.0 * tau + math.sqrt(max(disc, 0.0)))
-    upper = (1.0 - 2.0 * tau) * g - omega
-    lower = 1.0 - (1.0 - 2.0 * tau) * g - omega
+    root = math.sqrt(max(disc, 0.0))
+    g = 0.5 * (1.0 - 2.0 * tau + root)
+    # (1-2tau) g - omega = (g-omega)(g+omega) and 1 - (1-2tau) g - omega =
+    # (1-omega-g)(1-omega+g), as g solves g^2 - (1-2tau) g + omega(1-omega) = 0;
+    # each factor is formed without cancellation as tau -> 0 or 1/2 (c's first
+    # difference is exact: 1-2tau for tau >= 1/4, 1-2omega for omega >= 1/4)
+    c = (1.0 - 2.0 * tau) - 2.0 * omega if tau >= 0.25 else d - 2.0 * tau
+    upper = 0.5 * (c + root) * (g + omega)
+    lower = 4.0 * tau * (1.0 - omega) / (d + 2.0 * tau + root) * (1.0 - omega + g)
     return (-2.0 * (1.0 - omega) * math.log2(1.0 - omega)
             - 1.0
             - (1.5 - 2.0 * tau) * math.log2(1.0 - tau)
             - 0.5 * math.log2(tau)
-            + (1.0 - 2.0 * omega) * math.log2(g)
-            + (1.0 - 2.0 * tau) * math.log2(g + tau - omega)
+            + d * math.log2(g)
+            + (1.0 - 2.0 * tau) * math.log2(0.5 * (d + root))
             - 0.5 * math.log2(upper / lower))
 
 

@@ -7,6 +7,7 @@ the same surface; the tests play them against each other.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bscbounds.core import (DomainError, binary_entropy, binary_entropy_inv,
                             omega_cap)
@@ -80,6 +81,22 @@ def test_half_closed_form_vs_quadrature():
         # at the cap the radical vanishes; both routes still agree
         assert spectrum_exponent_half(rate, cap) == pytest.approx(
             spectrum_exponent(SpectrumPoint.make(rate, 0.5, cap)), abs=1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-12.0, 0.0), st.floats(0.0, 1.0))
+def test_half_closed_form_stable_at_small_rates(log10_rate, frac):
+    # as tau -> 0 (and tau -> 1/2, omega -> the cap) the closed form must
+    # neither go negative nor drift from the panel route; 1e-14 allows one
+    # ulp of its ~20-bit log terms.  The routes take tau from different h2
+    # inverses, whose caps differ by ~3e-12 at rates near 1e-12, so omega
+    # ranges over the cap both admit.
+    rate = 10.0 ** log10_rate
+    sl = MuSlice(rate, 0.5)
+    omega = frac * min(sl.cap, SpectrumPoint.make(rate, 0.5, 0.0).cap)
+    closed = spectrum_exponent_half(rate, omega)
+    assert closed >= -1e-14
+    assert closed == pytest.approx(sl.mu(omega), abs=1e-12)
 
 
 def test_mu_slice_vs_adaptive():
