@@ -2,9 +2,11 @@
 
 The closed form on the symmetric slice, the adaptive-quadrature route and
 the cached panel evaluator (MuSlice) are three independent computations of
-the same surface; the tests play them against each other.
+the same surface; the tests play them against each other, and MuSlice
+against 30-digit mpmath.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +208,79 @@ def test_interleaved_rates_equal_one_rate_slices():
             one = MuSlice(r, a)
             assert np.array_equal(sl.cap[col::2], one.cap)
             assert np.array_equal(got[col::2], one.mu(omegas[col::2]))
+
+
+def _kernel_integral_mp(alpha, tau, half_cap, x):
+    """30-digit integral of the kernel over [0, x], taken in s as MuSlice
+    takes it (u = half_cap (1 - s^2)), with breakpoints at the decades above
+    s_x so the rule resolves the near-kink that the discriminant's second
+    root leaves near s = 0 as tau -> 0."""
+    with mpmath.workdps(30):
+        a, t, h = mpmath.mpf(alpha), mpmath.mpf(tau), mpmath.mpf(half_cap)
+        base, c2 = a * (1 - a) - t * (1 - t), 4 * t * (1 - t)
+
+        def f(s):
+            u = h * (1 - s * s)
+            disc = (base - u) ** 2 - c2 * u * u
+            return mpmath.log(base - u + 2 * u * u + mpmath.sqrt(max(disc, 0)), 2) * 2 * h * s
+
+        s_x = mpmath.sqrt(max(1 - mpmath.mpf(x) / h, 0))
+        decades = [mpmath.mpf(10) ** -k for k in range(16, 0, -1)]
+        return mpmath.quad(f, [s_x] + [d for d in decades if d > s_x] + [1])
+
+
+def test_mu_slice_integral_against_mpmath():
+    # a seeded grid of 40 slices: rates from 1e-12 to 1 - 1e-6, alpha at 1/2,
+    # within 1e-8 of it or anywhere on the slice range, and x at the cap,
+    # 1e-9 and 1e-4 (relative) below it, or inside; a uniform 8-panel s-mesh
+    # misses by 5.5e-13 at rate 8.5e-11, alpha = 1/2, x at the cap
+    rng = np.random.default_rng(17)
+    rates = [1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.9, 0.999, 1.0 - 1e-6]
+    rates += list(10.0 ** rng.uniform(-12.0, 0.0, 2))
+    rate, alpha, drop = [], [], []
+    for r in rates:
+        a0 = binary_entropy_inv(1.0 - r)
+        for d in (0.0, 1e-9, 1e-4, rng.uniform(0.05, 0.95)):
+            a = (0.5, 0.5 - 1e-8 * rng.uniform(0.1, 1.0),
+                 0.5 - (0.5 - a0) * rng.uniform(0.0, 1.0))[len(rate) % 3]
+            rate.append(r)
+            alpha.append(max(a, a0 + 1e-15))
+            drop.append(d)
+    sl = MuSlice(np.array(rate), np.array(alpha))
+    half_cap = 0.5 * sl.cap
+    x = half_cap * (1.0 - np.array(drop))
+    got = sl._integral(x)
+    for k in range(x.size):
+        ref = _kernel_integral_mp(alpha[k], sl.tau[k], half_cap[k], x[k])
+        assert abs(mpmath.mpf(got[k]) - ref) < 1e-15, (rate[k], alpha[k], drop[k])
+
+
+def _mu_mp(alpha, tau, cap, omega):
+    """30-digit mu on the slice, from the kernel integral above."""
+    with mpmath.workdps(30):
+        a, w = mpmath.mpf(alpha), mpmath.mpf(omega)
+
+        def h2(p):
+            return -p * mpmath.log(p, 2) - (1 - p) * mpmath.log(1 - p, 2)
+
+        return (-h2(a) - 2 * (1 - w) * mpmath.log(1 - w, 2) - 2 * w / mpmath.log(2)
+                + (1 - w) * h2((a - w / 2) / (1 - w))
+                - 2 * _kernel_integral_mp(alpha, tau, 0.5 * cap, 0.5 * omega))
+
+
+def test_mu_finite_at_the_ends_of_the_s_range():
+    # omega = cap is s = 0 and omega -> 0 is s = 1; both stay finite (the
+    # RuntimeWarning filter turns a NaN from sqrt into an error).  The
+    # adaptive route is the reference at omega -> 0 only: at the cap it
+    # misses its 1e-11 tolerance by up to 3e-10 against mpmath
+    for rate, alpha in ((0.3, 0.3), (0.469, 0.5), (0.05, 0.45), (0.9, 0.49)):
+        sl = MuSlice(rate, alpha)
+        for omega in (sl.cap, sl.cap * (1.0 - 2.0 ** -52), 1e-300):
+            value = sl.mu(omega)
+            assert np.isfinite(value)
+            assert abs(mpmath.mpf(value) - _mu_mp(alpha, sl.tau, sl.cap, omega)) < 1e-15
+        assert sl.mu(1e-300) == pytest.approx(
+            spectrum_exponent(SpectrumPoint.make(rate, alpha, 1e-300)), abs=1e-11)
 
 
 def test_mu_slice_domain():
