@@ -9,22 +9,26 @@ asymptotic bounds elsewhere in the package — every analytic lower bound
 must sit below the enumerated error probability on every code it is tested
 against, with no tolerance.
 
-Words are stored as integer bitmasks.  The enumerated reports all read one
-census per code, a single pass in chunks under a fixed byte budget over the
-2^(n-1) outputs with the top bit clear; each complement y ^ 1^n is mirrored
-from y (radius t -> n - t, d_min -> n - d_max), never enumerated.  The
-covering maxima X_max go group by group, a group being the words at one
-distance from one reference word.  One planner prices each group once: a
-group whose column classes (coordinates with one bit pattern over the group,
-up to complement) give fewer representative outputs than the pass is
-enumerated by its flip counts per class, and the rest are batched into the
+Words are stored as integer bitmasks.  Every enumeration passes in chunks
+under a fixed byte budget over the 2^(n-1) outputs with the top bit clear;
+each complement y ^ 1^n is mirrored from y (radius t -> n - t, d_min ->
+n - d_max), never enumerated.  The error probability and cover reports read
+one census per code.  The covering maxima X_max(t, d) are enumerated by the
+parity of d, each parity on first read: Proposition 3 reads even d alone,
+since its factor Z(t, d) vanishes at odd d, so the ``oracle`` command never
+enumerates an odd row; the union-cover check of the verify suite asks for
+both.  X_max goes group by group, a group being the words at one distance
+from one reference word.  One planner prices each group of the parity once:
+a group whose column classes (coordinates with one bit pattern over the
+group, up to complement) give fewer representative outputs than the pass is
+enumerated by its flip counts per class, and the rest are batched into a
 pass.  Pair distances come in row blocks under the same budget, shared by
 the pair counts and the planner.  ``BinaryCode`` itself refuses a length
 over 24 or a census work M^2 2^n over that of the n = 24, M = 32 shape, so
 no code the census cannot take is ever built.
 ``proposition3_terms`` scans the spectrum-based lower bound term by term; its
-covering count ``restricted_cover_max`` reads the census, which the verify
-suite checks against a direct count of the union-cover inequality.
+covering count ``restricted_cover_max`` reads X_max, which the verify suite
+checks against a direct count of the union-cover inequality.
 """
 
 from __future__ import annotations
@@ -230,8 +234,6 @@ class _Census:
 
     dmin_hist: np.ndarray   # [d]: outputs whose nearest codeword is at distance d
     cover: np.ndarray       # [t, k]: outputs with exactly k codewords at distance t
-    x_max: np.ndarray       # [d, t]: max over (reference word, y) of the codewords
-                            # at distance d from the reference and t from y
 
 
 def _chunk_len(n: int, m: int) -> int:
@@ -278,30 +280,35 @@ def _group_x_max(n: int, keys: np.ndarray, sizes: np.ndarray,
     return best
 
 
-def _census_batches(words: np.ndarray, n: int, x_max: np.ndarray) -> Iterator[list]:
-    """Plan the census group by group: fill x_max from every group that its
-    column classes enumerate more cheaply than the census would, and yield,
-    per block of reference words, the rest packed into batches of (columns,
-    bin offsets, distances) whose keys and bins per output stay within the
-    M + (n+1)^2 of ``_chunk_len``.
+def _census_batches(words: np.ndarray, n: int, parity: int,
+                    x_max: np.ndarray) -> Iterator[list]:
+    """Plan the X_max rows of one distance parity group by group: fill x_max
+    from every group that its column classes enumerate more cheaply than the
+    census would, and yield, per block of reference words, the rest packed
+    into batches of (columns, bin offsets, distances) whose keys and bins per
+    output stay within the M + (n+1)^2 of ``_chunk_len``.
 
-    A group S is the set of words at distance d from one reference word.
+    A group S is the set of words at distance d from one reference word;
+    only groups with d = parity (mod 2) are planned, the others skipped.
     Bit j of a column's key is the column's bit in word j of S relative to
     its word 0, so equal keys make a class.  The classes cost rows (k + n + 1)
     + _CLASS_COST, rows the number of representative outputs, against the
     2^(n-1) (k + n + 1) keys and bins S takes in the census; each group is
     priced once, and only if it could pay even with a single class.  Groups
     of more than 64 words stay in the census: their keys would not fit 64
-    bits.  A reference word none of whose groups went by classes keeps its
-    whole row, read as a slice when it has a batch of its own.
+    bits.  A reference word none of whose groups went by classes keeps all
+    its columns of the parity, read as a slice when they make up its whole
+    row and it has a batch of its own.
     """
     m, width, half = words.size, n + 1, 1 << (n - 1)
     limit = m + width * width
     bits = (words[:, None] >> np.arange(n, dtype=np.uint32) & 1).astype(np.uint64)
+    wanted = np.arange(width) % 2 == parity
     for pair in _pair_distance_rows(words):
         k = np.bincount((np.arange(pair.shape[0])[:, None] * width + pair).ravel(),
                         minlength=pair.shape[0] * width).reshape(-1, width)
-        could = (k > 0) & (k <= 64) & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)
+        could = (wanted & (k > 0) & (k <= 64)
+                 & ((half - n // 2 - 1) * (k + width) > _CLASS_COST))
         batches, parts, cost = [], [], 0
         for row, candidates in zip(pair, could):
             classed = np.zeros(width, dtype=bool)
@@ -315,7 +322,7 @@ def _census_batches(words: np.ndarray, n: int, x_max: np.ndarray) -> Iterator[li
                 if rows * per_output + _CLASS_COST < half * per_output:
                     classed[d] = True
                     x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, members.size))
-            cols = np.flatnonzero(~classed[row])
+            cols = np.flatnonzero(wanted[row] & ~classed[row])
             if not cols.size:
                 continue
             dist, group = np.unique(row[cols], return_inverse=True)
@@ -342,55 +349,71 @@ def _batch(parts: list, m: int, width: int) -> tuple:
             np.concatenate([dist for _, _, dist in parts]))
 
 
+def _output_chunks(code: BinaryCode) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(y offsets, D) per chunk of the 2^(n-1) outputs y with the top bit
+    clear: D[y, j] = d(y, x_j), formed once per chunk."""
+    words = _word_array(code)
+    step, half = _chunk_len(code.n, code.M), 1 << (code.n - 1)
+    for start in range(0, half, step):
+        ys = np.arange(start, min(start + step, half), dtype=np.uint32)
+        yield np.arange(ys.size)[:, None], np.bitwise_count(ys[:, None] ^ words[None, :])
+
+
 @functools.lru_cache(maxsize=8)
 def _census(code: BinaryCode) -> _Census:
-    """One pass over half the outputs; every enumerated report reads the result.
+    """One pass over half the outputs; the d_min and cover reports read it.
 
     Only the 2^(n-1) outputs y with the top bit clear are enumerated; each
     complement y ^ 1^n lies at distance n - d(y, x) from every codeword x, so
     its summaries are those of y mirrored: t -> n - t, d_min -> n - d_max.
-    Per chunk the output-codeword distances D are formed once.  One bincount
-    on y (n+1) + D gives cnt[y, t], the number of codewords at distance t
-    from y, which feeds the d_min and cover histograms of y and, reversed in
-    t, of its complement.  x_max[d, t] is a max over groups, the words at
-    distance d from one reference word.  The planner (``_census_batches``)
-    enumerates the groups whose column classes pay as it meets them, block
-    by block of reference words, and batches the rest: one bincount on
-    (y, group, D) per batch and chunk, followed by a max over y.  The
-    complements' maxima are x_max[d, n - t], taken once after the loop.
-    With more than one block, each block repeats the chunk loop for its
-    batches.  The code's size was checked when it was built.
+    One bincount on y (n+1) + D gives cnt[y, t], the number of codewords at
+    distance t from y, which feeds the d_min and cover histograms of y and,
+    reversed in t, of its complement.  The code's size was checked when it
+    was built.
     """
     n, m = code.n, code.M
-    words = _word_array(code)
     width = n + 1
     dmin_hist = np.zeros(width, dtype=np.int64)
     cover = np.zeros(width * (m + 1), dtype=np.int64)
-    x_max = np.zeros((width, width), dtype=np.int64)
     t_off = np.arange(width) * (m + 1)
-    step = _chunk_len(n, m)
-    half = 1 << (n - 1)
-    for block, batches in enumerate(_census_batches(words, n, x_max)):
-        if block and not batches:
+    for y_off, dist in _output_chunks(code):
+        cnt = np.bincount((y_off * width + dist).ravel(),
+                          minlength=y_off.size * width).reshape(-1, width)
+        dmin_hist += np.bincount(dist.min(axis=1), minlength=width)
+        dmin_hist += np.bincount(n - dist.max(axis=1), minlength=width)
+        for mirrored in (cnt, cnt[:, ::-1]):
+            cover += np.bincount((mirrored + t_off).ravel(), minlength=cover.size)
+    return _Census(dmin_hist, cover.reshape(width, m + 1))
+
+
+@functools.lru_cache(maxsize=16)
+def _x_max(code: BinaryCode, parity: int) -> np.ndarray:
+    """x_max[d, t], the max over (reference word, output y) of the codewords
+    at distance d from the reference and t from y, for every d = parity
+    (mod 2); the rows of the other parity hold zeros.
+
+    Each parity is enumerated only when a reader asks for it: Proposition 3
+    reads even distances alone, since Z(t, d) = 0 for odd d.  x_max[d, t] is
+    a max over groups, the words at distance d from one reference word.  The
+    planner (``_census_batches``) enumerates the groups of this parity whose
+    column classes pay as it meets them, block by block of reference words,
+    and batches the rest: one bincount on (y, group, D) per batch and chunk
+    of the outputs with the top bit clear, followed by a max over y.  The
+    complements' maxima are x_max[d, n - t], taken once after the loop.  A
+    block of reference words with no batch left skips the chunk loop.
+    """
+    width = code.n + 1
+    x_max = np.zeros((width, width), dtype=np.int64)
+    for batches in _census_batches(_word_array(code), code.n, parity, x_max):
+        if not batches:
             continue
-        for start in range(0, half, step):
-            ys = np.arange(start, min(start + step, half), dtype=np.uint32)
-            dist = np.bitwise_count(ys[:, None] ^ words[None, :])
-            y_off = np.arange(ys.size)[:, None]
-            if not block:
-                cnt = np.bincount((y_off * width + dist).ravel(),
-                                  minlength=ys.size * width).reshape(-1, width)
-                dmin_hist += np.bincount(dist.min(axis=1), minlength=width)
-                dmin_hist += np.bincount(n - dist.max(axis=1), minlength=width)
-                for mirrored in (cnt, cnt[:, ::-1]):
-                    cover += np.bincount((mirrored + t_off).ravel(), minlength=cover.size)
+        for y_off, dist in _output_chunks(code):
             for cols, offs, ds in batches:
                 g = ds.size * width
                 best = np.bincount((y_off * g + offs + dist[:, cols]).ravel(),
-                                   minlength=ys.size * g).reshape(ys.size, g).max(axis=0)
+                                   minlength=y_off.size * g).reshape(-1, g).max(axis=0)
                 np.maximum.at(x_max, ds, best.reshape(-1, width))
-    x_max = np.maximum(x_max, x_max[:, ::-1])
-    return _Census(dmin_hist, cover.reshape(width, m + 1), x_max)
+    return np.maximum(x_max, x_max[:, ::-1])
 
 
 def exact_pe_ml(code: BinaryCode, ch: ChannelParam) -> float:
@@ -484,7 +507,7 @@ def restricted_cover_max(code: BinaryCode, t: int, omega_dist: int) -> int:
     distance t from the output AND at distance omega_dist from the reference."""
     if not (0 <= t <= code.n and 0 <= omega_dist <= code.n):
         return 0
-    return int(_census(code).x_max[omega_dist, t])
+    return int(_x_max(code, omega_dist % 2)[omega_dist, t])
 
 
 def proposition3_rhs(code: BinaryCode, ch: ChannelParam, t: int,

@@ -427,9 +427,9 @@ def _section_delsarte_margins(code: BinaryCode):
     n = code.n
     words = np.asarray(code.words, dtype=np.uint32)
     weights = np.bitwise_count(words)
-    for w in np.unique(weights):
+    # the distinct weights, sorted; a flagless np.unique would load numpy.ma
+    for w in np.flatnonzero(np.bincount(weights)).tolist():
         sect = words[weights == w]
-        w = int(w)
         if w > n - w:
             sect = sect ^ np.uint32((1 << n) - 1)
             w = n - w
@@ -466,12 +466,9 @@ def suite_oracle() -> dict:
         outputs = np.arange(1 << n, dtype=np.uint32)
         wt = np.bitwise_count(outputs)
         for d in range(0, n + 1):
-            y = np.uint32((1 << d) - 1)
-            wy = np.bitwise_count(outputs ^ y)
-            for t in range(0, n + 1):
-                direct = int(((wt == t) & (wy == t)).sum())
-                if direct != z_pair_count(n, d, t):
-                    z_viol += 1
+            wy = np.bitwise_count(outputs ^ np.uint32((1 << d) - 1))
+            direct = np.bincount(wt[wt == wy], minlength=n + 1).tolist()
+            z_viol += sum(direct[t] != z_pair_count(n, d, t) for t in range(n + 1))
     checks.append({"name": "pair_count_vs_enumeration", "passed": z_viol == 0,
                    "violations": z_viol})
 
@@ -525,7 +522,8 @@ def _union_cover_violations(code: BinaryCode) -> int:
     outputs = np.arange(1 << n, dtype=np.uint32)
     dist = np.bitwise_count(outputs[:, None] ^ words[None, :])
     viol = 0
-    for om_d in np.unique(pair_d[pair_d > 0]).tolist():
+    # the distinct nonzero pair distances, sorted, without loading numpy.ma
+    for om_d in np.flatnonzero(np.bincount(pair_d.ravel()))[1:].tolist():
         for t in range(n + 1):
             xmax = restricted_cover_max(code, t, om_d)
             if xmax == 0:

@@ -184,7 +184,7 @@ def test_no_module_level_scipy_import(path):
 
 def test_benchmark_commands_do_not_load_scipy(tmp_path):
     # a fresh interpreter, as a CLI user starts one: none of the commands
-    # perfbench runs may load scipy, n > 10 oracle codes included
+    # perfbench runs may load scipy or numpy.ma, n > 10 oracle codes included
     code_file = tmp_path / "code.txt"
     code_file.write_text("".join(format(w, "012b") + "\n"
                                  for w in range(5, 4096, 97)), encoding="ascii")
@@ -197,6 +197,7 @@ def test_benchmark_commands_do_not_load_scipy(tmp_path):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
             assert "scipy" not in sys.modules, argv
+            assert "numpy.ma" not in sys.modules, argv
         """)
     src = str(pathlib.Path(bscbounds.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

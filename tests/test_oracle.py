@@ -258,9 +258,11 @@ def test_restricted_cover_out_of_range_skips_census():
     # out-of-range (t, omega) is 0 without taking the census
     code = random_code(12, 40, seed=5)
     oracle._census.cache_clear()
+    oracle._x_max.cache_clear()
     for t, d in ((13, 2), (1, 13), (-1, 2), (1, -1)):
         assert restricted_cover_max(code, t, d) == 0
     assert oracle._census.cache_info().misses == 0
+    assert oracle._x_max.cache_info().misses == 0
 
 
 def test_proposition3_terms_match_double_loop():
@@ -351,6 +353,25 @@ _CENSUS_CODES = builtin_roster() + [("random_n10_m40_s3", random_code(10, 40, 3)
                                     ("parity6", parity_code(6))]
 
 
+def _halves(code):
+    """The even and odd distance halves of X_max, each enumerated afresh."""
+    return tuple(oracle._x_max.__wrapped__(code, parity) for parity in (0, 1))
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _assert_halves(halves, want):
+    # merged, the halves are want, dtype included; each holds zeros in the
+    # rows of the other parity
+    even, odd = halves
+    assert even.dtype == odd.dtype == want.dtype
+    _assert_same(np.maximum(even, odd), want)
+    assert not even[1::2].any() and not odd[::2].any()
+
+
 @pytest.mark.parametrize("code", [c for _, c in _CENSUS_CODES],
                          ids=[name for name, _ in _CENSUS_CODES])
 def test_census_matches_reference_routes(code):
@@ -372,6 +393,7 @@ def test_census_matches_reference_routes(code):
                          ids=["parity6", "rand8"])
 def test_census_chunk_boundaries(code, monkeypatch):
     whole = oracle._census.__wrapped__(code)
+    x_max = np.maximum(*_halves(code))
     spectrum = distance_distribution(code)
     assert oracle._chunk_len(code.n, code.M) >= 1 << code.n
     per_output = 8 * (code.M + (code.n + 1) ** 2)
@@ -381,11 +403,10 @@ def test_census_chunk_boundaries(code, monkeypatch):
         part = oracle._census.__wrapped__(code)
         assert np.array_equal(part.dmin_hist, whole.dmin_hist), outputs
         assert np.array_equal(part.cover, whole.cover), outputs
-        assert np.array_equal(part.x_max, whole.x_max), outputs
+        _assert_halves(_halves(code), x_max)
     # pair distances in blocks of 3 rows as well
     monkeypatch.setattr(oracle, "_BLOCK_BYTES", 3 * 8 * code.M)
-    part = oracle._census.__wrapped__(code)
-    assert np.array_equal(part.x_max, whole.x_max)
+    _assert_halves(_halves(code), x_max)
     oracle._pair_counts.cache_clear()       # recount under the 3-row blocks
     assert distance_distribution(code) == spectrum
 
@@ -406,8 +427,10 @@ def test_mirrored_census_matches_full_enumeration(code):
     # their complements; the references enumerate all 2^n outputs
     n = code.n
     census = oracle._census.__wrapped__(code)
-    assert np.array_equal(census.x_max, _reference_x_max(code))
-    assert np.array_equal(census.x_max, census.x_max[:, ::-1])
+    halves = _halves(code)
+    _assert_halves(halves, _reference_x_max(code))
+    for half in halves:
+        assert np.array_equal(half, half[:, ::-1])
     for t in range(n + 1):
         row = census.cover[t]
         assert {k: int(c) for k, c in enumerate(row) if k and c} == \
@@ -451,8 +474,9 @@ def _group_count(code):
 
 
 def _census_at_cost(code, cost=oracle._CLASS_COST):
-    """The census of code at a class cost, and the (keys, sizes, k) of each
-    group it enumerates by column classes, in call order."""
+    """The census of code and its even and odd X_max halves at a class cost,
+    and the (keys, sizes, k) of each group those halves enumerate by column
+    classes, in call order (the even half first)."""
     calls, by_classes = [], oracle._group_x_max
 
     def counted(n, keys, sizes, k):
@@ -462,12 +486,7 @@ def _census_at_cost(code, cost=oracle._CLASS_COST):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_CLASS_COST", cost)
         mp.setattr(oracle, "_group_x_max", counted)
-        return calls, oracle._census.__wrapped__(code)
-
-
-def _assert_same(got, want):
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+        return calls, oracle._census.__wrapped__(code), _halves(code)
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,9 +495,9 @@ def test_class_path_matches_reference_routes(code):
     x_ref = _reference_x_max(code)
     cover, dmin_hist = _reference_cover(code), _reference_dmin_hist(code)
     for cost, groups in ((-math.inf, _group_count(code)), (math.inf, 0)):
-        calls, census = _census_at_cost(code, cost)
+        calls, census, halves = _census_at_cost(code, cost)
         assert len(calls) == groups
-        _assert_same(census.x_max, x_ref)
+        _assert_halves(halves, x_ref)
         _assert_same(census.cover, cover)
         _assert_same(census.dmin_hist, dmin_hist)
 
@@ -486,38 +505,49 @@ def test_class_path_matches_reference_routes(code):
 def test_class_path_live_on_a_long_code():
     # the default cost sends 265 of this code's 299 groups to their classes
     code = random_code(16, 32, seed=7)
-    calls, live = _census_at_cost(code)
+    calls, live, live_halves = _census_at_cost(code)
     assert (len(calls), _group_count(code)) == (265, 299)
-    _, whole = _census_at_cost(code, math.inf)
-    for field in ("x_max", "cover", "dmin_hist"):
+    _, whole, whole_halves = _census_at_cost(code, math.inf)
+    for field in ("cover", "dmin_hist"):
         _assert_same(getattr(live, field), getattr(whole, field))
+    for live_half, whole_half in zip(live_halves, whole_halves):
+        _assert_same(live_half, whole_half)
 
 
-def _calls_digest(calls):
-    """SHA-256 of a sequence of (keys, sizes, k) class calls."""
+def _calls_digest(calls, ordered=True):
+    """SHA-256 of a sequence of (keys, sizes, k) class calls, in call order
+    or, unordered, with the calls' encodings sorted."""
+    parts = [np.array([keys.size, k], dtype="<i8").tobytes()
+             + keys.astype("<u8").tobytes() + sizes.astype("<i8").tobytes()
+             for keys, sizes, k in calls]
     h = hashlib.sha256()
-    for keys, sizes, k in calls:
-        h.update(np.array([keys.size, k], dtype="<i8").tobytes())
-        h.update(keys.astype("<u8").tobytes() + sizes.astype("<i8").tobytes())
+    for part in parts if ordered else sorted(parts):
+        h.update(part)
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("shape, classed_groups, groups, digest", [
+@pytest.mark.parametrize("shape, classed_groups, groups, digest, unordered", [
     ((16, 32, 7), 265, 299,
-     "1c285840181d5d0330473237c4a309b10c55cd8c76b6552bd62209dfaf13defc"),
+     "492a2f6b871f022c99d0c837e1f95df78cd7dbd9d5a1d159874effc2e69cbaf7",
+     "d2d8c76d28b4505189c86edbffa04dd48ab2ddac98ef3c7e31b28345cf321e81"),
     ((14, 48, 1), 166, 462,
-     "6622b089496ce69d437576e70a7c9402d83fad5977c64a460e879bec9529d0f3"),
+     "5639c36f23a7aacdae5442d818189f85c825aaf61d7c090472283573376ca4fe",
+     "0b15f99c9275ea311fc2531cafe8eab54d96bab5007fb0bba95f4d5339475d64"),
     ((20, 32, 1), 315, 332,
-     "e30032456560a67320a91d491089d9cef4395457d418040ed14f90a991407178"),
+     "43b6a84ef4cf4f17a4dbddc1d74a34e70c8a94e951546bf3adc9c8f4ac5987cc",
+     "65342a38a4ca924111947be9a343e246e1449f2714a0b2e684f43b573535da96"),
 ], ids=["16x32s7", "14x48s1", "20x32s1"])
-def test_class_pricing_pinned(shape, classed_groups, groups, digest):
+def test_class_pricing_pinned(shape, classed_groups, groups, digest, unordered):
     # which groups go by their classes, with what classes and in what order,
     # is pinned to the byte: a drift in the cost rule or the planner's walk
-    # shows here even where every census integer still matches
+    # shows here even where every census integer still matches.  The
+    # unordered digest pins the multiset of calls alone, which a walk over
+    # both parities in one pass makes too, in another order
     code = random_code(*shape)
-    calls, _ = _census_at_cost(code)
+    calls, _, _ = _census_at_cost(code)
     assert (len(calls), _group_count(code)) == (classed_groups, groups)
     assert _calls_digest(calls) == digest
+    assert _calls_digest(calls, ordered=False) == unordered
 
 
 def _column_classes(n, group):
@@ -544,8 +574,37 @@ def test_class_blocks_of_few_rows(rows, monkeypatch):
     # the whole census, every group by classes, analysed one reference at a time
     code = random_code(8, 12, seed=7)
     monkeypatch.setattr(oracle, "_BLOCK_BYTES", rows * 8 * (code.M + code.n + 1))
-    _, census = _census_at_cost(code, -math.inf)
-    _assert_same(census.x_max, _reference_x_max(code))
+    _, _, halves = _census_at_cost(code, -math.inf)
+    _assert_halves(halves, _reference_x_max(code))
+
+
+@pytest.mark.parametrize("code", [random_code(12, 128, 7), hamming74()],
+                         ids=["rand12x128", "hamming74"])
+def test_oracle_enumerates_no_odd_distance_group(code, tmp_path, monkeypatch, capsys):
+    # Proposition 3 reads X_max at even distances alone (Z = 0 at odd ones),
+    # so the oracle command plans and enumerates the even half only
+    assert any(distance_distribution(code)[1::2])
+    path = tmp_path / "code.txt"
+    path.write_text("".join(w + "\n" for w in code.word_strings()), encoding="ascii")
+    planned, plan = [], oracle._census_batches
+
+    def spy(words, n, parity, x_max):
+        for batches in plan(words, n, parity, x_max):
+            planned.append((parity, [ds for _, _, ds in batches]))
+            yield batches
+
+    monkeypatch.setattr(oracle, "_census_batches", spy)
+    oracle._x_max.cache_clear()
+    assert main(["oracle", "--code-file", str(path), "--p", "0.1"]) == 0
+    assert oracle._x_max.cache_info().misses == 1
+    assert planned and {parity for parity, _ in planned} == {0}
+    assert all((ds % 2 == 0).all() for _, batches in planned for ds in batches)
+    # an odd distance is still answered exactly, from a half of its own
+    x_ref = _reference_x_max(code)
+    for t in range(code.n + 1):
+        assert restricted_cover_max(code, t, 3) == x_ref[3, t]
+    assert oracle._x_max.cache_info().misses == 2
+    capsys.readouterr()
 
 
 def test_census_memory_follows_the_byte_budget(monkeypatch):
@@ -560,6 +619,7 @@ def test_census_memory_follows_the_byte_budget(monkeypatch):
         tracemalloc.start()
         try:
             oracle._census.__wrapped__(code)
+            _halves(code)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
