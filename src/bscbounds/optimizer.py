@@ -49,8 +49,8 @@ _TOL = 1e-12
 _MAX_POINTS = 100_000   # largest rate grid curve() samples
 _F_GRID = 129           # alphas in the global pass of F_minimize
 _POLISH = 33            # alphas per polishing level of F_minimize
-_F1_TOL = 1e-10         # bracket width of the inner sign search
-_SECTIONS = 8           # cells the inner sign search splits its bracket into
+_F1_TOL = 1e-10         # bracket width of the inner slope search
+_S_TOP = 1e-6           # s at the top of the searched band, omega = G (1 - 1e-12)
 _PASS_SLICES = 4 * _F_GRID  # slices in one pass of the batched F searches
 
 
@@ -61,7 +61,11 @@ class OptResult:
     ``attained_at_boundary`` maps coordinate name to a flag; for ``omega``
     the flag refers to the upper end of the band (the cap G), which is the
     end the boundary-attainment criterion speaks about.  An argmax at
-    ``omega = 0`` is visible through ``arg_omega`` instead.
+    ``omega = 0`` is visible through ``arg_omega`` instead.  ``iterations``
+    counts the evaluations of W's omega-slope per slice: 1 for a maximum
+    at the cap, 2 for one at omega = 0, 2 plus the search passes for an
+    interior one, 0 for a collapsed band; F sums it over every slice its
+    alpha search evaluated.
     """
 
     value: float
@@ -99,8 +103,8 @@ def _w_slope(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
 
     mu' splits into an elementary part and one kernel sample at omega/2,
     so the slope of a whole alpha batch costs a few array passes and the
-    concave inner maximization reduces to a sign search.  On the band
-    nu = (alpha - omega/2)/(1 - omega) stays inside (0, 1).
+    concave inner maximization reduces to a root of the slope.  On the
+    band nu = (alpha - omega/2)/(1 - omega) stays inside (0, 1).
     """
     rest = 1.0 - omega
     nu = (alpha - 0.5 * omega) / rest
@@ -118,23 +122,63 @@ class _F1Batch(NamedTuple):
     iterations: np.ndarray
 
 
+def _slope_root(cap: np.ndarray, alpha: np.ndarray, tau: np.ndarray, L: float,
+                f_zero: np.ndarray, f_top: np.ndarray,
+                width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The root of W's omega-slope in (0, G (1 - _S_TOP^2)), one per slice.
+
+    The slope is positive at omega = 0 (value ``f_zero``) and negative at
+    the top of the band (``f_top``).  The search runs in s, where
+    omega = G (1 - s^2): the slope's square-root branch at the cap is
+    regular there.  Each pass takes one regula falsi step per bracket; an
+    end kept twice in a row has its slope halved (the Illinois rule), so
+    both ends close in on the root superlinearly.  A slice freezes once
+    its bracket is at most ``width`` G wide in omega, or once the step no
+    longer falls strictly inside it (the root is then within rounding of
+    the step), so its passes do not depend on the other slices.  Returns
+    omega at each slice's last step and the passes it took.
+    """
+    x, passes = np.empty(cap.size), np.empty(cap.size, int)
+    rows = np.arange(cap.size)
+    a, b = np.ones(cap.size), np.full(cap.size, _S_TOP)  # s at 0 and the top
+    fa, fb, last = f_zero, f_top, np.zeros(cap.size)
+    k = 0
+    while rows.size:
+        k += 1
+        c = b + (a - b) * (fb / (fb - fa))
+        fc = _w_slope(cap * (1.0 - c * c), alpha, tau, L)
+        sign = np.sign(fc)
+        halve = np.where(sign == last, 0.5, 1.0)
+        up, last = sign > 0.0, sign
+        done = ~((b < c) & (c < a))
+        a, fa = np.where(up, c, a), np.where(up, fc, halve * fa)
+        b, fb = np.where(up, b, c), np.where(up, halve * fb, fc)
+        done |= (a - b) * (a + b) <= width
+        if done.any():
+            x[rows[done]] = cap[done] * (1.0 - c[done] ** 2)
+            passes[rows[done]] = k
+            keep = ~done
+            rows, a, b, fa, fb, last, cap, alpha, tau = (
+                v[keep] for v in (rows, a, b, fa, fb, last, cap, alpha, tau))
+    return x, passes
+
+
 def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1Batch:
     """max over omega in [0, G(alpha, tau)] of W for every alpha in the batch.
 
     ``rate`` holds one rate per alpha.  W is concave in omega, so its
-    analytic slope changes sign once: a slope that is still non-negative
-    at the cap puts the maximum there.
-    Otherwise each array pass samples the slope at _SECTIONS - 1 inner
-    points of every bracket and keeps the cell where its sign changes.
-    Every band is at most 1/2 wide (G <= 1/2), so ceil(log_8(1/(2 tol)))
-    passes, 11 at the default tol, narrow every bracket to at most tol,
-    where bisection needs about 32; with numpy's per-call overhead 7
-    samples cost about what 1 does.  The count depends on tol alone, so a
-    slice's result does not depend on the other slices in the batch.
-    The value error is quadratic in the bracket width.  The cap endpoint is
-    compared explicitly and an interior maximum below 0 (the value at
-    omega = 0) is clamped.  Slices with G <= min(tol, _F1_TOL) get 0: a
-    coarse search tolerance does not collapse a band.
+    analytic slope changes sign at most once.  A slope still non-negative
+    a hair below the cap puts the maximum at the cap; a slope not positive
+    at omega = 0 puts it at 0, where W = 0.  Only the slices in between
+    search, by ``_slope_root``, until their bracket is at most tol G / 4
+    wide: never wider than the ceil(log_8(1/(2 tol))) eight-cell passes of
+    a sign search would leave it, so a coarse tol still narrows the band.
+    The value error is quadratic in the bracket width.  Every slice then
+    reads mu once, at its argmax; at the cap that is the slice's stored
+    full integral.  An interior maximum below 0 (round-off near omega = 0)
+    is clamped.  Slices with G <= min(tol, _F1_TOL) get 0: a coarse search
+    tolerance does not collapse a band.  ``iterations`` counts each
+    slice's slope evaluations, as in ``OptResult``.
     """
     sl = MuSlice(rate, alphas)
     cap = sl.cap
@@ -146,26 +190,22 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
             for field, sub in zip(out, _f1_batch(rate[live], alphas[live], L, tol)):
                 field[live] = sub
         return out
-    at_cap = _w_slope(cap * (1.0 - 1e-12), sl.alpha, sl.tau, L) >= 0.0
-    passes = math.ceil(math.log(0.5 / tol, _SECTIONS))
-    alpha, tau = sl.alpha[:, None], sl.tau[:, None]
-    inner = np.arange(1, _SECTIONS)
-    lo, width = np.zeros_like(cap), cap
-    for _ in range(passes):
-        cell = width / _SECTIONS
-        # the slope falls with omega, so its positive samples are a prefix
-        probes = lo[:, None] + cell[:, None] * inner
-        count = (_w_slope(probes, alpha, tau, L) > 0.0).sum(axis=1)
-        lo, width = lo + cell * count, cell
-    x = np.where(at_cap, cap, lo + 0.5 * width)
-    w_x = 0.5 * x * L - sl.mu(x)
-    w_cap = 0.5 * cap * L - sl.mu(cap)
-    take_cap = at_cap | (w_cap >= w_x)
-    value = np.where(take_cap, w_cap, w_x)
-    arg = np.where(take_cap, cap, x)
+    alpha, tau = sl.alpha, sl.tau
+    f_top = _w_slope(cap * (1.0 - _S_TOP * _S_TOP), alpha, tau, L)
+    at_cap = f_top >= 0.0
+    x, iterations = cap.copy(), np.ones(cap.size, int)
+    below = np.flatnonzero(~at_cap)
+    f_zero = _w_slope(np.zeros(below.size), alpha[below], tau[below], L)
+    x[below], iterations[below] = 0.0, 2
+    rise = f_zero > 0.0
+    k = below[rise]
+    x[k], passes = _slope_root(cap[k], alpha[k], tau[k], L, f_zero[rise],
+                               f_top[k], 0.25 * tol)
+    iterations[k] += passes
+    value = 0.5 * x * L - sl.mu(x)
     clamp = ~at_cap & (value < 0.0)
-    return _F1Batch(np.where(clamp, 0.0, value), np.where(clamp, 0.0, arg),
-                    take_cap & ~clamp, np.where(at_cap, 1, passes + 2))
+    return _F1Batch(np.where(clamp, 0.0, value), np.where(clamp, 0.0, x),
+                    at_cap, iterations)
 
 
 def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
@@ -173,13 +213,13 @@ def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
     """max over omega in [0, G(alpha, tau)] of W(omega, alpha, R, p).
 
     mu is convex in omega, so W is concave on the band and the maximum is
-    found by a sign search on its analytic omega-slope (see
-    ``_f1_batch``).  The cap flag records a non-negative slope of W at the
-    cap, or the cap value winning against the interior: the form of
-    boundary attainment the band criterion G >= omega_1(p) describes.
-    The argmax bracket is narrowed to ``tol`` in (0, 1/2); the result is
-    bit-for-bit the slice's entry in any batch of ``_f1_batch``, whose
-    ``MuSlice`` refuses a slice the rule h2(alpha) >= 1 - R excludes.
+    the root of its analytic omega-slope, found by a bracketed search (see
+    ``_f1_batch``).  The cap flag records a non-negative slope of W a hair
+    below the cap: the form of boundary attainment the band criterion
+    G >= omega_1(p) describes.  ``tol`` in (0, 1/2) sets the argmax
+    bracket, at most tol G / 4 wide; the result is bit-for-bit the
+    slice's entry in any batch of ``_f1_batch``, whose ``MuSlice`` refuses
+    a slice the rule h2(alpha) >= 1 - R excludes.
     """
     if not 0.0 < tol < 0.5:
         raise DomainError(f"tol must be finite and lie in (0, 1/2), got {tol!r}")

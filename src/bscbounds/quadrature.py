@@ -20,7 +20,18 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature exhausted its refinement budget before converging."""
 
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
+# The 12-point Gauss-Legendre rule on [-1, 1], bit for bit the arrays
+# numpy.polynomial.legendre.leggauss(12) returns, written out so that no
+# import loads numpy.polynomial.  leggauss mirrors the nodes and weights to
+# make the rule exactly symmetric, so the positive half is stored.
+_HALF_NODES = np.array([float.fromhex(h) for h in (
+    "0x1.007a5f8f630e4p-3", "0x1.78a8d20a8b19dp-2", "0x1.2cb4f05c077f9p-1",
+    "0x1.8a30aeed88f36p-1", "0x1.cee874ffb88b3p-1", "0x1.f68f1d8e42e81p-1")])
+_HALF_WEIGHTS = np.array([float.fromhex(h) for h in (
+    "0x1.fe40ce6d4f022p-3", "0x1.de3155c256aaep-3", "0x1.a0163e6b1ab6bp-3",
+    "0x1.47d7258f22d96p-3", "0x1.b60602bce61afp-4", "0x1.8275d9dea6d53p-5")])
+_GL_NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 _MAX_DEPTH = 60     # bisections allowed below an initial panel
 _MAX_PANELS = 65536  # panels one integral may visit
 
@@ -30,9 +41,9 @@ def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
     """Fixed 12-point Gauss-Legendre estimate on each [lo_i, hi_i] panel."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    return half * (y @ _WEIGHTS)
+    return half * (y @ _GL_WEIGHTS)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
@@ -57,8 +68,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
 
     total = 0.0
     panels_seen = lo.size
+    coarse = _panel_estimates(f, lo, hi)
     while lo.size:
-        coarse = _panel_estimates(f, lo, hi)
         mid = 0.5 * (lo + hi)
         left = _panel_estimates(f, lo, mid)
         right = _panel_estimates(f, mid, hi)
@@ -77,6 +88,9 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
                 f"residual error estimate {float(err[keep].max()):.3e}")
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
+        # a kept panel's halves are the next level's panels: their
+        # estimates are that level's coarse ones
+        coarse = np.concatenate([left[keep], right[keep]])
         depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
         panels_seen += lo.size
         if panels_seen > _MAX_PANELS:

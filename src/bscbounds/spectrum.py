@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (_LOG2E, DomainError, _h2_arr, _h2_inv_arr, binary_entropy,
                    binary_entropy_inv, omega_cap)
-from .quadrature import integrate
+from .quadrature import _GL_NODES, _GL_WEIGHTS, integrate
 
 __all__ = [
     "SpectrumPoint",
@@ -146,7 +146,6 @@ def spectrum_exponent_at(rate: float, alpha: float, omega: float) -> float:
     return spectrum_exponent(SpectrumPoint.make(rate, alpha, omega))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _BLOCK = 64
 # the s-mesh of every slice, from u = 0 (s = 1) to the cap (s = 0): three
 # equal panels, five of ratio 1/4, then [0, 4^-6].  The grading resolves the
@@ -170,7 +169,7 @@ class MuSlice:
     The logarithmic kernel does not depend on omega, so one panel
     decomposition of [0, G/2] serves every omega on the slice: mu(omega)
     costs a stored running integral plus one Gauss rule on the partial
-    panel.  The integral is taken in s, where u = (G/2)(1 - s^2): the factor
+    panel, and at the cap (or on a panel bound) the stored integral alone.  The integral is taken in s, where u = (G/2)(1 - s^2): the factor
     du = -G s ds cancels the radical's square-root endpoint at the cap, so
     one fixed s-mesh (_S_BOUNDS, 9 panels of 12 nodes) serves every slice.
     Against 30-digit mpmath the kernel integral was within 2.8e-16 on 280
@@ -224,13 +223,15 @@ class MuSlice:
         return float(v[0]) if self._scalar else v
 
     def _integral(self, x: np.ndarray) -> np.ndarray:
-        """Integral of the kernel over [0, x], one x per slice, x in [0, G/2]."""
+        """Integral of the kernel over [0, x], one x per slice, x in [0, G/2].
+
+        Only the slices whose x falls strictly inside a panel integrate a
+        partial one; x = G/2 reads the stored full integral."""
         h = self._half
         # clipped, so rounding at the cap cannot take the root of a negative
         ratio = np.divide(x, h, out=np.zeros_like(x), where=h > 0.0)
         s_x = np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0))
-        k = np.minimum((_S_BOUNDS >= s_x[:, None]).sum(axis=1) - 1,
-                       _S_BOUNDS.size - 2)
+        k = (_S_BOUNDS >= s_x[:, None]).sum(axis=1) - 1
         hi = _S_BOUNDS[k]
         out = self._cum[np.arange(k.size), k]
         part = np.flatnonzero(s_x < hi)

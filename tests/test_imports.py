@@ -2,7 +2,7 @@
 module-level private name is used somewhere in the package, each module
 imports from third parties only what the declared map allows, and scipy
 stays off the cold path: no module imports it at module level, and no CLI
-command of the benchmark loads it.
+command of the benchmark loads it (nor numpy.ma or numpy.polynomial).
 
 Parsed with ``ast`` from the standard library, so no lint tool is needed.
 An import counts as used when it appears as an identifier anywhere in the
@@ -184,7 +184,8 @@ def test_no_module_level_scipy_import(path):
 
 def test_benchmark_commands_do_not_load_scipy(tmp_path):
     # a fresh interpreter, as a CLI user starts one: none of the commands
-    # perfbench runs may load scipy or numpy.ma, n > 10 oracle codes included
+    # perfbench runs may load scipy, numpy.ma or numpy.polynomial, n > 10
+    # oracle codes included
     code_file = tmp_path / "code.txt"
     code_file.write_text("".join(format(w, "012b") + "\n"
                                  for w in range(5, 4096, 97)), encoding="ascii")
@@ -198,6 +199,7 @@ def test_benchmark_commands_do_not_load_scipy(tmp_path):
                 assert main(argv) == 0, argv
             assert "scipy" not in sys.modules, argv
             assert "numpy.ma" not in sys.modules, argv
+            assert "numpy.polynomial" not in sys.modules, argv
         """)
     src = str(pathlib.Path(bscbounds.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -38,7 +38,7 @@ from bscbounds.optimizer import (
 )
 from bscbounds import optimizer
 from bscbounds.cli import main
-from bscbounds.optimizer import _f1_batch, _segment_anchors
+from bscbounds.optimizer import _f1_batch, _segment_anchors, _w_slope
 from bscbounds.spectrum import MuSlice, spectrum_exponent_at
 from bscbounds.verify import (
     _minimize_bounded,
@@ -111,6 +111,88 @@ def test_f1_batch_mixes_collapsed_and_open_bands():
         assert batch.arg_omega[k] == one.arg_omega
         assert bool(batch.at_cap[k]) is one.attained_at_boundary["omega"]
         assert batch.iterations[k] == one.iterations
+
+
+def _eight_cell_search(rate, alphas, L, tol):
+    """The inner maximum by a sign search that keeps one of 8 cells a pass
+    for ceil(log_8(1/(2 tol))) passes, the cap and omega = 0 compared
+    explicitly: (value, arg_omega) per slice."""
+    sl = MuSlice(rate, alphas)
+    cap = sl.cap
+    at_cap = _w_slope(cap * (1.0 - 1e-12), sl.alpha, sl.tau, L) >= 0.0
+    alpha, tau = sl.alpha[:, None], sl.tau[:, None]
+    lo, width = np.zeros_like(cap), cap
+    for _ in range(math.ceil(math.log(0.5 / tol, 8))):
+        cell = width / 8
+        probes = lo[:, None] + cell[:, None] * np.arange(1, 8)
+        lo = lo + cell * (_w_slope(probes, alpha, tau, L) > 0.0).sum(axis=1)
+        width = cell
+    x = np.where(at_cap, cap, lo + 0.5 * width)
+    w_x, w_cap = 0.5 * x * L - sl.mu(x), 0.5 * cap * L - sl.mu(cap)
+    take_cap = at_cap | (w_cap >= w_x)
+    value, arg = np.where(take_cap, w_cap, w_x), np.where(take_cap, cap, x)
+    clamp = ~at_cap & (value < 0.0)
+    return np.where(clamp, 0.0, value), np.where(clamp, 0.0, arg)
+
+
+def _search_grid(p, rng):
+    """(rate, alpha) rows over the whole slice range, and rows whose
+    maximum is ever closer to leaving the cap or reaching omega = 0."""
+    L = ChannelParam(p).log_pair
+    rates = np.concatenate([[1e-12, 1.0 - 1e-9], 10.0 ** rng.uniform(-12, 0, 10),
+                            1.0 - 10.0 ** rng.uniform(-9, 0, 6)])
+    rows = []
+    for r in rates:
+        a0 = binary_entropy_inv(1.0 - r)
+        rows += [(r, a) for a in np.concatenate([np.linspace(a0, 0.5, 17),
+                                                 a0 + (0.5 - a0) * rng.random(8)])]
+
+    def where_max(r, f):
+        # 0: at the cap, 1: interior, 2: at omega = 0
+        a0 = binary_entropy_inv(1.0 - r)
+        sl = MuSlice(r, a0 + f * (0.5 - a0))
+        if _w_slope(sl.cap * (1.0 - 1e-12), sl.alpha, sl.tau, L) >= 0.0:
+            return 0
+        return 1 if _w_slope(0.0, sl.alpha, sl.tau, L) > 0.0 else 2
+
+    # bisect the rate, at a fixed place f in the slice range, wherever the
+    # maximum changes place between neighbouring rates
+    for f in rng.random(4):
+        grid = np.linspace(1e-6, 1.0 - 1e-6, 41)
+        places = [where_max(r, f) for r in grid]
+        for lo, hi, place, other in zip(grid, grid[1:], places, places[1:]):
+            if place == other:
+                continue
+            for _ in range(45):
+                mid = 0.5 * (lo + hi)
+                a0 = binary_entropy_inv(1.0 - mid)
+                rows.append((mid, a0 + f * (0.5 - a0)))
+                lo, hi = (mid, hi) if where_max(mid, f) == place else (lo, mid)
+    rate, alphas = map(np.array, zip(*rows))
+    return rate, alphas, L
+
+
+@pytest.mark.parametrize("p", [0.005, 0.1, 0.3])
+def test_f1_search_matches_fine_eight_cell_search(p):
+    # against the eight-cell sign search run to 1e-13, on a seeded grid that
+    # has interior maxima within 1e-6 of the cap and of 0: every value within
+    # 1e-15, and every argmax within tol where the value stands above the
+    # round-off of W's O(1) terms (below it the clamp at omega = 0 may go
+    # either way).  At the cap the slope is read once; in between, no slice
+    # takes more passes than the 11 of the eight-cell search at 1e-10.
+    tol = 1e-10
+    rate, alphas, L = _search_grid(p, np.random.default_rng(19))
+    open_band = MuSlice(rate, alphas).cap > tol
+    rate, alphas = rate[open_band], alphas[open_band]
+    got = _f1_batch(rate, alphas, L, tol)
+    value, arg = _eight_cell_search(rate, alphas, L, 1e-13)
+    cap = MuSlice(rate, alphas).cap
+    interior = (0.0 < arg) & (arg < cap) & (value > 1e-14)
+    assert ((cap - arg)[interior] < 1e-6).any() and (arg[interior] < 1e-6).any()
+    assert np.abs(got.value - value).max() <= 1e-15
+    assert np.abs(got.arg_omega - arg)[value > 1e-14].max() <= tol
+    assert (got.iterations[got.at_cap] == 1).all()
+    assert got.iterations.max() <= 13
 
 
 def test_f1_at_constraint_edge_is_sphere_packing():

@@ -10,6 +10,32 @@ from bscbounds import quadrature
 from bscbounds.quadrature import QuadratureError, integrate
 
 
+def test_gauss_rule_literals_are_leggauss_bits():
+    # the stored rule is numpy's leggauss(12) bit for bit, mirrored halves
+    # included, so both integrators keep their values without importing
+    # numpy.polynomial
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert quadrature._GL_NODES.tobytes() == nodes.tobytes()
+    assert quadrature._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_each_panel_is_estimated_once():
+    # sqrt(1 - x) bisects its last panel 30 times: the first level takes the
+    # 4 initial panels and their halves (3 calls), every later level only
+    # the halves of the one kept panel (2 calls), and no panel's nodes are
+    # evaluated twice
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return np.sqrt(1.0 - x)
+
+    assert integrate(f, 0, 1, tol=1e-9) == pytest.approx(2 / 3, abs=1e-9)
+    assert [c.size // 12 for c in calls] == [4, 4, 4] + [2] * 58
+    panels = [tuple(row) for c in calls for row in c.reshape(-1, 12)]
+    assert len(set(panels)) == len(panels) == 128
+
+
 def test_polynomial_exact_in_one_pass():
     # 12-point panels integrate degree <= 23 exactly up to rounding
     assert integrate(lambda x: 3 * x**2 + 2 * x + 1, 0, 1) == pytest.approx(
