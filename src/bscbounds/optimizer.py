@@ -51,7 +51,7 @@ _F_GRID = 129           # alphas in the global pass of F_minimize
 _POLISH = 33            # alphas per polishing level of F_minimize
 _F1_TOL = 1e-10         # bracket width of the inner slope search
 _S_TOP = 1e-6           # s at the top of the searched band, omega = G (1 - 1e-12)
-_PASS_SLICES = 4 * _F_GRID  # slices in one pass of the batched F searches
+_PASS_SLICES = 8 * _F_GRID  # slices in one pass of the batched F searches
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,12 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
     wide: never wider than the ceil(log_8(1/(2 tol))) eight-cell passes of
     a sign search would leave it, so a coarse tol still narrows the band.
     The value error is quadratic in the bracket width.  Every slice then
-    reads mu once, at its argmax; at the cap that is the slice's stored
-    full integral.  An interior maximum below 0 (round-off near omega = 0)
-    is clamped.  Slices with G <= min(tol, _F1_TOL) get 0: a coarse search
-    tolerance does not collapse a band.  ``iterations`` counts each
-    slice's slope evaluations, as in ``OptResult``.
+    reads mu once, at its argmax, which integrates only the panels below
+    it: every panel at the cap, none at omega = 0.  An interior maximum
+    below 0 (round-off near omega = 0) is clamped.  Slices with
+    G <= min(tol, _F1_TOL) get 0: a coarse search tolerance does not
+    collapse a band.  ``iterations`` counts each slice's slope
+    evaluations, as in ``OptResult``.
     """
     sl = MuSlice(rate, alphas)
     cap = sl.cap
@@ -232,8 +233,9 @@ def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
 def _f_search(rate: float):
     """min over alpha of F1 at one rate, as a coroutine.
 
-    Yields each alpha grid it needs evaluated, receives the grid's
-    _F1Batch, and returns the OptResult, so that _f_rates can evaluate the
+    Yields each alpha grid it needs evaluated (of a polish level, the
+    points not evaluated before), receives the grid's _F1Batch, and
+    returns the OptResult, so that _f_rates can evaluate the
     grids of many rates in shared _f1_batch passes.
     """
     alpha0 = binary_entropy_inv(1.0 - rate)
@@ -246,24 +248,30 @@ def _f_search(rate: float):
     res = yield alphas
     it = int(res.iterations.sum())
     i, last = int(np.argmin(res.value)), alphas.size - 1
-    lo, hi = float(alphas[max(i - 1, 0)]), float(alphas[min(i + 1, last)])
-    # polish: each level shrinks the bracket to the two cells around its
-    # best point, a factor (_POLISH - 1)/2 per level
-    level, a, j = res, alphas, i
-    while hi - lo > 1e-9:
-        a = np.linspace(lo, hi, _POLISH)
-        level = yield a
-        it += int(level.iterations.sum())
-        j = int(np.argmin(level.value))
-        lo, hi = float(a[max(j - 1, 0)]), float(a[min(j + 1, _POLISH - 1)])
 
-    def pick(batch: _F1Batch, a: np.ndarray, k: int) -> tuple:
-        return (float(batch.value[k]), float(a[k]), float(batch.arg_omega[k]),
+    def pick(batch: _F1Batch, k: int, alpha: float) -> tuple:
+        return (float(batch.value[k]), alpha, float(batch.arg_omega[k]),
                 bool(batch.at_cap[k]))
 
+    def grid_point(k: int) -> tuple:
+        return pick(res, k, float(alphas[k]))
+
+    # polish: each level shrinks the bracket to the two cells around its
+    # best point, a factor (_POLISH - 1)/2 per level.  A level's ends are
+    # points of the level before (linspace returns its ends exactly), so it
+    # evaluates its inner points only and keeps its ends' entries
+    best, *ends = (grid_point(k) for k in (i, max(i - 1, 0), min(i + 1, last)))
+    while ends[1][1] - ends[0][1] > 1e-9:
+        a = np.linspace(ends[0][1], ends[1][1], _POLISH)
+        inner = yield a[1:-1]
+        it += int(inner.iterations.sum())
+        j = int(np.argmin(np.concatenate(([ends[0][0]], inner.value, [ends[1][0]]))))
+        known = {0: ends[0], _POLISH - 1: ends[1]}
+        best, *ends = (known.get(k) or pick(inner, k - 1, float(a[k]))
+                       for k in (j, max(j - 1, 0), min(j + 1, _POLISH - 1)))
+
     # the grid ends stay candidates when the best cell touches them
-    candidates = [pick(level, a, j)] + [pick(res, alphas, k) for k in (last, 0)
-                                        if abs(k - i) <= 1]
+    candidates = [best] + [grid_point(k) for k in (last, 0) if abs(k - i) <= 1]
     best = min(candidates, key=lambda c: c[0])
     # prefer the exact half-point on ties: the refinement may sit a hair off
     # the endpoint with an indistinguishable value
@@ -283,7 +291,11 @@ def _f_rates(rates: list[float], p: float) -> list[OptResult]:
     in flight asks for next.  A search joins while the pass has room for
     its global grid within _PASS_SLICES slices (one search always runs),
     and leaves as soon as its bracket is narrow enough, so the bound on
-    the slices of a pass bounds the panels it holds.  Batch entries do not
+    the slices of a pass bounds the panels it holds.  A pass costs about a
+    millisecond of slope-search overhead whatever its size, so the bound
+    is as large as memory allows: 8 global grids start up to eight rates
+    in one pass, and on the default 200-rate grid they cost about 0.25 MB
+    of peak RSS over 4 grids (32 grids cost 3 MB).  Batch entries do not
     depend on their batch, so neither does a rate's F.
     """
     L = ChannelParam(p).log_pair

@@ -146,11 +146,15 @@ def spectrum_exponent_at(rate: float, alpha: float, omega: float) -> float:
     return spectrum_exponent(SpectrumPoint.make(rate, alpha, omega))
 
 
-_BLOCK = 64
 # the s-mesh of every slice, from u = 0 (s = 1) to the cap (s = 0): three
 # equal panels, five of ratio 1/4, then [0, 4^-6].  The grading resolves the
 # discriminant's second root, about 2 tau^(1/4) off the real s axis.
 _S_BOUNDS = np.array([1.0, 0.75, 0.5] + [0.25 ** k for k in range(1, 7)] + [0.0])
+_COLUMNS = np.arange(_S_BOUNDS.size)
+_PANELS = _COLUMNS[:-1]
+# (slice, panel) rows per Gauss-rule call: the 64 slices x 9 panels of an
+# eager build, whose temporaries stay small; 512 to 768 rows ran fastest
+_BLOCK = 576
 
 
 def _s_rule(lo, hi, half_cap, alpha, tau):
@@ -168,21 +172,26 @@ class MuSlice:
 
     The logarithmic kernel does not depend on omega, so one panel
     decomposition of [0, G/2] serves every omega on the slice: mu(omega)
-    costs a stored running integral plus one Gauss rule on the partial
-    panel, and at the cap (or on a panel bound) the stored integral alone.  The integral is taken in s, where u = (G/2)(1 - s^2): the factor
-    du = -G s ds cancels the radical's square-root endpoint at the cap, so
-    one fixed s-mesh (_S_BOUNDS, 9 panels of 12 nodes) serves every slice.
-    Against 30-digit mpmath the kernel integral was within 2.8e-16 on 280
-    seeded slices (rates 1e-12 to 1 - 1e-6, x at and below the cap), and
-    tests/test_spectrum.py holds it to 1e-15.  The adaptive-quadrature
-    route stays untouched as the independent reference.  For a vector of
-    alpha, attributes are arrays and ``mu`` takes one omega per slice; the
-    rate is one number for every slice or an array with one rate per
-    slice, and enters only through the degree tau.  Panels are built
-    ``_BLOCK`` slices at a time, which bounds the (slice x panel x node)
-    temporaries.  Gauss rules are summed by ``einsum``, row by row: a BLAS
-    product ``g @ w`` rounds a row by its place in the call, and a slice's
-    mu must not depend on its batch.
+    costs a running integral over the whole panels below omega/2 plus one
+    Gauss rule on the partial panel, and at the cap (or on a panel bound)
+    the running integral alone.  The integral is taken in s, where
+    u = (G/2)(1 - s^2): the factor du = -G s ds cancels the radical's
+    square-root endpoint at the cap, so one fixed s-mesh (_S_BOUNDS, 9
+    panels of 12 nodes) serves every slice.  Against 30-digit mpmath the
+    kernel integral was within 2.8e-16 on 280 seeded slices (rates 1e-12 to
+    1 - 1e-6, x at and below the cap), and tests/test_spectrum.py holds it
+    to 1e-15.  The adaptive-quadrature route stays untouched as the
+    independent reference.  For a vector of alpha, attributes are arrays
+    and ``mu`` takes one omega per slice; the rate is one number for every
+    slice or an array with one rate per slice, and enters only through the
+    degree tau.  Construction integrates nothing: a panel is integrated on
+    the first read that reaches it, once, and appended to its slice's
+    running sum, so a read at omega = 0 costs no kernel node and the sums
+    do not depend on the order of the reads.  Gauss rules run ``_BLOCK``
+    (slice, panel) rows at a time, which bounds the (row x node)
+    temporaries, and are summed by ``einsum``, row by row: a BLAS product
+    ``g @ w`` rounds a row by its place in the call, and a slice's mu must
+    not depend on its batch.
     """
 
     def __init__(self, rate, alpha) -> None:
@@ -208,16 +217,11 @@ class MuSlice:
         cap = omega_cap(a, tau)
         self._alpha, self._tau, self._cap = a, tau, cap
         self.alpha, self.tau, self.cap = map(self._out, (a, tau, cap))
-        self._half = h = np.maximum(0.5 * cap, 0.0)
-        # running integrals from s = 1 down to each bound, written in place
+        self._half = np.maximum(0.5 * cap, 0.0)
+        # running integrals from s = 1 down to each bound; the first
+        # _filled[i] + 1 entries of row i are integrated so far, the rest 0
         self._cum = np.zeros((a.size, _S_BOUNDS.size))
-        panel = self._cum[:, 1:]
-        live = np.flatnonzero(h > 0.0)
-        for start in range(0, live.size, _BLOCK):
-            rows = live[start:start + _BLOCK]
-            panel[rows] = _s_rule(_S_BOUNDS[1:], _S_BOUNDS[:-1], h[rows, None],
-                                  a[rows, None], tau[rows, None])
-        np.cumsum(panel, axis=1, out=panel)
+        self._filled = np.zeros(a.size, int)
 
     def _out(self, v: np.ndarray):
         return float(v[0]) if self._scalar else v
@@ -225,19 +229,39 @@ class MuSlice:
     def _integral(self, x: np.ndarray) -> np.ndarray:
         """Integral of the kernel over [0, x], one x per slice, x in [0, G/2].
 
-        Only the slices whose x falls strictly inside a panel integrate a
-        partial one; x = G/2 reads the stored full integral."""
-        h = self._half
+        Each slice first extends its running integral over the whole
+        panels below x that no earlier read reached; only the slices whose
+        x falls strictly inside a panel then integrate a partial one, and
+        x = G/2 reads the running integral over every panel.  The panels
+        and the partial pieces of all slices share the Gauss-rule calls."""
+        h, cum, filled = self._half, self._cum, self._filled
+        every = np.arange(x.size)
         # clipped, so rounding at the cap cannot take the root of a negative
         ratio = np.divide(x, h, out=np.zeros_like(x), where=h > 0.0)
         s_x = np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0))
         k = (_S_BOUNDS >= s_x[:, None]).sum(axis=1) - 1
         hi = _S_BOUNDS[k]
-        out = self._cum[np.arange(k.size), k]
         part = np.flatnonzero(s_x < hi)
-        if part.size:
-            out[part] += _s_rule(s_x[part], hi[part], h[part],
-                                 self._alpha[part], self._tau[part])
+        # panel j spans s in [_S_BOUNDS[j + 1], _S_BOUNDS[j]]
+        row, j = np.nonzero((filled[:, None] <= _PANELS) & (_PANELS < k[:, None]))
+        rows = np.concatenate([row, part])
+        lo = np.concatenate([_S_BOUNDS[j + 1], s_x[part]])
+        top = np.concatenate([_S_BOUNDS[j], hi[part]])
+        vals = np.empty(rows.size)
+        for b in range(0, rows.size, _BLOCK):
+            i, cut = rows[b:b + _BLOCK], slice(b, b + _BLOCK)
+            vals[cut] = _s_rule(lo[cut], top[cut], h[i], self._alpha[i], self._tau[i])
+        if row.size:
+            # each row's new running sums, added in the order of the mesh:
+            # zeros, the sum reached so far, then the new panels
+            grid = np.zeros_like(cum)
+            grid[every, filled] = cum[every, filled]
+            grid[row, j + 1] = vals[:row.size]
+            new = (_COLUMNS > filled[:, None]) & (_COLUMNS <= k[:, None])
+            cum[new] = np.cumsum(grid, axis=1)[new]
+            np.maximum(filled, k, out=filled)
+        out = cum[every, k]
+        out[part] += vals[row.size:]
         return out
 
     def mu(self, omega):

@@ -190,9 +190,7 @@ def claims_stats(ch: ChannelParam) -> dict:
     cancel in the stencil, so the measurement is s-independent.
     linear_decay_constant: min over grid pairs lambda < s of
     -g(lambda, s)/(s - lambda), the largest D for which the linear-decay
-    bound holds on this grid.  The pairs are a column of lambdas against a
-    row of s, so each lambda-only and s-only term is computed once per grid
-    point.
+    bound holds on this grid (see ``_decay_min``).
     """
     cc = channel_constants(ch)
     om, o1 = cc.omega_m, cc.omega1
@@ -201,17 +199,29 @@ def claims_stats(ch: ChannelParam) -> dict:
     stencil = (cleaning_gap_case1(lam + h, o1, ch)
                - 2.0 * cleaning_gap_case1(lam, o1, ch)
                + cleaning_gap_case1(lam - h, o1, ch)) / h ** 2
-    L, S = lam[:, None], lam[None, :]
-    G = cleaning_gap_case1(L, S, ch)
-    decay = np.where(S > L + 1e-12, -G / np.maximum(S - L, 1e-300), np.inf)
     return {
         "p": ch.p,
         "omega_m": om,
         "omega_1": o1,
         "corner_value": cleaning_gap(om, o1, ch),
         "curvature_min": float(stencil.min()),
-        "linear_decay_constant": float(decay.min()),
+        "linear_decay_constant": _decay_min(lam, ch),
     }
+
+
+def _decay_min(lam: np.ndarray, ch: ChannelParam) -> float:
+    """min of -g(lam_i, lam_j)/(lam_j - lam_i) over the grid pairs with
+    lam_j > lam_i + 1e-12, whatever the order of the grid (inf if none).
+
+    The gaps are a column of lambdas against a row of s, so each
+    lambda-only and s-only term is computed once per grid point; the
+    quotient is taken on the pairs only.
+    """
+    L, S = lam[:, None], lam[None, :]
+    G = cleaning_gap_case1(L, S, ch)
+    rise = np.divide(G, S - L, out=np.full(G.shape, -np.inf),
+                     where=S > L + 1e-12)
+    return -float(rise.max())
 
 
 def max_band_width() -> tuple[float, float]:

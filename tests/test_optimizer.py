@@ -21,6 +21,7 @@ from bscbounds.core import (
     binary_entropy_inv,
     capacity,
     channel_constants,
+    cleaning_gap_case1,
     omega_cap,
     sphere_packing_exponent,
 )
@@ -41,6 +42,7 @@ from bscbounds.cli import main
 from bscbounds.optimizer import _f1_batch, _segment_anchors, _w_slope
 from bscbounds.spectrum import MuSlice, spectrum_exponent_at
 from bscbounds.verify import (
+    _decay_min,
     _minimize_bounded,
     claims_stats,
     default_claims_grid,
@@ -356,17 +358,74 @@ def test_f1_batch_rate_array_freezes_each_rate():
 
 
 def test_f_pass_size_boundaries(monkeypatch, capsys):
-    # one search per pass, three global grids in a pass with the polish
-    # levels of earlier rates, and every rate of the default grid in one
-    # pass: the CSV bytes stay put
+    # one search per pass, three or four global grids in a pass with the
+    # polish levels of earlier rates, the bound itself (eight), and every
+    # rate of the default grid in one pass: the CSV bytes stay put
+    assert optimizer._PASS_SLICES == 8 * optimizer._F_GRID
     optimizer._f_minimize_cached.cache_clear()
     assert main(["curve", "--p", "0.1"]) == 0
     whole = capsys.readouterr().out
-    for slices in (1, 3 * optimizer._F_GRID, 10 ** 6):
+    for slices in (1, 3 * optimizer._F_GRID, 4 * optimizer._F_GRID,
+                   optimizer._PASS_SLICES, 10 ** 6):
         monkeypatch.setattr(optimizer, "_PASS_SLICES", slices)
         optimizer._f_minimize_cached.cache_clear()
         assert main(["curve", "--p", "0.1"]) == 0
         assert capsys.readouterr().out == whole, slices
+
+
+def test_f_passes_and_slices_of_the_default_curve(monkeypatch, capsys):
+    # the default curve at p = 0.1: its 200 rates share 65 passes, and the
+    # searches send 57885 slices, each polish level reusing its two ends
+    # from the level before (59955 slices without that reuse)
+    seen = []
+
+    def counting(rate, alphas, L, tol):
+        seen.append(alphas.size)
+        return _f1_batch(rate, alphas, L, tol)
+
+    monkeypatch.setattr(optimizer, "_f1_batch", counting)
+    optimizer._f_minimize_cached.cache_clear()
+    assert main(["curve", "--p", "0.1"]) == 0
+    capsys.readouterr()
+    assert (len(seen), sum(seen)) == (65, 57885)
+    assert max(seen) <= optimizer._PASS_SLICES
+
+
+def test_f_pass_memory_stays_bounded(monkeypatch):
+    # 2000 rates in 8-grid passes: over the first 24 passes (three times a
+    # search's passes, so searches leave and join) the traced peak above
+    # what is kept stays near one pass's arrays (about 1.4 MB), where one
+    # pass of every global grid takes 173 MB.  The rest of the grid only
+    # repeats such passes, so the call is stopped there
+    import tracemalloc
+
+    class Enough(Exception):
+        pass
+
+    passes = []
+
+    def counting(rate, alphas, L, tol):
+        passes.append(alphas.size)
+        if len(passes) > 24:
+            raise Enough
+        return _f1_batch(rate, alphas, L, tol)
+
+    monkeypatch.setattr(optimizer, "_f1_batch", counting)
+    ch = ChannelParam(0.1)
+    rates = np.linspace(0.001, capacity(ch) - 0.001, 2000).tolist()
+    optimizer._f_minimize_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        try:
+            optimizer._f_grid(rates, ch)
+        except Enough:
+            pass
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        optimizer._f_minimize_cached.cache_clear()
+    assert max(passes) == optimizer._PASS_SLICES
+    assert peak - kept < 2.5e6
 
 
 def test_negative_slice_derivative_low_rate():
@@ -579,6 +638,25 @@ def test_claims_stats_p01():
     assert st["linear_decay_constant"] == pytest.approx(0.979272514, abs=1e-5)
     assert st["omega_m"] == pytest.approx(CC.omega_m, abs=1e-12)
     assert st["omega_1"] == pytest.approx(CC.omega1, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_decay_min_equals_dense_formulation(seed):
+    # the decay minimum over the pairs alone has the bits of the dense
+    # 200 x 200 formulation on random channels, the claim range's ends
+    # included, and on the same grid reversed
+    rng = np.random.default_rng(seed)
+    for p in (0.003 * (1 + 1e-9), 0.22 * (1 - 1e-9), *rng.uniform(0.003, 0.22, 8)):
+        ch = ChannelParam(float(p))
+        cc = channel_constants(ch)
+        lam = np.linspace(cc.omega_m, cc.omega1, 200)
+        L, S = lam[:, None], lam[None, :]
+        G = cleaning_gap_case1(L, S, ch)
+        dense = float(np.where(S > L + 1e-12,
+                               -G / np.maximum(S - L, 1e-300), np.inf).min())
+        assert claims_stats(ch)["linear_decay_constant"] == dense, p
+        assert _decay_min(lam[::-1].copy(), ch) == dense, p
+    assert _decay_min(np.full(5, 0.3), CH) == math.inf
 
 
 def test_default_claims_grid():

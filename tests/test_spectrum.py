@@ -13,9 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from bscbounds.core import (DomainError, binary_entropy, binary_entropy_inv,
                             omega_cap)
+from bscbounds import spectrum
 from bscbounds.spectrum import (
     MuSlice,
     SpectrumPoint,
+    _S_BOUNDS,
+    _s_rule,
     log_kernel,
     spectrum_exponent,
     spectrum_exponent_at,
@@ -208,6 +211,87 @@ def test_interleaved_rates_equal_one_rate_slices():
             one = MuSlice(r, a)
             assert np.array_equal(sl.cap[col::2], one.cap)
             assert np.array_equal(got[col::2], one.mu(omegas[col::2]))
+
+
+def _eager_integral(sl, x):
+    """Kernel integral over [0, x] from every panel of every slice, built
+    in full up front: the construction MuSlice fills lazily."""
+    h = np.maximum(0.5 * sl.cap, 0.0)
+    cum = np.zeros((h.size, _S_BOUNDS.size))
+    live = h > 0.0
+    cum[live, 1:] = np.cumsum(_s_rule(
+        _S_BOUNDS[1:], _S_BOUNDS[:-1], h[live, None], sl.alpha[live, None],
+        sl.tau[live, None]), axis=1)
+    ratio = np.divide(x, h, out=np.zeros_like(x), where=h > 0.0)
+    s_x = np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0))
+    k = (_S_BOUNDS >= s_x[:, None]).sum(axis=1) - 1
+    out = cum[np.arange(k.size), k]
+    part = s_x < _S_BOUNDS[k]
+    out[part] += _s_rule(s_x[part], _S_BOUNDS[k][part], h[part],
+                         sl.alpha[part], sl.tau[part])
+    return out
+
+
+def _seeded_slices(rng, size):
+    rate = rng.uniform(1e-6, 0.999, size)
+    alpha = np.array([_alpha_batch(r, rng.uniform(0.0, 1.0)) for r in rate])
+    alpha[rng.uniform(size=size) < 0.1] = 0.5
+    return rate, alpha
+
+
+def _reads(rng, cap):
+    """x = omega/2 per slice: at the cap, inside a panel, on a panel bound
+    (s on the mesh, s = 1 included) or at 0."""
+    kind = rng.integers(0, 4, cap.size)
+    s = _S_BOUNDS[rng.integers(0, _S_BOUNDS.size, cap.size)]
+    omega = np.select([kind == 0, kind == 1, kind == 2],
+                      [cap, cap * rng.uniform(0.0, 1.0, cap.size),
+                       cap * (1.0 - s * s)], 0.0)
+    return 0.5 * omega
+
+
+def test_lazy_integral_equals_eager_build():
+    # reads in any order, repeated or deeper, give the bits of a slice
+    # whose panels were all integrated at construction
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        rate, alpha = _seeded_slices(rng, int(rng.integers(1, 300)))
+        sl = MuSlice(rate, alpha)
+        for _ in range(3):
+            x = _reads(rng, sl.cap)
+            assert np.array_equal(sl._integral(x), _eager_integral(sl, x))
+
+
+def test_each_panel_integrated_once(monkeypatch):
+    # count the (slice, panel) rows the whole-panel Gauss rules receive:
+    # a read integrates only the panels below its x that no earlier read
+    # reached, and a read at 0 integrates none
+    calls = []
+
+    def counting(lo, hi, half_cap, alpha, tau):
+        whole = np.isin(lo, _S_BOUNDS)      # a partial panel starts inside one
+        panel = np.searchsorted(-_S_BOUNDS, -hi[whole])
+        calls.extend(zip(alpha[whole].tolist(), panel.tolist()))
+        return _s_rule(lo, hi, half_cap, alpha, tau)
+
+    monkeypatch.setattr(spectrum, "_s_rule", counting)
+    rng = np.random.default_rng(31)
+    # one rate, distinct alphas: a slice is named by its alpha
+    alpha = np.unique(np.append(_alpha_batch(0.3, rng.uniform(0.0, 1.0, 200)), 0.5))
+    sl = MuSlice(0.3, alpha)
+    assert not calls
+    sl.mu(np.zeros(alpha.size))
+    assert not calls
+    reached = np.zeros(alpha.size, int)
+    for _ in range(4):
+        x = _reads(rng, sl.cap)
+        sl._integral(x)
+        sl._integral(x)
+        s_x = np.sqrt(np.clip(1.0 - x / (0.5 * sl.cap), 0.0, 1.0))
+        reached = np.maximum(reached, (_S_BOUNDS >= s_x[:, None]).sum(axis=1) - 1)
+        assert len(calls) == len(set(calls)) == reached.sum()
+    sl.mu(sl.cap)
+    assert len(calls) == len(set(calls)) == alpha.size * (_S_BOUNDS.size - 1)
 
 
 def _kernel_integral_mp(alpha, tau, half_cap, x):
