@@ -109,33 +109,57 @@ class CriticalConstants:
 
 
 def binary_entropy(x: float) -> float:
-    """Binary entropy h2(x) in bits, with 0*log(0) = 0 at the endpoints."""
+    """Binary entropy h2(x) in bits, with 0*log(0) = 0 at the endpoints.
+
+    (1 - x) log2(1 - x) is formed with ``log1p``, so h2 stays within 4e-16
+    relative of the exact value on [1e-300, 1/2].  ``_h2_arr`` is the same
+    formula on arrays; numpy's logarithms may differ from the math module's
+    by an ulp, so the two forms agree to the bit at most x, not at every x.
+    """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"entropy argument must lie in [0, 1], got {x!r}")
     if x == 0.0 or x == 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return -x * math.log2(x) - (1.0 - x) * math.log1p(-x) * _LOG2E
 
 
 def _h2_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorised binary entropy; endpoints give 0 without warnings."""
+    """Vectorised ``binary_entropy``; endpoints give 0 without warnings."""
     x = np.asarray(x, dtype=float)
     inner = (x > 0.0) & (x < 1.0)
     xs = np.where(inner, x, 0.5)
-    out = -xs * np.log2(xs) - (1.0 - xs) * np.log2(1.0 - xs)
+    out = -xs * np.log2(xs) - (1.0 - xs) * np.log1p(-xs) * _LOG2E
     return np.where(inner, out, 0.0)
 
 
-def _h2_inv_arr(y: np.ndarray) -> np.ndarray:
-    """Vectorised inverse of h2 on [0, 1/2]; ``binary_entropy_inv`` is the
-    scalar reference.
+def binary_entropy_inv(y: float) -> float:
+    """Inverse of h2 on [0, 1/2]: the preimage on the lower branch.
 
     Newton from below: h2 is concave on [0, 1/2], so a step from the left
     never overshoots.  It starts at the larger of two lower bounds of the
     preimage, 1/2 - sqrt(ln2 (1 - y) / 2) (as 1 - h2(1/2 - u) >= 2u^2/ln2)
     and, for y <= e/4, y / (2 log2(e/y)) (as h2(x) <= x log2(e/x)); four
     steps reach round-off on [0, 1], six are taken.  y <= 1e-300 gives 0.
+    The result is within 4e-16 relative of the exact preimage times the
+    condition number y / (x h2'(x)): 1 to 1.6 for y <= 1/2, 6.5 at
+    y = 0.99.  ``_h2_inv_arr`` runs the same steps on arrays.
     """
+    if not 0.0 <= y <= 1.0:
+        raise DomainError(f"entropy value must lie in [0, 1], got {y!r}")
+    if y <= 1e-300:
+        return 0.0
+    if y >= 1.0:
+        return 0.5
+    x = 0.5 - math.sqrt(0.5 * math.log(2.0) * (1.0 - y))
+    if y <= 0.25 * math.e:
+        x = max(x, y / (2.0 * (_LOG2E - math.log2(y))))
+    for _ in range(6):
+        x = x + (y - binary_entropy(x)) / math.log2((1.0 - x) / x)
+    return x
+
+
+def _h2_inv_arr(y: np.ndarray) -> np.ndarray:
+    """Vectorised ``binary_entropy_inv``: the same start and six Newton steps."""
     y = np.asarray(y, dtype=float)
     inner = (y > 1e-300) & (y < 1.0)
     ys = np.where(inner, y, 0.5)
@@ -146,32 +170,6 @@ def _h2_inv_arr(y: np.ndarray) -> np.ndarray:
     for _ in range(6):
         x = x + (ys - _h2_arr(x)) / np.log2((1.0 - x) / x)
     return np.where(inner, x, np.where(y >= 1.0, 0.5, 0.0))
-
-
-def binary_entropy_inv(y: float) -> float:
-    """Inverse of h2 on [0, 1/2], by bisection to absolute tolerance 1e-12.
-
-    The preimage on the lower branch is returned; ``binary_entropy`` of the
-    result reproduces ``y`` within 1e-12.
-    """
-    if not 0.0 <= y <= 1.0:
-        raise DomainError(f"entropy value must lie in [0, 1], got {y!r}")
-    if y <= 0.0:
-        return 0.0
-    if y >= 1.0:
-        return 0.5
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break   # no float lies strictly between: the bracket is final
-        if binary_entropy(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-17:
-            break
-    return 0.5 * (lo + hi)
 
 
 def kl_divergence(x: float, y: float) -> float:

@@ -133,9 +133,11 @@ def _slope_root(cap: np.ndarray, alpha: np.ndarray, tau: np.ndarray, L: float,
     regular there.  Each pass takes one regula falsi step per bracket; an
     end kept twice in a row has its slope halved (the Illinois rule), so
     both ends close in on the root superlinearly.  A slice freezes once
-    its bracket is at most ``width`` G wide in omega, or once the step no
+    its bracket is at most ``width`` G wide in omega, once the step no
     longer falls strictly inside it (the root is then within rounding of
-    the step), so its passes do not depend on the other slices.  Returns
+    the step), or once the slope at the step is exactly 0 (the next step
+    would return the same point), so its passes do not depend on the
+    other slices.  Returns
     omega at each slice's last step and the passes it took.
     """
     x, passes = np.empty(cap.size), np.empty(cap.size, int)
@@ -150,7 +152,7 @@ def _slope_root(cap: np.ndarray, alpha: np.ndarray, tau: np.ndarray, L: float,
         sign = np.sign(fc)
         halve = np.where(sign == last, 0.5, 1.0)
         up, last = sign > 0.0, sign
-        done = ~((b < c) & (c < a))
+        done = ~((b < c) & (c < a)) | (fc == 0.0)
         a, fa = np.where(up, c, a), np.where(up, fc, halve * fa)
         b, fb = np.where(up, b, c), np.where(up, halve * fb, fc)
         done |= (a - b) * (a + b) <= width

@@ -58,7 +58,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
         return 0.0
     width = b - a
     if refine_end:
-        edges = [a] + [b - width * 0.5 ** k for k in range(32, -1, -1)]
+        edges = [a, b] + [b - width * 0.5 ** k for k in range(32, -1, -1)]
         edges = sorted(set(edges))
     else:
         edges = list(np.linspace(a, b, 5))

@@ -237,73 +237,21 @@ def max_band_width() -> tuple[float, float]:
 
 
 def _minimize_bounded(func, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """(x, func(x)) at a minimum of func on [a, b] by Brent's method:
-    golden-section steps, parabolic steps where the fit is acceptable, at
-    most 500 evaluations.
-
-    A plain-float transcription of scipy's bounded ``minimize_scalar``, with
-    the same expressions in the same order, so it returns the same bits.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)) and num < 500:
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the last three points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0 else xf - step
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf, fx
+    """(x, func(x)) at a minimum of func on [a, b] by golden-section search,
+    narrowed until the bracket is at most ``xatol`` wide."""
+    shrink = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = func(c), func(d)
+    while b - a > xatol:
+        if fc <= fd:     # a minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = func(c)
+        else:            # a minimum lies in [c, b]
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = func(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def suite_claims(p_values=None) -> dict:

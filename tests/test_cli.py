@@ -124,11 +124,30 @@ def test_curve_default_grid(capsys):
     assert last_r == pytest.approx(0.5310044064 - 0.001, abs=1e-9)
 
 
+_ALL_KINDS = ("sphere_packing,F_bound,theorem1_min,corollary1,straight_line,"
+              "combined")
+_GRID = ["--rmin", "0.05", "--rmax", "0.5", "--step", "0.05"]
+# the argv behind every file in tests/data; tests/record_goldens.py
+# re-records the files from this table
+GOLDEN_ARGV = {
+    "curve_p0.1.csv": ["curve", "--p", "0.1"],
+    "curve_p0.005.csv": ["curve", "--p", "0.005"],
+    "curve_p0.1_grid.json": ["curve", "--p", "0.1", "--format", "json"] + _GRID,
+    "curve_p0.1_segment_kinds.svg":
+        ["curve", "--p", "0.1", "--format", "svg",
+         "--bounds", "theorem1_min,combined,straight_line"] + _GRID,
+    "curve_p0.2_all_kinds.svg":     # every kind, on a grid in [R1, R_crit]
+        ["curve", "--p", "0.2", "--format", "svg", "--bounds", _ALL_KINDS,
+         "--rmin", "0.035", "--rmax", "0.08", "--step", "0.005"],
+    "verify_all.json": ["verify", "--suite", "all"],
+}
+
+
 @pytest.mark.parametrize("p", ["0.1", "0.005"])
 def test_curve_default_grid_matches_golden(p, capsys):
     # tests/data holds the default-grid CSVs as first recorded: every
     # printed number must stay within 1e-9 of them, every regime equal
-    assert main(["curve", "--p", p]) == 0
+    assert main(GOLDEN_ARGV[f"curve_p{p}.csv"]) == 0
     got = capsys.readouterr().out.rstrip("\n").split("\n")
     want = (DATA / f"curve_p{p}.csv").read_text(encoding="ascii").rstrip("\n").split("\n")
     assert got[0] == want[0]
@@ -140,23 +159,13 @@ def test_curve_default_grid_matches_golden(p, capsys):
             assert abs(float(g_field) - float(w_field)) <= 1e-9, (g_line, w_line)
 
 
-_ALL_KINDS = ("sphere_packing,F_bound,theorem1_min,corollary1,straight_line,"
-              "combined")
-_GRID = ["--rmin", "0.05", "--rmax", "0.5", "--step", "0.05"]
-
-
-@pytest.mark.parametrize("golden, argv", [
-    ("curve_p0.1_grid.json", ["--p", "0.1", "--format", "json"] + _GRID),
-    ("curve_p0.1_segment_kinds.svg",
-     ["--p", "0.1", "--format", "svg",
-      "--bounds", "theorem1_min,combined,straight_line"] + _GRID),
-    ("curve_p0.2_all_kinds.svg",      # every kind, on a grid in [R1, R_crit]
-     ["--p", "0.2", "--format", "svg", "--bounds", _ALL_KINDS,
-      "--rmin", "0.035", "--rmax", "0.08", "--step", "0.005"]),
+@pytest.mark.parametrize("golden", [
+    "curve_p0.1_grid.json", "curve_p0.1_segment_kinds.svg",
+    "curve_p0.2_all_kinds.svg",
 ], ids=["json", "svg-segment-kinds", "svg-all-kinds"])
-def test_curve_output_matches_golden_bytes(golden, argv, capsys):
+def test_curve_output_matches_golden_bytes(golden, capsys):
     # tests/data holds these outputs as first recorded, byte for byte
-    assert main(["curve"] + argv) == 0
+    assert main(GOLDEN_ARGV[golden]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="ascii")
 
 
@@ -269,7 +278,7 @@ def test_verify_all_runs_suite_table_with_grid(capsys):
 
 def test_verify_all_matches_golden_bytes(capsys):
     # tests/data holds the full report as first recorded, byte for byte
-    assert main(["verify", "--suite", "all"]) == 0
+    assert main(GOLDEN_ARGV["verify_all.json"]) == 0
     assert capsys.readouterr().out == (DATA / "verify_all.json").read_text(encoding="ascii")
 
 

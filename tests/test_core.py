@@ -62,62 +62,98 @@ def test_entropy_inverse_endpoints_exact():
     assert binary_entropy_inv(1.0) == 0.5
 
 
-def _bisection_200(y):
-    """The inverse as a fixed 200-step bisection, exiting only on 1e-17."""
-    if y <= 0.0:
-        return 0.0
-    if y >= 1.0:
-        return 0.5
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-17:
-            break
-    return 0.5 * (lo + hi)
+_MP_DIGITS = 50
 
 
-def test_entropy_inverse_stops_when_the_bracket_stops(monkeypatch):
-    # once the midpoint equals an end of the bracket, further steps change
-    # nothing; above a preimage of 1/16 the 1e-17 exit never fires
-    ys = np.concatenate([[0.0, 1.0, 1e-300, 5e-324, 0.9, 0.5],
-                         np.linspace(0.0, 1.0, 2001),
-                         np.geomspace(1e-300, 1e-3, 200),
-                         1.0 - np.geomspace(1e-16, 1e-3, 200),
-                         np.nextafter(1.0, 0.0) - np.arange(20) * 2.0 ** -53])
-    for y in ys:
-        assert binary_entropy_inv(float(y)) == _bisection_200(float(y)), y
-    calls = []
+def _h2_mp(x):
+    # 1 - x in 50 digits still rounds to 1 for x near 1e-300: log1p keeps it
+    return (-x * mpmath.log(x) - (1 - x) * mpmath.log1p(-x)) / mpmath.log(2)
 
-    def counted(x):
-        calls.append(x)
-        return binary_entropy(x)
 
-    monkeypatch.setattr(core, "binary_entropy", counted)
-    core.binary_entropy_inv(0.9)
-    assert 0 < len(calls) <= 64
+def _h2_inv_mp(y, x):
+    # Newton in 50 digits from a double-precision preimage x
+    y, x = mpmath.mpf(y), mpmath.mpf(x)
+    for _ in range(8):
+        x += (y - _h2_mp(x)) / mpmath.log((1 - x) / x, 2)
+    return x
+
+
+_ENTROPY_XS = np.concatenate([np.geomspace(1e-300, 0.5, 400),
+                              np.linspace(0.002, 0.5, 250),
+                              0.5 * np.random.default_rng(21).random(150)])
+# 10^-11.625 is h2 of the degree at rate 2.37e-12 on the slice alpha = 1/2,
+# where h2 with 1 - x rounded put both inverses 1e-5 off and the scalar and
+# array caps 3.1e-12 apart
+_ENTROPY_YS = np.concatenate([np.geomspace(1e-299, 0.99, 400),
+                              np.linspace(0.002, 0.99, 250),
+                              0.99 * np.random.default_rng(22).random(150),
+                              [10.0 ** -11.625]])
+
+
+def _condition(y, x):
+    """Relative condition number y / (x h2'(x)) >= 1 of h2^{-1} at y = h2(x):
+    the relative change of the preimage per relative change of y."""
+    return y / (x * np.log2((1.0 - x) / x))
+
+
+def test_entropy_against_mpmath():
+    # both forms, within 4e-16 relative of 50-digit mpmath on [1e-300, 1/2]
+    with mpmath.workdps(_MP_DIGITS):
+        ref = np.array([float(_h2_mp(mpmath.mpf(float(x)))) for x in _ENTROPY_XS])
+    scalar = np.array([binary_entropy(float(x)) for x in _ENTROPY_XS])
+    for got in (scalar, _h2_arr(_ENTROPY_XS)):
+        assert np.abs(got / ref - 1.0).max() <= 4e-16
+
+
+def test_entropy_inverse_against_mpmath():
+    # both forms, within 4e-16 relative of 50-digit mpmath, times the
+    # inverse's condition number: 1 to 1.6 for y <= 1/2, 6.5 at y = 0.99,
+    # where an ulp of h2 moves the preimage by several ulps
+    scalar = np.array([binary_entropy_inv(float(y)) for y in _ENTROPY_YS])
+    with mpmath.workdps(_MP_DIGITS):
+        ref = np.array([float(_h2_inv_mp(float(y), float(x)))
+                        for y, x in zip(_ENTROPY_YS, scalar)])
+    bound = 4e-16 * _condition(_ENTROPY_YS, ref)
+    assert bound[_ENTROPY_YS <= 0.5].max() <= 6.5e-16
+    for got in (scalar, _h2_inv_arr(_ENTROPY_YS)):
+        assert np.all(np.abs(got / ref - 1.0) <= bound)
 
 
 def test_vectorised_entropy_inverse_matches_scalar_reference():
-    ys = np.linspace(0.0, 1.0, 1000)
+    # one formula and one Newton in two forms.  numpy's vectorised log2 and
+    # log1p may differ from the math module's by an ulp (they do at a few
+    # percent of arguments on AVX-512 builds), so h2 agrees within 2 ulp,
+    # and the inverses within what those ulps move a preimage by
+    for xs in (_ENTROPY_XS, np.linspace(0.0, 1.0, 1001)):
+        scalar = np.array([binary_entropy(float(x)) for x in xs])
+        assert np.all(np.abs(_h2_arr(xs) - scalar) <= 2 * np.spacing(scalar))
+    ys = np.concatenate([_ENTROPY_YS, np.linspace(0.0, 1.0, 1001)])
+    scalar = np.array([binary_entropy_inv(float(y)) for y in ys])
     got = _h2_inv_arr(ys)
-    ref = np.array([binary_entropy_inv(float(y)) for y in ys])
-    assert np.abs(got - ref).max() <= 1e-15
-    assert got[0] == 0.0 and got[-1] == 0.5
+    inner = (ys > 1e-300) & (ys < 1.0)
+    assert np.all(got[~inner] == scalar[~inner])
+    bound = 8e-16 * _condition(ys[inner], scalar[inner]) * scalar[inner]
+    assert np.all(np.abs(got[inner] - scalar[inner]) <= bound)
+    assert got[ys == 0.0][0] == 0.0 and got[ys == 1.0][0] == 0.5
 
 
 def test_vectorised_entropy_inverse_residual_is_round_off():
     # near y = 1 the flat top of h2 makes the preimage ill-conditioned, so
     # two correct inverses may differ there by more than 1e-15; the residual
-    # h2(x) - y cannot, at either end of the range
+    # h2(x) - y cannot, at either end of the range; above the cut-off
+    # y <= 1e-300 (which gives 0) both forms stay within 3 ulp of y up to
+    # 1 - 1e-16
     ys = np.concatenate([np.geomspace(1e-300, 0.5, 300),
                          1.0 - np.geomspace(1e-16, 0.5, 300)])
     x = _h2_inv_arr(ys)
     assert np.all((0.0 <= x) & (x < 0.5))
     assert np.abs(_h2_arr(x) - ys).max() <= 4.5e-16
+    ys = ys[1:]
+    assert np.all(np.abs(_h2_arr(x[1:]) - ys) <= 3 * np.spacing(ys))
+    for y in ys:
+        x = binary_entropy_inv(float(y))
+        assert 0.0 <= x < 0.5
+        assert abs(binary_entropy(x) - y) <= 3 * np.spacing(y)
 
 
 def test_kl_basics():

@@ -70,7 +70,7 @@ def test_sqrt_branch_at_right_endpoint():
 
 def test_log_singularity_near_tolerance():
     # integrable log endpoint: converges close to (not exactly at) tol
-    got = integrate(lambda x: np.log1p(-np.minimum(x, 1.0 - 1e-300)), 0, 1,
+    got = integrate(lambda x: np.log1p(-np.minimum(x, np.nextafter(1.0, 0.0))), 0, 1,
                     tol=1e-9, refine_end=True)
     assert got == pytest.approx(-1.0, abs=1e-7)
 

@@ -7,6 +7,7 @@ Every route must admit the points they admit and refuse the others, for
 the same reason.
 """
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -84,3 +85,23 @@ def _clear_of_boundary(rate, alpha, omega) -> bool:
 def test_routes_agree_off_the_boundary(rate, alpha, omega):
     assume(_clear_of_boundary(rate, alpha, omega))
     _assert_one_rule(rate, alpha, omega)
+
+
+@pytest.mark.parametrize("alpha, slices", [(0.5, 60), (0.5 - 1e-7, 60), (0.49, 4)])
+def test_scalar_rule_admits_the_array_cap_at_tiny_rates(alpha, slices):
+    # the scalar rule admits MuSlice's cap down to rate 1e-12, where
+    # tau ~ 5e-14: a relative error of 2e-5 in tau once moved the cap by
+    # 3e-12 > _TOL there.  On these slices the scalar and array forms of h2
+    # and its inverse give the cap to the bit (the 0.49 slice is too light
+    # below rate 2.9e-4)
+    admitted = 0
+    for rate in np.geomspace(1e-12, 1e-3, 60):
+        rate = float(rate)
+        if _verdict(lambda: MuSlice(rate, alpha)) != "admitted":
+            refused = _verdict(lambda: SpectrumPoint.make(rate, alpha, 0.0))
+            assert refused == "slice too light"
+            continue
+        cap = MuSlice(rate, alpha).cap
+        assert SpectrumPoint.make(rate, alpha, cap).cap == cap, rate
+        admitted += 1
+    assert admitted == slices

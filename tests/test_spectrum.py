@@ -69,10 +69,11 @@ def test_half_zero_rate_degenerates():
 
 
 def test_mu_literals():
+    # 30-digit mpmath values, tau and the cap solved in mpmath as well
     assert spectrum_exponent_at(0.469, 0.5, 0.15) == pytest.approx(
-        0.12338047764416393, abs=1e-11)
+        0.12338047764416426, abs=1e-15)
     assert spectrum_exponent_at(0.3, 0.3, 0.2) == pytest.approx(
-        0.08762964230320264, abs=1e-11)
+        0.08762964241840682, abs=1e-15)
 
 
 def test_half_closed_form_vs_quadrature():
@@ -82,10 +83,10 @@ def test_half_closed_form_vs_quadrature():
             omega = frac * cap
             closed = spectrum_exponent_half(rate, omega)
             quad = spectrum_exponent(SpectrumPoint.make(rate, 0.5, omega))
-            assert closed == pytest.approx(quad, abs=2e-9)
+            assert closed == pytest.approx(quad, abs=1e-11)
         # at the cap the radical vanishes; both routes still agree
         assert spectrum_exponent_half(rate, cap) == pytest.approx(
-            spectrum_exponent(SpectrumPoint.make(rate, 0.5, cap)), abs=1e-8)
+            spectrum_exponent(SpectrumPoint.make(rate, 0.5, cap)), abs=1e-11)
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,9 +94,9 @@ def test_half_closed_form_vs_quadrature():
 def test_half_closed_form_stable_at_small_rates(log10_rate, frac):
     # as tau -> 0 (and tau -> 1/2, omega -> the cap) the closed form must
     # neither go negative nor drift from the panel route; 1e-14 allows one
-    # ulp of its ~20-bit log terms.  The routes take tau from different h2
-    # inverses, whose caps differ by ~3e-12 at rates near 1e-12, so omega
-    # ranges over the cap both admit.
+    # ulp of its ~20-bit log terms.  The routes take tau from the scalar and
+    # the array form of the h2 inverse, whose caps may differ by ulps, so
+    # omega ranges over the cap both admit.
     rate = 10.0 ** log10_rate
     sl = MuSlice(rate, 0.5)
     omega = frac * min(sl.cap, SpectrumPoint.make(rate, 0.5, 0.0).cap)
@@ -111,7 +112,7 @@ def test_mu_slice_vs_adaptive():
             omega = frac * sl.cap
             assert sl.mu(omega) == pytest.approx(
                 spectrum_exponent(SpectrumPoint.make(rate, alpha, omega)),
-                abs=3e-9)
+                abs=1e-11)
 
 
 def test_mu_slice_matches_closed_form_on_symmetric_slice():
@@ -119,7 +120,7 @@ def test_mu_slice_matches_closed_form_on_symmetric_slice():
     for frac in (0.1, 0.45, 0.75, 1.0):
         omega = frac * sl.cap
         assert sl.mu(omega) == pytest.approx(
-            spectrum_exponent_half(0.469, omega), abs=3e-9)
+            spectrum_exponent_half(0.469, omega), abs=1e-11)
 
 
 def _alpha_batch(rate, fracs):
@@ -138,7 +139,7 @@ def test_batched_slice_vs_adaptive():
             for alpha, omega, value in zip(alphas, omegas, got):
                 ref = spectrum_exponent(
                     SpectrumPoint.make(rate, float(alpha), float(omega)))
-                assert value == pytest.approx(ref, abs=1e-9)
+                assert value == pytest.approx(ref, abs=1e-11)
 
 
 def test_batched_slice_vs_closed_form_on_symmetric_slice():
@@ -147,7 +148,7 @@ def test_batched_slice_vs_closed_form_on_symmetric_slice():
         for frac in (0.1, 0.3, 0.5, 0.8, 1.0):
             value = sl.mu(frac * sl.cap)[1]
             assert value == pytest.approx(
-                spectrum_exponent_half(rate, frac * sl.cap[1]), abs=1e-9)
+                spectrum_exponent_half(rate, frac * sl.cap[1]), abs=1e-11)
 
 
 def test_batched_slice_equals_scalar_slices():
@@ -355,8 +356,7 @@ def _mu_mp(alpha, tau, cap, omega):
 def test_mu_finite_at_the_ends_of_the_s_range():
     # omega = cap is s = 0 and omega -> 0 is s = 1; both stay finite (the
     # RuntimeWarning filter turns a NaN from sqrt into an error).  The
-    # adaptive route is the reference at omega -> 0 only: at the cap it
-    # misses its 1e-11 tolerance by up to 3e-10 against mpmath
+    # adaptive route is checked at the cap in test_adaptive_route_against_mpmath
     for rate, alpha in ((0.3, 0.3), (0.469, 0.5), (0.05, 0.45), (0.9, 0.49)):
         sl = MuSlice(rate, alpha)
         for omega in (sl.cap, sl.cap * (1.0 - 2.0 ** -52), 1e-300):
@@ -365,6 +365,21 @@ def test_mu_finite_at_the_ends_of_the_s_range():
             assert abs(mpmath.mpf(value) - _mu_mp(alpha, sl.tau, sl.cap, omega)) < 1e-15
         assert sl.mu(1e-300) == pytest.approx(
             spectrum_exponent(SpectrumPoint.make(rate, alpha, 1e-300)), abs=1e-11)
+
+
+def test_adaptive_route_against_mpmath():
+    # the quadrature route integrates up to omega/2 itself, cap included:
+    # within 1e-13 of 30-digit mpmath on a seeded grid of rates down to
+    # 1e-12, alpha at 1/2 or inside the slice range, omega at or below the cap
+    rng = np.random.default_rng(23)
+    for rate in (1e-12, 1e-6, 0.05, 0.3, 0.469, 0.9):
+        a0 = binary_entropy_inv(1.0 - rate)
+        for alpha in (0.5, a0 + (0.5 - a0) * rng.uniform(0.2, 0.9)):
+            pt = SpectrumPoint.make(rate, alpha, 0.0)
+            for omega in (pt.cap, pt.cap * rng.uniform(0.1, 0.9)):
+                got = spectrum_exponent(SpectrumPoint.make(rate, alpha, omega))
+                ref = _mu_mp(alpha, pt.tau, pt.cap, omega)
+                assert abs(mpmath.mpf(got) - ref) < 1e-13, (rate, alpha, omega)
 
 
 def test_mu_slice_domain():
