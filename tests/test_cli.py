@@ -141,6 +141,22 @@ GOLDEN_ARGV = {
          "--rmin", "0.035", "--rmax", "0.08", "--step", "0.005"],
     "verify_all.json": ["verify", "--suite", "all"],
 }
+# F references: 30 rates per channel, from 1e-4 to within about 1e-4 of C,
+# full-precision JSON; channels below p1, near p1 and up to p = 0.45
+_F_REF_GRIDS = {    # p: (step, rmax), rmax half-way from the 30th rate to C
+    "0.001": ("0.03408249", "0.98854223"), "0.005": ("0.03290983", "0.95453519"),
+    "0.01": ("0.03168989", "0.91915684"), "0.03": ("0.02777269", "0.80555808"),
+    "0.05": ("0.0246001", "0.71355297"), "0.1": ("0.0183036", "0.53095440"),
+    "0.15": ("0.01344688", "0.39010961"), "0.2": ("0.00958178", "0.27802176"),
+    "0.25": ("0.00650075", "0.18867181"), "0.3": ("0.00408652", "0.11865909"),
+    "0.4": ("0.0009948", "0.02899930"), "0.45": ("0.00024226", "0.00717554"),
+}
+F_REFERENCES = [f"curve_f_p{p}.json" for p in _F_REF_GRIDS]
+GOLDEN_ARGV.update(
+    (f"curve_f_p{p}.json",
+     ["curve", "--p", p, "--format", "json", "--rmin", "0.0001",
+      "--rmax", rmax, "--step", step])
+    for p, (step, rmax) in _F_REF_GRIDS.items())
 
 
 @pytest.mark.parametrize("p", ["0.1", "0.005"])
@@ -167,6 +183,18 @@ def test_curve_output_matches_golden_bytes(golden, capsys):
     # tests/data holds these outputs as first recorded, byte for byte
     assert main(GOLDEN_ARGV[golden]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("golden", F_REFERENCES)
+def test_f_matches_reference(golden, capsys):
+    # every F of the 30-rate references within 1e-14 of its record
+    assert main(GOLDEN_ARGV[golden]) == 0
+    got = json.loads(capsys.readouterr().out)["value"]
+    want = json.loads((DATA / golden).read_text(encoding="ascii"))["value"]
+    assert len(got) == len(want) == 30
+    assert [g["R"] for g in got] == [w["R"] for w in want]
+    for g, w in zip(got, want):
+        assert abs(g["F"] - w["F"]) <= 1e-14, (g, w)
 
 
 def test_curve_json(capsys):
