@@ -172,18 +172,38 @@ def _h2_inv_arr(y: np.ndarray) -> np.ndarray:
     return np.where(inner, x, np.where(y >= 1.0, 0.5, 0.0))
 
 
+def _phi(t: float) -> float:
+    """(1 + t) ln(1 + t) - t for t >= -1, without its cancellation at 0.
+
+    For |t| <= 0.1 it is 2 (u^2 + (1 + u) u^3 (1/3 + u^2/5 + ... + u^14/17))
+    / (1 - u) with u = t / (2 + t), from ln(1 + t) = 2 atanh(u): every term
+    has the sign of u^2, and the first omitted one is below 2e-19 of the
+    sum.  Above 0.1 the direct form loses at most 4 eps / |t| < 1e-14.
+    """
+    if abs(t) > 0.1:
+        return (1.0 + t) * math.log1p(t) - t if t > -1.0 else 1.0
+    u = t / (2.0 + t)
+    v = u * u
+    tail = 0.0
+    for k in range(8, 0, -1):
+        tail = tail * v + 1.0 / (2 * k + 1)
+    return 2.0 * (v + (1.0 + u) * u * v * tail) / (1.0 - u)
+
+
 def kl_divergence(x: float, y: float) -> float:
-    """Binary KL divergence D(x || y) in bits; y must avoid the endpoints."""
+    """Binary KL divergence D(x || y) in bits; y must avoid the endpoints.
+
+    With d = x - y, D = (y phi(d/y) + (1 - y) phi(-d/(1 - y))) / ln 2 and
+    phi(t) = (1 + t) ln(1 + t) - t >= 0: no ratio x/y is rounded before a
+    logarithm, so D keeps its relative accuracy as x -> y (within 1e-14 of
+    50-digit mpmath at the same double x).
+    """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"first argument must lie in [0, 1], got {x!r}")
     if not 0.0 < y < 1.0:
         raise DomainError(f"second argument must lie strictly in (0, 1), got {y!r}")
-    total = 0.0
-    if x > 0.0:
-        total += x * math.log2(x / y)
-    if x < 1.0:
-        total += (1.0 - x) * math.log2((1.0 - x) / (1.0 - y))
-    return total
+    d = x - y
+    return (y * _phi(d / y) + (1.0 - y) * _phi(-d / (1.0 - y))) * _LOG2E
 
 
 def capacity(ch: ChannelParam) -> float:

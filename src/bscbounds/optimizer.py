@@ -47,11 +47,11 @@ __all__ = [
 
 _TOL = 1e-12
 _MAX_POINTS = 100_000   # largest rate grid curve() samples
-_F_GRID = 129           # alphas in the global pass of F_minimize
-_POLISH = 33            # alphas per polishing level of F_minimize
+_F_GRID = 33            # alphas in the global grid of an F search
 _F1_TOL = 1e-10         # bracket width of the inner slope search
 _S_TOP = 1e-6           # s at the top of the searched band, omega = G (1 - 1e-12)
-_PASS_SLICES = 8 * _F_GRID  # slices in one pass of the batched F searches
+_EPS = float(np.finfo(float).eps)
+_PASS_SLICES = 1032     # slices in one pass of the batched F searches: 31 grids
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,10 @@ class OptResult:
     ``omega = 0`` is visible through ``arg_omega`` instead.  ``iterations``
     counts the evaluations of W's omega-slope per slice: 1 for a maximum
     at the cap, 2 for one at omega = 0, 2 plus the search passes for an
-    interior one, 0 for a collapsed band; F sums it over every slice its
-    alpha search evaluated.
+    interior one, 0 for a collapsed band.  F sums it over every slice its
+    alpha search evaluated: the 33-point grid and the points its end
+    probe, ladders and bracket steps add (the alpha-slopes of those
+    slices are not counted).
     """
 
     value: float
@@ -97,21 +99,34 @@ def W_value(omega: float, alpha: float, rate: float, ch: ChannelParam) -> float:
     return 0.5 * pt.omega * ch.log_pair - spectrum_exponent_at(rate, alpha, pt.omega)
 
 
-def _w_slope(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
-             L: float) -> np.ndarray:
-    """d/d omega of W at fixed rate: L/2 - mu'(omega), broadcast over arrays.
+def _w_terms(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
+             at_cap: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The two omega-dependent terms of W's omega-slope, a' and the kernel.
 
-    mu' splits into an elementary part and one kernel sample at omega/2,
-    so the slope of a whole alpha batch costs a few array passes and the
-    concave inner maximization reduces to a root of the slope.  On the
-    band nu = (alpha - omega/2)/(1 - omega) stays inside (0, 1).
+    mu' splits into an elementary part a' and one kernel sample at
+    omega/2, so the slope of a whole alpha batch costs a few array passes
+    and the concave inner maximization reduces to a root of the slope.  On
+    the band nu = (alpha - omega/2)/(1 - omega) stays inside (0, 1).  With
+    ``at_cap`` omega is the cap G, where the kernel's radical is 0 exactly
+    and the kernel is log2(G (sqrt(tau(1 - tau)) + G/2)): ``log_kernel``
+    forms the radical from a cancelling difference, ~1e-8 off there.
     """
     rest = 1.0 - omega
     nu = (alpha - 0.5 * omega) / rest
     log_nu, log_co = np.log2(nu), np.log2(1.0 - nu)
     a_prime = (2.0 * np.log2(rest) + nu * log_nu + (1.0 - nu) * log_co
                + (log_co - log_nu) * (alpha - 0.5) / rest)
-    return 0.5 * L - a_prime + log_kernel(0.5 * omega, alpha, tau)
+    kernel = (np.log2(omega * (np.sqrt(tau * (1.0 - tau)) + 0.5 * omega)) if at_cap
+              else log_kernel(0.5 * omega, alpha, tau))
+    return a_prime, kernel
+
+
+def _w_slope(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
+             L: float, at_cap: bool = False) -> np.ndarray:
+    """d/d omega of W at fixed rate: L/2 - mu'(omega), broadcast over
+    arrays (see ``_w_terms``)."""
+    a_prime, kernel = _w_terms(omega, alpha, tau, at_cap)
+    return 0.5 * L - a_prime + kernel
 
 
 class _F1Batch(NamedTuple):
@@ -135,10 +150,10 @@ def _slope_root(cap: np.ndarray, alpha: np.ndarray, tau: np.ndarray, L: float,
     both ends close in on the root superlinearly.  A slice freezes once
     its bracket is at most ``width`` G wide in omega, once the step no
     longer falls strictly inside it (the root is then within rounding of
-    the step), or once the slope at the step is exactly 0 (the next step
-    would return the same point), so its passes do not depend on the
-    other slices.  Returns
-    omega at each slice's last step and the passes it took.
+    the step), or once the slope at the step is at round-off level: at
+    most eps (|L|/2 + |a'| + |kernel|), the rounding its terms can leave.
+    So its passes do not depend on the other slices.  Returns omega at
+    each slice's last step and the passes it took.
     """
     x, passes = np.empty(cap.size), np.empty(cap.size, int)
     rows = np.arange(cap.size)
@@ -148,11 +163,13 @@ def _slope_root(cap: np.ndarray, alpha: np.ndarray, tau: np.ndarray, L: float,
     while rows.size:
         k += 1
         c = b + (a - b) * (fb / (fb - fa))
-        fc = _w_slope(cap * (1.0 - c * c), alpha, tau, L)
+        a_prime, kernel = _w_terms(cap * (1.0 - c * c), alpha, tau)
+        fc = 0.5 * L - a_prime + kernel
         sign = np.sign(fc)
         halve = np.where(sign == last, 0.5, 1.0)
         up, last = sign > 0.0, sign
-        done = ~((b < c) & (c < a)) | (fc == 0.0)
+        noise = _EPS * (0.5 * abs(L) + np.abs(a_prime) + np.abs(kernel))
+        done = ~((b < c) & (c < a)) | (np.abs(fc) <= noise)
         a, fa = np.where(up, c, a), np.where(up, fc, halve * fa)
         b, fb = np.where(up, b, c), np.where(up, halve * fb, fc)
         done |= (a - b) * (a + b) <= width
@@ -211,6 +228,33 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
                     at_cap, iterations)
 
 
+def _f1_slope(rate: np.ndarray, alphas: np.ndarray, L: float,
+              batch: _F1Batch) -> np.ndarray:
+    """dF1/dalpha of every slice of a batch, by the envelope theorem.
+
+    At an interior argmax omega* the slope is -dmu/dalpha at fixed omega
+    (``MuSlice.alpha_slope``, tau following alpha on the slice rule); at
+    the cap it also gets dW/domega there times dG/dalpha.  A slice whose
+    maximum is 0 (omega* = 0, a clamped maximum or a collapsed band) has
+    slope 0, as does alpha = 1/2, by symmetry.
+    """
+    slope = np.zeros(alphas.size)
+    live = np.flatnonzero(batch.value > 0.0)
+    if live.size:
+        sl = MuSlice(rate[live], alphas[live])
+        x, top = batch.arg_omega[live], batch.at_cap[live]
+        d = -sl.alpha_slope(x)
+        at = np.flatnonzero(top)
+        w_omega = _w_slope(x[at], sl.alpha[at], sl.tau[at], L, at_cap=True)
+        # dG/dalpha is -inf where tau = 0: the slope is too if W still rises
+        g = sl.cap_slope()[at]
+        finite = np.isfinite(g)
+        d[at] += np.where(finite, w_omega * np.where(finite, g, 0.0),
+                          np.where(w_omega > 0.0, -np.inf, 0.0))
+        slope[live] = d
+    return slope
+
+
 def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
                 *, tol: float = _F1_TOL) -> OptResult:
     """max over omega in [0, G(alpha, tau)] of W(omega, alpha, R, p).
@@ -232,55 +276,149 @@ def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
                      int(res.iterations[0]))
 
 
+def _hermite_min(a: float, b: float, va: float, vb: float, da: float,
+                 db: float) -> tuple[float, float] | None:
+    """The lowest interior local minimum (value, alpha) of the cubic Hermite
+    interpolant of the values va, vb and slopes da, db on [a, b], if any."""
+    if not (math.isfinite(da) and math.isfinite(db)):
+        return None
+    h = b - a
+    # H(t) = va + c1 t + c2 t^2 + c3 t^3 on t in [0, 1]
+    c1, c2 = da * h, 3.0 * (vb - va) - (2.0 * da + db) * h
+    c3 = 2.0 * (va - vb) + (da + db) * h
+    if c3 == 0.0:
+        roots = [-0.5 * c1 / c2] if c2 != 0.0 else []
+    else:
+        disc = c2 * c2 - 3.0 * c1 * c3
+        roots = ([(-c2 + sign * math.sqrt(disc)) / (3.0 * c3) for sign in (1.0, -1.0)]
+                 if disc >= 0.0 else [])
+    minima = [(va + t * (c1 + t * (c2 + t * c3)), a + t * h)
+              for t in roots if 0.0 < t < 1.0 and c2 + 3.0 * c3 * t > 0.0]
+    return min(minima, default=None)
+
+
 def _f_search(rate: float):
     """min over alpha of F1 at one rate, as a coroutine.
 
-    Yields each alpha grid it needs evaluated (of a polish level, the
-    points not evaluated before), receives the grid's _F1Batch, and
-    returns the OptResult, so that _f_rates can evaluate the
-    grids of many rates in shared _f1_batch passes.
+    Yields each alpha array it needs evaluated, receives the array's
+    _F1Batch with the alpha-slopes of F1 (``_f1_slope``), and returns the
+    OptResult, so that _f_rates can evaluate the arrays of many rates in
+    shared passes.  F1 >= 0 (W = 0 at omega = 0), so a value <= 0 is a
+    minimum and ends the search.  Otherwise a grid cell is searched when
+    its slope changes sign from - to + (a local minimum inside) and it
+    may hold a value below the best, or when its cubic Hermite
+    interpolant dips below the best value; the other cells, and cells
+    1e-12 wide, are not searched.
+    - A bracket of a sign change takes two points a pass: the Illinois
+      step of ``_slope_root`` on the slope, and the minimum of the Hermite
+      interpolant of its ends, the secant corrected by the values.  It is
+      done once the gain its slope still promises, slope^2 / (2 F1''), is
+      below 1e-17, it is 1e-12 wide, or no step falls strictly inside.
+    - A dip with no sign change is split at the interpolant's minimum.
+    - At alpha0 the slope is singular when the maximum sits at the cap
+      (dG/dalpha ~ -1/sqrt(tau)) and the interpolant means nothing, so a
+      cell at alpha0 is searched on a sign change alone, by a first step
+      of 7 points at 8^-k of the cell.
+    - At 1/2 the slope is 0 by symmetry.  When the grid is lowest there,
+      one point 1e-3 of a cell below it reads whether 1/2 is a local
+      minimum (slope < 0 there) or a maximum, with a minimum below it.
+    The result is the lowest value evaluated, the exact 1/2 on ties within
+    1e-12 in the last cell.
     """
     alpha0 = binary_entropy_inv(1.0 - rate)
     # R = 0 collapses the constraint interval onto 1/2, defined by
     # continuity; at R = 1 every band collapses (F1 = 0 on the whole
     # interval) and its end alpha = 0 is no slice: both take 1/2 alone
-    alphas = (np.linspace(alpha0, 0.5, _F_GRID) if 0.0 < alpha0 < 0.5 - 1e-12
-              else np.array([0.5]))
-    # one batched pass over the grid does the global work
-    res = yield alphas
-    it = int(res.iterations.sum())
-    i, last = int(np.argmin(res.value)), alphas.size - 1
-
-    def pick(batch: _F1Batch, k: int, alpha: float) -> tuple:
-        return (float(batch.value[k]), alpha, float(batch.arg_omega[k]),
-                bool(batch.at_cap[k]))
-
-    def grid_point(k: int) -> tuple:
-        return pick(res, k, float(alphas[k]))
-
-    # polish: each level shrinks the bracket to the two cells around its
-    # best point, a factor (_POLISH - 1)/2 per level.  A level's ends are
-    # points of the level before (linspace returns its ends exactly), so it
-    # evaluates its inner points only and keeps its ends' entries
-    best, *ends = (grid_point(k) for k in (i, max(i - 1, 0), min(i + 1, last)))
-    while ends[1][1] - ends[0][1] > 1e-9:
-        a = np.linspace(ends[0][1], ends[1][1], _POLISH)
-        inner = yield a[1:-1]
-        it += int(inner.iterations.sum())
-        j = int(np.argmin(np.concatenate(([ends[0][0]], inner.value, [ends[1][0]]))))
-        known = {0: ends[0], _POLISH - 1: ends[1]}
-        best, *ends = (known.get(k) or pick(inner, k - 1, float(a[k]))
-                       for k in (j, max(j - 1, 0), min(j + 1, _POLISH - 1)))
-
-    # the grid ends stay candidates when the best cell touches them
-    candidates = [best] + [grid_point(k) for k in (last, 0) if abs(k - i) <= 1]
-    best = min(candidates, key=lambda c: c[0])
-    # prefer the exact half-point on ties: the refinement may sit a hair off
-    # the endpoint with an indistinguishable value
-    for c in candidates:
-        if c[1] == 0.5 and c[0] <= best[0] + 1e-12:
-            best = c
-    value, best_alpha, arg_omega, at_cap = best
+    if not 0.0 < alpha0 < 0.5 - 1e-12:
+        batch, _ = yield np.array([0.5])
+        return OptResult(float(batch.value[0]), float(batch.arg_omega[0]), 0.5,
+                         {"omega": bool(batch.at_cap[0]), "alpha": True},
+                         int(batch.iterations[0]))
+    grid = np.linspace(alpha0, 0.5, _F_GRID)
+    pts: dict = {}          # alpha -> (value, slope, arg_omega, at_cap)
+    it, best = 0, math.inf
+    roots: list = []        # brackets [a, b, fa, fb, end kept last, asked]
+    splits: list = []       # (a, b, alpha asked): cells split at a dip
+    asks, fresh, later = grid.tolist(), None, []    # later: the 1/2 probe's cells
+    while True:
+        batch, slope = yield np.array(asks)
+        it += int(batch.iterations.sum())
+        pts.update(zip(asks, zip(batch.value.tolist(), slope.tolist(),
+                                 batch.arg_omega.tolist(), batch.at_cap.tolist())))
+        best = min(best, float(batch.value.min()))
+        if best <= 0.0:
+            break
+        if fresh is None:       # the grid: every cell is new
+            fresh = list(zip(asks[:-1], asks[1:]))
+            if int(np.argmin(batch.value)) == _F_GRID - 1:
+                low = fresh.pop()[0]
+                probe = 0.5 - 1e-3 * (0.5 - low)
+                later = [(low, probe), (probe, 0.5)]
+        else:
+            fresh, later = later, []
+        for br in roots:
+            a, b, fa, fb, kept, asked = br
+            ends = [a] + asked + [b]
+            cells = list(zip(ends[:-1], ends[1:]))
+            if a == alpha0:         # a ladder: its rungs are new cells
+                fresh += cells
+                br[5] = []
+                continue
+            cells = [(x, y) for x, y in cells if pts[x][1] < 0.0 < pts[y][1]]
+            if not cells:           # a slope of 0 is the root itself
+                br[5] = []
+                continue
+            x, y = cells[0]
+            side = "a" if x == a else "b" if y == b else None
+            halve = 0.5 if side is not None and side == kept else 1.0
+            fa = halve * fa if x == a else pts[x][1]
+            fb = halve * fb if y == b else pts[y][1]
+            gain = min(pts[c][1] ** 2 for c in asked)
+            curvature = (pts[y][1] - pts[x][1]) / (y - x)
+            done = y - x <= 1e-12 or gain <= 2e-17 * curvature
+            br[:] = x, y, fa, fb, side, [] if done else asked
+        roots = [br for br in roots if br[5]]
+        fresh += [cell for a, b, m in splits for cell in ((a, m), (m, b))]
+        splits = []
+        for a, b in fresh:
+            if b - a <= 1e-12:
+                continue
+            (va, da, *_), (vb, db, *_) = pts[a], pts[b]
+            low = min(va, vb)
+            if da < 0.0 < db and (a == alpha0 or low <= best):
+                roots.append([a, b, da, db, None, []])
+                continue
+            # H >= min(va, vb) - 4/27 (b - a)(|da| + |db|): most cells end here
+            if a == alpha0 or low - 0.15 * (b - a) * (abs(da) + abs(db)) >= best - 1e-17:
+                continue
+            dip = _hermite_min(a, b, va, vb, da, db)
+            if dip is not None and dip[0] < best - 1e-17:
+                if da < 0.0 < db:
+                    roots.append([a, b, da, db, None, []])
+                else:
+                    splits.append((a, b, dip[1]))
+        asks = [m for *_, m in splits] + [probe for _, probe in later[:1]]
+        for br in roots:
+            a, b, fa, fb = br[:4]
+            if a == alpha0:
+                br[5] = [a + (b - a) * 8.0 ** -k for k in range(7, 0, -1)]
+            else:
+                (va, da, *_), (vb, db, *_) = pts[a], pts[b]
+                dip = _hermite_min(a, b, va, vb, da, db)
+                steps = [b + (a - b) * (fb / (fb - fa))] + ([dip[1]] if dip else [])
+                br[5] = sorted({c for c in steps if a < c < b})
+            asks += br[5]
+        roots = [br for br in roots if br[5]]
+        if not asks:
+            break
+    order = sorted(pts)
+    values = [pts[a][0] for a in order]
+    k = int(np.argmin(values))
+    best_alpha = order[k]
+    # prefer the exact half-point on ties within the last grid cell
+    if best_alpha >= grid[-2] and pts[0.5][0] <= values[k] + 1e-12:
+        best_alpha = 0.5
+    value, _, arg_omega, at_cap = pts[best_alpha]
     at_alpha_edge = best_alpha >= 0.5 - 1e-9 or best_alpha <= alpha0 + 1e-9
     return OptResult(value, arg_omega, best_alpha,
                      {"omega": at_cap, "alpha": at_alpha_edge}, it)
@@ -289,21 +427,20 @@ def _f_search(rate: float):
 def _f_rates(rates: list[float], p: float) -> list[OptResult]:
     """F at distinct rates, their searches batched into shared passes.
 
-    Each pass is one _f1_batch call over the alpha grids that every search
-    in flight asks for next.  A search joins while the pass has room for
-    its global grid within _PASS_SLICES slices (one search always runs),
-    and leaves as soon as its bracket is narrow enough, so the bound on
-    the slices of a pass bounds the panels it holds.  A pass costs about a
-    millisecond of slope-search overhead whatever its size, so the bound
-    is as large as memory allows: 8 global grids start up to eight rates
-    in one pass, and on the default 200-rate grid they cost about 0.25 MB
-    of peak RSS over 4 grids (32 grids cost 3 MB).  Batch entries do not
-    depend on their batch, so neither does a rate's F.
+    Each pass is one _f1_batch call, and one _f1_slope call, over the alpha
+    arrays that every search in flight asks for next.  A search joins
+    while the pass has room for its global grid within _PASS_SLICES slices
+    (one search always runs), and leaves as soon as it is done, so the
+    bound on the slices of a pass bounds the panels it holds.  A pass
+    costs about a millisecond of slope-search overhead whatever its size,
+    so the bound is as large as memory allows: 31 global grids start up to
+    31 rates in one pass.  Batch entries do not depend on their batch, so
+    neither does a rate's F.
     """
     L = ChannelParam(p).log_pair
     results: list = [None] * len(rates)
     waiting = iter(range(len(rates)))
-    flight: dict = {}       # rate index -> (search, alpha grid it asks for)
+    flight: dict = {}       # rate index -> (search, alpha array it asks for)
     while True:
         room = _PASS_SLICES - sum(g.size for _, g in flight.values())
         while room >= _F_GRID or not flight:
@@ -317,13 +454,15 @@ def _f_rates(rates: list[float], p: float) -> list[OptResult]:
             return results
         grids = [g for _, g in flight.values()]
         sizes = [g.size for g in grids]
-        batch = _f1_batch(np.repeat([rates[k] for k in flight], sizes),
-                          np.concatenate(grids), L, _F1_TOL)
-        parts = zip(*(np.split(field, np.cumsum(sizes)[:-1]) for field in batch))
+        rate, alphas = np.repeat([rates[k] for k in flight], sizes), np.concatenate(grids)
+        batch = _f1_batch(rate, alphas, L, _F1_TOL)
+        slope = _f1_slope(rate, alphas, L, batch)
+        cuts = np.cumsum(sizes)[:-1]
+        parts = zip(*(np.split(field, cuts) for field in batch))
         replies = {}
-        for (k, (search, _)), part in zip(flight.items(), parts):
+        for (k, (search, _)), part, d in zip(flight.items(), parts, np.split(slope, cuts)):
             try:
-                replies[k] = search, search.send(_F1Batch(*part))
+                replies[k] = search, search.send((_F1Batch(*part), d))
             except StopIteration as stop:
                 results[k] = stop.value
         flight = replies
@@ -352,14 +491,17 @@ def F_minimize(rate: float, ch: ChannelParam) -> OptResult:
     """min over alpha in [h2_inv(1-R), 1/2] of F1(R, alpha, p).
 
     One batched inner maximization over a fixed grid of _F_GRID alphas,
-    then batched bracket levels of _POLISH points around the best cell
-    until the bracket is 1e-9 wide; there is no convexity guarantee in
-    alpha, so the grid does the global work and the levels only polish.
-    This is a one-rate call of the grid routine behind ``curve``, which
-    runs the levels of many rates in shared passes; a rate's result is
-    the same whichever other rates share them, and it is cached per
-    (rate, p).  At R = 1 every band collapses and F is 0, reported at
-    alpha = 1/2.
+    each with the analytic alpha-slope of F1; there is no convexity
+    guarantee in alpha, so the grid does the global work.  A minimum at
+    an end is decided from the grid's values and slopes (at 1/2, whose
+    slope is 0, with one more point just below it); a cell whose slope
+    changes sign, or whose Hermite interpolant dips below the best value,
+    is searched for the root of the slope in a few passes (see
+    ``_f_search``).  This is a one-rate call of the grid routine behind
+    ``curve``, which runs the searches of many rates in shared passes; a
+    rate's result is the same whichever other rates share them, and it is
+    cached per (rate, p).  At R = 1 every band collapses and F is 0,
+    reported at alpha = 1/2.
     """
     if not 0.0 <= rate <= 1.0:
         raise DomainError(f"rate must lie in [0, 1], got {rate!r}")

@@ -167,6 +167,35 @@ def _s_rule(lo, hi, half_cap, alpha, tau):
     return np.einsum("...k,k->...", g, _GL_WEIGHTS) * hw * (2.0 * half_cap)
 
 
+def _s_slope_rule(lo, hi, half_cap, alpha, tau):
+    """The rule of ``_s_rule`` for the kernel's alpha- and tau-derivatives,
+    one (row, 2) pair per row.
+
+    With A = alpha(1-alpha), B = tau(1-tau) and w = A - B - u, the radical
+    factors as sqrt(disc) = s r, r = sqrt((A - B)(w + 2u sqrt(B))), since
+    w - 2u sqrt(B) = (A - B) s^2.  So s d/dA log_kernel = (w + s r) /
+    (ln2 (w + 2u^2 + s r) r) and s d/dB log_kernel = -1 / (ln2 r) are
+    regular at the cap, where sqrt(disc) itself vanishes."""
+    mid, hw = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    s = mid[..., None] + hw[..., None] * _GL_NODES
+    a, t = alpha[..., None], tau[..., None]
+    u = half_cap[..., None] * (1.0 - s * s)
+    gap = a * (1.0 - a) - t * (1.0 - t)
+    w = gap - u
+    r = np.sqrt(gap * (w + 2.0 * u * np.sqrt(t * (1.0 - t))))
+    root = s * r
+    d_alpha = (1.0 - 2.0 * a) * (w + root) / ((w + 2.0 * u * u + root) * r)
+    d_tau = -(1.0 - 2.0 * t) / r
+    scale = hw * (2.0 * half_cap) / math.log(2.0)
+    return np.stack([np.einsum("...k,k->...", d_alpha, _GL_WEIGHTS) * scale,
+                     np.einsum("...k,k->...", d_tau, _GL_WEIGHTS) * scale], axis=-1)
+
+
+def _h2_slope(x: np.ndarray) -> np.ndarray:
+    """h2'(x) = log2((1 - x)/x): exactly 0 at x = 1/2."""
+    return np.log2((1.0 - x) / x)
+
+
 class MuSlice:
     """Reusable omega -> mu evaluator, for one (rate, alpha) slice or a vector.
 
@@ -226,6 +255,17 @@ class MuSlice:
     def _out(self, v: np.ndarray):
         return float(v[0]) if self._scalar else v
 
+    def _mesh_place(self, x: np.ndarray) -> tuple:
+        """s at each x in [0, G/2], the bound index k with s_x in
+        (_S_BOUNDS[k + 1], _S_BOUNDS[k]], that bound, and the slices whose
+        x falls strictly inside panel k."""
+        # clipped, so rounding at the cap cannot take the root of a negative
+        ratio = np.divide(x, self._half, out=np.zeros_like(x), where=self._half > 0.0)
+        s_x = np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0))
+        k = (_S_BOUNDS >= s_x[:, None]).sum(axis=1) - 1
+        hi = _S_BOUNDS[k]
+        return s_x, k, hi, np.flatnonzero(s_x < hi)
+
     def _integral(self, x: np.ndarray) -> np.ndarray:
         """Integral of the kernel over [0, x], one x per slice, x in [0, G/2].
 
@@ -236,12 +276,7 @@ class MuSlice:
         and the partial pieces of all slices share the Gauss-rule calls."""
         h, cum, filled = self._half, self._cum, self._filled
         every = np.arange(x.size)
-        # clipped, so rounding at the cap cannot take the root of a negative
-        ratio = np.divide(x, h, out=np.zeros_like(x), where=h > 0.0)
-        s_x = np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0))
-        k = (_S_BOUNDS >= s_x[:, None]).sum(axis=1) - 1
-        hi = _S_BOUNDS[k]
-        part = np.flatnonzero(s_x < hi)
+        s_x, k, hi, part = self._mesh_place(x)
         # panel j spans s in [_S_BOUNDS[j + 1], _S_BOUNDS[j]]
         row, j = np.nonzero((filled[:, None] <= _PANELS) & (_PANELS < k[:, None]))
         rows = np.concatenate([row, part])
@@ -264,8 +299,8 @@ class MuSlice:
         out[part] += vals[row.size:]
         return out
 
-    def mu(self, omega):
-        """mu at one omega per slice (or one omega for every slice)."""
+    def _band(self, omega) -> np.ndarray:
+        """One omega per slice, checked against the band and clipped to it."""
         omega = np.broadcast_to(np.asarray(omega, dtype=float), self._alpha.shape)
         cap = self._cap
         bad = ~((-_TOL <= omega) & (omega <= cap + _TOL))
@@ -274,7 +309,11 @@ class MuSlice:
             raise DomainError(
                 f"normalised distance {float(omega[k])!r} outside "
                 f"[0, cap={cap[k]:.6f}]")
-        omega = np.clip(omega, 0.0, cap)
+        return np.clip(omega, 0.0, cap)
+
+    def mu(self, omega):
+        """mu at one omega per slice (or one omega for every slice)."""
+        omega = self._band(omega)
         alpha = self._alpha
         inner = (alpha - 0.5 * omega) / (1.0 - omega)
         val = (-_h2_arr(alpha)
@@ -283,3 +322,50 @@ class MuSlice:
                + (1.0 - omega) * _h2_arr(np.clip(inner, 0.0, 1.0))
                - 2.0 * self._integral(0.5 * omega))
         return self._out(np.where(omega > 0.0, val, 0.0))
+
+    def alpha_slope(self, omega):
+        """d mu / d alpha at fixed omega, tau following alpha on the rule.
+
+        With nu = (alpha - omega/2)/(1 - omega) and tau' = h2'(alpha) /
+        h2'(tau) (0 where tau = 0), the slope is -h2'(alpha) + h2'(nu) -
+        2 (I_alpha + tau' I_tau), where I_alpha and I_tau integrate the
+        kernel's alpha- and tau-derivatives over [0, omega/2] on the s-mesh
+        of ``mu`` (``_s_slope_rule``).  Every factor vanishes at alpha =
+        1/2, so the slope there is exactly 0.  Nothing is cached: each read
+        integrates its panels afresh, and a row's sum does not depend on
+        the other slices.
+        """
+        omega = self._band(omega)
+        alpha, tau, h = self._alpha, self._tau, self._half
+        s_x, k, hi, part = self._mesh_place(0.5 * omega)
+        row, j = np.nonzero(_PANELS < k[:, None])
+        rows = np.concatenate([row, part])
+        lo = np.concatenate([_S_BOUNDS[j + 1], s_x[part]])
+        top = np.concatenate([_S_BOUNDS[j], hi[part]])
+        grid = np.zeros((alpha.size, _COLUMNS.size, 2))
+        for b in range(0, rows.size, _BLOCK):
+            i, cut = rows[b:b + _BLOCK], slice(b, b + _BLOCK)
+            vals = _s_slope_rule(lo[cut], top[cut], h[i], alpha[i], tau[i])
+            # panel j in column j, the partial panel in the last column
+            cols = np.concatenate([j, np.full(part.size, _PANELS.size)])[cut]
+            grid[i, cols] = vals
+        i_alpha, i_tau = np.cumsum(grid, axis=1)[:, -1].T
+        tau_slope = np.divide(_h2_slope(alpha), _h2_slope(np.where(tau > 0.0, tau, 0.25)),
+                              out=np.zeros_like(tau), where=tau > 0.0)
+        nu = (alpha - 0.5 * omega) / (1.0 - omega)
+        slope = (_h2_slope(nu) - _h2_slope(alpha)
+                 - 2.0 * (i_alpha + tau_slope * i_tau))
+        return self._out(np.where(omega > 0.0, slope, 0.0))
+
+    def cap_slope(self):
+        """dG/dalpha, tau following alpha on the rule: 0 at alpha = 1/2 and
+        -inf where tau = 0 < alpha < 1/2 (there dtau/dalpha is 0, but
+        d sqrt(tau(1 - tau))/dalpha is infinite)."""
+        alpha, tau, cap = self._alpha, self._tau, self._cap
+        root = np.sqrt(tau * (1.0 - tau))
+        # (1 - 2 tau) tau' / root, with h2'(tau) root -> 0 as tau -> 0
+        lower = _h2_slope(np.where(tau > 0.0, tau, 0.25)) * root
+        ratio = np.divide((1.0 - 2.0 * tau) * _h2_slope(alpha), lower,
+                          out=np.where(alpha < 0.5, np.inf, 0.0), where=lower > 0.0)
+        return self._out((2.0 * (1.0 - 2.0 * alpha) - (2.0 * root + cap) * ratio)
+                         / (1.0 + 2.0 * root))

@@ -167,6 +167,34 @@ def test_kl_basics():
         kl_divergence(0.5, 0.0)
 
 
+def _kl_mp(x, y):
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+    total = mpmath.mpf(0)
+    if x > 0:
+        total += x * mpmath.log(x / y)
+    if x < 1:
+        total += (1 - x) * mpmath.log((1 - x) / (1 - y))
+    return total / mpmath.log(2)
+
+
+def test_kl_against_mpmath():
+    # within 1e-14 relative of 50-digit mpmath at the same double x: E_sp
+    # one step below capacity (x a hair above p), a seeded grid with x
+    # within 1e-12 to 1 relative of y, and a uniform grid with the ends
+    rng = np.random.default_rng(23)
+    pairs = [(binary_entropy_inv(1.0 - (capacity(ChannelParam(p)) - 0.001)), p)
+             for p in (0.05, 0.1, 0.15)]
+    ys = rng.uniform(1e-3, 0.999, 600)
+    xs = ys * (1.0 + rng.choice([-1.0, 1.0], 600) * 10.0 ** rng.uniform(-12, 0, 600))
+    pairs += [(x, y) for x, y in zip(xs, ys) if 0.0 <= x <= 1.0]
+    pairs += list(zip(rng.random(300), rng.uniform(1e-6, 1.0 - 1e-6, 300)))
+    pairs += [(0.0, 0.3), (1.0, 0.3), (0.0, 1e-9), (1.0, 1.0 - 1e-9)]
+    with mpmath.workdps(_MP_DIGITS):
+        for x, y in pairs:
+            ref = _kl_mp(float(x), float(y))
+            assert abs(kl_divergence(float(x), float(y)) - ref) <= 1e-14 * ref, (x, y)
+
+
 def test_capacity_value():
     assert capacity(CH) == pytest.approx(1.0 - binary_entropy(0.1), abs=1e-15)
     assert capacity(ChannelParam(0.499)) < 1e-5

@@ -39,7 +39,7 @@ from bscbounds.optimizer import (
 )
 from bscbounds import optimizer
 from bscbounds.cli import main
-from bscbounds.optimizer import _f1_batch, _segment_anchors, _w_slope
+from bscbounds.optimizer import _f1_batch, _f1_slope, _segment_anchors, _w_slope
 from bscbounds.spectrum import MuSlice, spectrum_exponent_at
 from bscbounds.verify import (
     _decay_min,
@@ -181,7 +181,8 @@ def test_f1_search_matches_fine_eight_cell_search(p):
     # 1e-15, and every argmax within tol where the value stands above the
     # round-off of W's O(1) terms (below it the clamp at omega = 0 may go
     # either way).  At the cap the slope is read once; in between, no slice
-    # takes more passes than the 11 of the eight-cell search at 1e-10.
+    # reads it more than 12 times (the ends and 10 passes), against the 11
+    # passes of the eight-cell search at 1e-10.
     tol = 1e-10
     rate, alphas, L = _search_grid(p, np.random.default_rng(19))
     open_band = MuSlice(rate, alphas).cap > tol
@@ -194,7 +195,44 @@ def test_f1_search_matches_fine_eight_cell_search(p):
     assert np.abs(got.value - value).max() <= 1e-15
     assert np.abs(got.arg_omega - arg)[value > 1e-14].max() <= tol
     assert (got.iterations[got.at_cap] == 1).all()
-    assert got.iterations.max() <= 13
+    assert got.iterations.max() <= 12
+
+
+def test_f1_search_stops_on_a_round_off_slope():
+    # a slice of the p = 0.3 grid above: the slope reads 1.5e-11, then
+    # -2.2e-16, at the round-off of its O(1) terms, with the bracket still
+    # 3.7e-11 wide.  The search stops there: 2 reads at the ends and 9
+    # passes, where halving the far end took 3 more
+    L = ChannelParam(0.3).log_pair
+    batch = _f1_batch(np.array([0.09912809328607426]),
+                      np.array([0.4084019554839038]), L, 1e-10)
+    assert batch.iterations[0] - 2 <= 9
+    assert batch.arg_omega[0] == pytest.approx(0.18009518258741078, abs=1e-10)
+
+
+def test_f1_alpha_slope_matches_central_differences():
+    # dF1/dalpha by the envelope theorem against a four-point central
+    # difference of F1 (step 1e-3 of the distance to the nearer end) on a
+    # seeded (p, R, alpha) grid, within 1e-6 relative; at alpha = 1/2 the
+    # slope is exactly 0
+    rng = np.random.default_rng(7)
+    kinds = set()
+    for p in (0.005, 0.05, 0.1, 0.2, 0.3, 0.4):
+        L = ChannelParam(p).log_pair
+        for r in 10.0 ** rng.uniform(-3, -0.05, 6):
+            a0 = binary_entropy_inv(1.0 - r)
+            alphas = np.append(a0 + rng.uniform(0.05, 0.95, 4) * (0.5 - a0), 0.5)
+            batch = _f1_batch(np.full(5, r), alphas, L, 1e-10)
+            slope = _f1_slope(np.full(5, r), alphas, L, batch)
+            assert slope[-1] == 0.0
+            for a, d, at_cap in zip(alphas[:-1], slope, batch.at_cap):
+                h = 1e-3 * min(a - a0, 0.5 - a)
+                v = _f1_batch(np.full(4, r), a + h * np.array([-2.0, -1.0, 1.0, 2.0]),
+                              L, 1e-10).value
+                central = (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
+                assert abs(central - d) <= 1e-6 * abs(d), (p, r, a)
+                kinds.add(bool(at_cap))
+    assert kinds == {True, False}
 
 
 def test_f1_at_constraint_edge_is_sphere_packing():
@@ -359,9 +397,10 @@ def test_f1_batch_rate_array_freezes_each_rate():
 
 def test_f_pass_size_boundaries(monkeypatch, capsys):
     # one search per pass, three or four global grids in a pass with the
-    # polish levels of earlier rates, the bound itself (eight), and every
+    # later steps of earlier rates, the bound itself (31 grids), and every
     # rate of the default grid in one pass: the CSV bytes stay put
-    assert optimizer._PASS_SLICES == 8 * optimizer._F_GRID
+    assert optimizer._PASS_SLICES == 1032
+    assert optimizer._PASS_SLICES // optimizer._F_GRID == 31
     optimizer._f_minimize_cached.cache_clear()
     assert main(["curve", "--p", "0.1"]) == 0
     whole = capsys.readouterr().out
@@ -374,9 +413,8 @@ def test_f_pass_size_boundaries(monkeypatch, capsys):
 
 
 def test_f_passes_and_slices_of_the_default_curve(monkeypatch, capsys):
-    # the default curve at p = 0.1: its 200 rates share 65 passes, and the
-    # searches send 57854 slices, each polish level reusing its two ends
-    # from the level before
+    # the default curve at p = 0.1: its 200 rates share 10 passes, and the
+    # searches send 6928 slices, 6600 of them in the 33-point grids
     seen = []
 
     def counting(rate, alphas, L, tol):
@@ -387,16 +425,16 @@ def test_f_passes_and_slices_of_the_default_curve(monkeypatch, capsys):
     optimizer._f_minimize_cached.cache_clear()
     assert main(["curve", "--p", "0.1"]) == 0
     capsys.readouterr()
-    assert (len(seen), sum(seen)) == (65, 57854)
+    assert (len(seen), sum(seen)) == (10, 6928)
     assert max(seen) <= optimizer._PASS_SLICES
 
 
 def test_f_pass_memory_stays_bounded(monkeypatch):
-    # 2000 rates in 8-grid passes: over the first 24 passes (three times a
-    # search's passes, so searches leave and join) the traced peak above
-    # what is kept stays near one pass's arrays (about 1.4 MB), where one
-    # pass of every global grid takes 173 MB.  The rest of the grid only
-    # repeats such passes, so the call is stopped there
+    # 2000 rates in 31-grid passes: over the first 24 passes (searches
+    # leave and join, and every pass is full: no room for one more grid)
+    # the traced peak above what is kept stays near one pass's arrays
+    # (about 1.4 MB), where one pass of every global grid takes 48 MB.  The
+    # rest of the grid only repeats such passes, so the call is stopped there
     import tracemalloc
 
     class Enough(Exception):
@@ -424,7 +462,8 @@ def test_f_pass_memory_stays_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
         optimizer._f_minimize_cached.cache_clear()
-    assert max(passes) == optimizer._PASS_SLICES
+    assert min(passes) > optimizer._PASS_SLICES - optimizer._F_GRID
+    assert max(passes) <= optimizer._PASS_SLICES
     assert peak - kept < 2.5e6
 
 
