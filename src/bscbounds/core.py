@@ -132,6 +132,11 @@ def _h2_arr(x: np.ndarray) -> np.ndarray:
     return np.where(inner, out, 0.0)
 
 
+def _h2_slope(x: np.ndarray) -> np.ndarray:
+    """h2'(x) = log2((1 - x)/x) on arrays: exactly 0 at x = 1/2."""
+    return np.log2((1.0 - x) / x)
+
+
 def binary_entropy_inv(y: float) -> float:
     """Inverse of h2 on [0, 1/2]: the preimage on the lower branch.
 
@@ -168,7 +173,7 @@ def _h2_inv_arr(y: np.ndarray) -> np.ndarray:
                    ys / (2.0 * (_LOG2E - np.log2(ys))), 0.0)
     x = np.maximum(top, low)
     for _ in range(6):
-        x = x + (ys - _h2_arr(x)) / np.log2((1.0 - x) / x)
+        x = x + (ys - _h2_arr(x)) / _h2_slope(x)
     return np.where(inner, x, np.where(y >= 1.0, 0.5, 0.0))
 
 

@@ -389,7 +389,8 @@ def _f_search(rate: float):
                 roots.append([a, b, da, db, None, []])
                 continue
             # H >= min(va, vb) - 4/27 (b - a)(|da| + |db|): most cells end here
-            if a == alpha0 or low - 0.15 * (b - a) * (abs(da) + abs(db)) >= best - 1e-17:
+            bound = low - 0.15 * (b - a) * (abs(da) + abs(db))
+            if a == alpha0 or bound >= best - 1e-17:
                 continue
             dip = _hermite_min(a, b, va, vb, da, db)
             if dip is not None and dip[0] < best - 1e-17:
@@ -454,13 +455,15 @@ def _f_rates(rates: list[float], p: float) -> list[OptResult]:
             return results
         grids = [g for _, g in flight.values()]
         sizes = [g.size for g in grids]
-        rate, alphas = np.repeat([rates[k] for k in flight], sizes), np.concatenate(grids)
+        rate = np.repeat([rates[k] for k in flight], sizes)
+        alphas = np.concatenate(grids)
         batch = _f1_batch(rate, alphas, L, _F1_TOL)
         slope = _f1_slope(rate, alphas, L, batch)
         cuts = np.cumsum(sizes)[:-1]
         parts = zip(*(np.split(field, cuts) for field in batch))
         replies = {}
-        for (k, (search, _)), part, d in zip(flight.items(), parts, np.split(slope, cuts)):
+        slopes = np.split(slope, cuts)
+        for (k, (search, _)), part, d in zip(flight.items(), parts, slopes):
             try:
                 replies[k] = search, search.send((_F1Batch(*part), d))
             except StopIteration as stop:

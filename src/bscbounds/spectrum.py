@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_LOG2E, DomainError, _h2_arr, _h2_inv_arr, binary_entropy,
-                   binary_entropy_inv, omega_cap)
+from .core import (_LOG2E, DomainError, _h2_arr, _h2_inv_arr, _h2_slope,
+                   binary_entropy, binary_entropy_inv, omega_cap)
 from .quadrature import _GL_NODES, _GL_WEIGHTS, integrate
 
 __all__ = [
@@ -191,11 +191,6 @@ def _s_slope_rule(lo, hi, half_cap, alpha, tau):
                      np.einsum("...k,k->...", d_tau, _GL_WEIGHTS) * scale], axis=-1)
 
 
-def _h2_slope(x: np.ndarray) -> np.ndarray:
-    """h2'(x) = log2((1 - x)/x): exactly 0 at x = 1/2."""
-    return np.log2((1.0 - x) / x)
-
-
 class MuSlice:
     """Reusable omega -> mu evaluator, for one (rate, alpha) slice or a vector.
 
@@ -350,8 +345,10 @@ class MuSlice:
             cols = np.concatenate([j, np.full(part.size, _PANELS.size)])[cut]
             grid[i, cols] = vals
         i_alpha, i_tau = np.cumsum(grid, axis=1)[:, -1].T
-        tau_slope = np.divide(_h2_slope(alpha), _h2_slope(np.where(tau > 0.0, tau, 0.25)),
-                              out=np.zeros_like(tau), where=tau > 0.0)
+        positive = tau > 0.0
+        tau_slope = np.divide(_h2_slope(alpha),
+                              _h2_slope(np.where(positive, tau, 0.25)),
+                              out=np.zeros_like(tau), where=positive)
         nu = (alpha - 0.5 * omega) / (1.0 - omega)
         slope = (_h2_slope(nu) - _h2_slope(alpha)
                  - 2.0 * (i_alpha + tau_slope * i_tau))
