@@ -50,7 +50,7 @@ _MAX_POINTS = 100_000   # largest rate grid curve() samples
 _F_GRID = 33            # alphas in the global grid of an F search
 _F1_TOL = 1e-10         # bracket width of the inner slope search
 _S_TOP = 1e-6           # s at the top of the searched band, omega = G (1 - 1e-12)
-_EPS = float(np.finfo(float).eps)
+_EPS = 2.0 ** -52       # double-precision epsilon
 _PASS_SLICES = 1032     # slices in one pass of the batched F searches: 31 grids
 
 
@@ -314,7 +314,8 @@ def _f_search(rate: float):
       interpolant of its ends, the secant corrected by the values.  It is
       done once the gain its slope still promises, slope^2 / (2 F1''), is
       below 1e-17, it is 1e-12 wide, or no step falls strictly inside.
-    - A dip with no sign change is split at the interpolant's minimum.
+    - A dip with no sign change takes the interpolant's minimum, and its
+      two parts are new cells.
     - At alpha0 the slope is singular when the maximum sits at the cap
       (dG/dalpha ~ -1/sqrt(tau)) and the interpolant means nothing, so a
       cell at alpha0 is searched on a sign change alone, by a first step
@@ -337,8 +338,9 @@ def _f_search(rate: float):
     grid = np.linspace(alpha0, 0.5, _F_GRID)
     pts: dict = {}          # alpha -> (value, slope, arg_omega, at_cap)
     it, best = 0, math.inf
-    roots: list = []        # brackets [a, b, fa, fb, end kept last, asked]
-    splits: list = []       # (a, b, alpha asked): cells split at a dip
+    # cells under search: [a, b, fa, fb, end kept last, alphas asked], with
+    # the Illinois slopes fa, fb of a sign change, or None for a dip
+    cells: list = []
     asks, fresh, later = grid.tolist(), None, []    # later: the 1/2 probe's cells
     while True:
         batch, slope = yield np.array(asks)
@@ -356,37 +358,33 @@ def _f_search(rate: float):
                 later = [(low, probe), (probe, 0.5)]
         else:
             fresh, later = later, []
-        for br in roots:
-            a, b, fa, fb, kept, asked = br
+        searched = []
+        for a, b, fa, fb, kept, asked in cells:
             ends = [a] + asked + [b]
-            cells = list(zip(ends[:-1], ends[1:]))
-            if a == alpha0:         # a ladder: its rungs are new cells
-                fresh += cells
-                br[5] = []
+            parts = list(zip(ends[:-1], ends[1:]))
+            turns = [(x, y) for x, y in parts if pts[x][1] < 0.0 < pts[y][1]]
+            if a == alpha0 or fa is None or not turns:
+                # a ladder or a dip: its parts are new cells (a slope of 0
+                # at a step is the root itself, and its parts end at once)
+                fresh += parts
                 continue
-            cells = [(x, y) for x, y in cells if pts[x][1] < 0.0 < pts[y][1]]
-            if not cells:           # a slope of 0 is the root itself
-                br[5] = []
-                continue
-            x, y = cells[0]
+            x, y = turns[0]
             side = "a" if x == a else "b" if y == b else None
             halve = 0.5 if side is not None and side == kept else 1.0
             fa = halve * fa if x == a else pts[x][1]
             fb = halve * fb if y == b else pts[y][1]
             gain = min(pts[c][1] ** 2 for c in asked)
             curvature = (pts[y][1] - pts[x][1]) / (y - x)
-            done = y - x <= 1e-12 or gain <= 2e-17 * curvature
-            br[:] = x, y, fa, fb, side, [] if done else asked
-        roots = [br for br in roots if br[5]]
-        fresh += [cell for a, b, m in splits for cell in ((a, m), (m, b))]
-        splits = []
+            if y - x > 1e-12 and gain > 2e-17 * curvature:
+                searched.append([x, y, fa, fb, side, None])
+        cells = searched
         for a, b in fresh:
             if b - a <= 1e-12:
                 continue
             (va, da, *_), (vb, db, *_) = pts[a], pts[b]
             low = min(va, vb)
             if da < 0.0 < db and (a == alpha0 or low <= best):
-                roots.append([a, b, da, db, None, []])
+                cells.append([a, b, da, db, None, None])
                 continue
             # H >= min(va, vb) - 4/27 (b - a)(|da| + |db|): most cells end here
             bound = low - 0.15 * (b - a) * (abs(da) + abs(db))
@@ -394,22 +392,22 @@ def _f_search(rate: float):
                 continue
             dip = _hermite_min(a, b, va, vb, da, db)
             if dip is not None and dip[0] < best - 1e-17:
-                if da < 0.0 < db:
-                    roots.append([a, b, da, db, None, []])
-                else:
-                    splits.append((a, b, dip[1]))
-        asks = [m for *_, m in splits] + [probe for _, probe in later[:1]]
-        for br in roots:
-            a, b, fa, fb = br[:4]
+                turn = da < 0.0 < db
+                cells.append([a, b, da if turn else None, db, None, None])
+        asks = [probe for _, probe in later[:1]]
+        for cell in cells:
+            a, b, fa, fb = cell[:4]
             if a == alpha0:
-                br[5] = [a + (b - a) * 8.0 ** -k for k in range(7, 0, -1)]
+                cell[5] = [a + (b - a) * 8.0 ** -k for k in range(7, 0, -1)]
             else:
                 (va, da, *_), (vb, db, *_) = pts[a], pts[b]
                 dip = _hermite_min(a, b, va, vb, da, db)
-                steps = [b + (a - b) * (fb / (fb - fa))] + ([dip[1]] if dip else [])
-                br[5] = sorted({c for c in steps if a < c < b})
-            asks += br[5]
-        roots = [br for br in roots if br[5]]
+                steps = [dip[1]] if dip else []
+                if fa is not None:
+                    steps.append(b + (a - b) * (fb / (fb - fa)))
+                cell[5] = sorted({c for c in steps if a < c < b})
+            asks += cell[5]
+        cells = [cell for cell in cells if cell[5]]
         if not asks:
             break
     order = sorted(pts)
