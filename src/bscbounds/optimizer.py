@@ -330,12 +330,8 @@ def _f_search(rate: float):
     # R = 0 collapses the constraint interval onto 1/2, defined by
     # continuity; at R = 1 every band collapses (F1 = 0 on the whole
     # interval) and its end alpha = 0 is no slice: both take 1/2 alone
-    if not 0.0 < alpha0 < 0.5 - 1e-12:
-        batch, _ = yield np.array([0.5])
-        return OptResult(float(batch.value[0]), float(batch.arg_omega[0]), 0.5,
-                         {"omega": bool(batch.at_cap[0]), "alpha": True},
-                         int(batch.iterations[0]))
-    grid = np.linspace(alpha0, 0.5, _F_GRID)
+    grid = (np.linspace(alpha0, 0.5, _F_GRID) if 0.0 < alpha0 < 0.5 - 1e-12
+            else np.array([0.5]))
     pts: dict = {}          # alpha -> (value, slope, arg_omega, at_cap)
     it, best = 0, math.inf
     # cells under search: [a, b, fa, fb, end kept last, alphas asked], with
@@ -415,7 +411,7 @@ def _f_search(rate: float):
     k = int(np.argmin(values))
     best_alpha = order[k]
     # prefer the exact half-point on ties within the last grid cell
-    if best_alpha >= grid[-2] and pts[0.5][0] <= values[k] + 1e-12:
+    if best_alpha >= grid[-2:][0] and pts[0.5][0] <= values[k] + 1e-12:
         best_alpha = 0.5
     value, _, arg_omega, at_cap = pts[best_alpha]
     at_alpha_edge = best_alpha >= 0.5 - 1e-9 or best_alpha <= alpha0 + 1e-9

@@ -250,16 +250,29 @@ class MuSlice:
     def _out(self, v: np.ndarray):
         return float(v[0]) if self._scalar else v
 
-    def _mesh_place(self, x: np.ndarray) -> tuple:
-        """s at each x in [0, G/2], the bound index k with s_x in
-        (_S_BOUNDS[k + 1], _S_BOUNDS[k]], that bound, and the slices whose
-        x falls strictly inside panel k."""
+    def _pieces(self, x: np.ndarray, first: np.ndarray, rule) -> tuple:
+        """``rule`` over the whole panels [first, k) of each slice below its
+        x in [0, G/2] and over the partial panel of the slices whose x falls
+        strictly inside one, ``_BLOCK`` (slice, panel) rows a call.  Returns
+        the rows' slices and panels, the partial slices, each slice's k
+        (s_x lies in (_S_BOUNDS[k + 1], _S_BOUNDS[k]]) and the rule's values,
+        the whole panels' first."""
         # clipped, so rounding at the cap cannot take the root of a negative
         ratio = np.divide(x, self._half, out=np.zeros_like(x), where=self._half > 0.0)
         s_x = np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0))
         k = (_S_BOUNDS >= s_x[:, None]).sum(axis=1) - 1
         hi = _S_BOUNDS[k]
-        return s_x, k, hi, np.flatnonzero(s_x < hi)
+        part = np.flatnonzero(s_x < hi)
+        # panel j spans s in [_S_BOUNDS[j + 1], _S_BOUNDS[j]]
+        row, j = np.nonzero((first[:, None] <= _PANELS) & (_PANELS < k[:, None]))
+        rows = np.concatenate([row, part])
+        lo = np.concatenate([_S_BOUNDS[j + 1], s_x[part]])
+        top = np.concatenate([_S_BOUNDS[j], hi[part]])
+        vals = []
+        for b in range(0, max(rows.size, 1), _BLOCK):
+            i, cut = rows[b:b + _BLOCK], slice(b, b + _BLOCK)
+            vals.append(rule(lo[cut], top[cut], self._half[i], self._alpha[i], self._tau[i]))
+        return row, j, part, k, np.concatenate(vals)
 
     def _integral(self, x: np.ndarray) -> np.ndarray:
         """Integral of the kernel over [0, x], one x per slice, x in [0, G/2].
@@ -269,18 +282,9 @@ class MuSlice:
         x falls strictly inside a panel then integrate a partial one, and
         x = G/2 reads the running integral over every panel.  The panels
         and the partial pieces of all slices share the Gauss-rule calls."""
-        h, cum, filled = self._half, self._cum, self._filled
+        cum, filled = self._cum, self._filled
         every = np.arange(x.size)
-        s_x, k, hi, part = self._mesh_place(x)
-        # panel j spans s in [_S_BOUNDS[j + 1], _S_BOUNDS[j]]
-        row, j = np.nonzero((filled[:, None] <= _PANELS) & (_PANELS < k[:, None]))
-        rows = np.concatenate([row, part])
-        lo = np.concatenate([_S_BOUNDS[j + 1], s_x[part]])
-        top = np.concatenate([_S_BOUNDS[j], hi[part]])
-        vals = np.empty(rows.size)
-        for b in range(0, rows.size, _BLOCK):
-            i, cut = rows[b:b + _BLOCK], slice(b, b + _BLOCK)
-            vals[cut] = _s_rule(lo[cut], top[cut], h[i], self._alpha[i], self._tau[i])
+        row, j, part, k, vals = self._pieces(x, filled, _s_rule)
         if row.size:
             # each row's new running sums, added in the order of the mesh:
             # zeros, the sum reached so far, then the new panels
@@ -331,19 +335,13 @@ class MuSlice:
         the other slices.
         """
         omega = self._band(omega)
-        alpha, tau, h = self._alpha, self._tau, self._half
-        s_x, k, hi, part = self._mesh_place(0.5 * omega)
-        row, j = np.nonzero(_PANELS < k[:, None])
-        rows = np.concatenate([row, part])
-        lo = np.concatenate([_S_BOUNDS[j + 1], s_x[part]])
-        top = np.concatenate([_S_BOUNDS[j], hi[part]])
+        alpha, tau = self._alpha, self._tau
+        row, j, part, _, vals = self._pieces(0.5 * omega, np.zeros(alpha.size, int),
+                                             _s_slope_rule)
+        # panel j in column j, the partial panel in the last column
         grid = np.zeros((alpha.size, _COLUMNS.size, 2))
-        for b in range(0, rows.size, _BLOCK):
-            i, cut = rows[b:b + _BLOCK], slice(b, b + _BLOCK)
-            vals = _s_slope_rule(lo[cut], top[cut], h[i], alpha[i], tau[i])
-            # panel j in column j, the partial panel in the last column
-            cols = np.concatenate([j, np.full(part.size, _PANELS.size)])[cut]
-            grid[i, cols] = vals
+        grid[row, j] = vals[:row.size]
+        grid[part, -1] = vals[row.size:]
         i_alpha, i_tau = np.cumsum(grid, axis=1)[:, -1].T
         positive = tau > 0.0
         tau_slope = np.divide(_h2_slope(alpha),
