@@ -432,9 +432,10 @@ def test_f_passes_and_slices_of_the_default_curve(monkeypatch, capsys):
 def test_f_pass_memory_stays_bounded(monkeypatch):
     # 2000 rates in 31-grid passes: over the first 24 passes (searches
     # leave and join, and every pass is full: no room for one more grid)
-    # the traced peak above what is kept stays near one pass's arrays
-    # (about 1.4 MB), where one pass of every global grid takes 48 MB.  The
-    # rest of the grid only repeats such passes, so the call is stopped there
+    # the traced peak above what is kept stays near one pass's arrays, its
+    # slopes included (about 2.1 MB), where one pass of every global grid
+    # takes 48 MB.  The rest of the grid only repeats such passes, so the
+    # call is stopped there
     import tracemalloc
 
     class Enough(Exception):
