@@ -349,9 +349,9 @@ def _f_search(rate: float):
         if fresh is None:       # the grid: every cell is new
             fresh = list(zip(asks[:-1], asks[1:]))
             if int(np.argmin(batch.value)) == _F_GRID - 1:
-                low = fresh.pop()[0]
-                probe = 0.5 - 1e-3 * (0.5 - low)
-                later = [(low, probe), (probe, 0.5)]
+                left = fresh.pop()[0]
+                probe = 0.5 - 1e-3 * (0.5 - left)
+                later = [(left, probe), (probe, 0.5)]
         else:
             fresh, later = later, []
         searched = []
