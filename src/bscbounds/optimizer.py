@@ -130,11 +130,13 @@ def _w_slope(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
 
 
 class _F1Batch(NamedTuple):
-    """Inner maxima of a batch of slices, one entry per alpha."""
+    """Inner maxima of a batch of slices, one entry per alpha, with the
+    alpha-slope of each maximum."""
     value: np.ndarray
     arg_omega: np.ndarray
     at_cap: np.ndarray
     iterations: np.ndarray
+    slope: np.ndarray
 
 
 def _slope_root(cap: np.ndarray, alpha: np.ndarray, tau: np.ndarray, L: float,
@@ -199,13 +201,21 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
     G <= min(tol, _F1_TOL) get 0: a coarse search tolerance does not
     collapse a band.  ``iterations`` counts each slice's slope
     evaluations, as in ``OptResult``.
+
+    ``slope`` is dF1/dalpha, by the envelope theorem, from the same read
+    of mu (``MuSlice.mu_and_slope``): -dmu/dalpha at fixed omega = the
+    argmax, tau following alpha on the slice rule, plus at the cap
+    dW/domega there times dG/dalpha.  A maximum of 0 (omega = 0, a
+    clamped maximum or a collapsed band) has slope 0, as alpha = 1/2 has
+    by symmetry.
     """
     sl = MuSlice(rate, alphas)
     cap = sl.cap
     live = cap > min(tol, _F1_TOL)
     if not live.all():
         out = _F1Batch(np.zeros(cap.size), np.zeros(cap.size),
-                       np.ones(cap.size, bool), np.zeros(cap.size, int))
+                       np.ones(cap.size, bool), np.zeros(cap.size, int),
+                       np.zeros(cap.size))
         if live.any():
             for field, sub in zip(out, _f1_batch(rate[live], alphas[live], L, tol)):
                 field[live] = sub
@@ -222,37 +232,20 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
     x[k], passes = _slope_root(cap[k], alpha[k], tau[k], L, f_zero[rise],
                                f_top[k], 0.25 * tol)
     iterations[k] += passes
-    value = 0.5 * x * L - sl.mu(x)
+    mu, d_mu = sl.mu_and_slope(x)
+    value = 0.5 * x * L - mu
     clamp = ~at_cap & (value < 0.0)
-    return _F1Batch(np.where(clamp, 0.0, value), np.where(clamp, 0.0, x),
-                    at_cap, iterations)
-
-
-def _f1_slope(rate: np.ndarray, alphas: np.ndarray, L: float,
-              batch: _F1Batch) -> np.ndarray:
-    """dF1/dalpha of every slice of a batch, by the envelope theorem.
-
-    At an interior argmax omega* the slope is -dmu/dalpha at fixed omega
-    (``MuSlice.alpha_slope``, tau following alpha on the slice rule); at
-    the cap it also gets dW/domega there times dG/dalpha.  A slice whose
-    maximum is 0 (omega* = 0, a clamped maximum or a collapsed band) has
-    slope 0, as does alpha = 1/2, by symmetry.
-    """
-    slope = np.zeros(alphas.size)
-    live = np.flatnonzero(batch.value > 0.0)
-    if live.size:
-        sl = MuSlice(rate[live], alphas[live])
-        x, top = batch.arg_omega[live], batch.at_cap[live]
-        d = -sl.alpha_slope(x)
-        at = np.flatnonzero(top)
-        w_omega = _w_slope(x[at], sl.alpha[at], sl.tau[at], L, at_cap=True)
-        # dG/dalpha is -inf where tau = 0: the slope is too if W still rises
-        g = sl.cap_slope()[at]
-        finite = np.isfinite(g)
-        d[at] += np.where(finite, w_omega * np.where(finite, g, 0.0),
+    value = np.where(clamp, 0.0, value)
+    at = np.flatnonzero(at_cap)
+    w_omega = _w_slope(x[at], alpha[at], tau[at], L, at_cap=True)
+    # dG/dalpha is -inf where tau = 0: the slope is too if W still rises
+    g = sl.cap_slope()[at]
+    finite = np.isfinite(g)
+    slope = -d_mu
+    slope[at] += np.where(finite, w_omega * np.where(finite, g, 0.0),
                           np.where(w_omega > 0.0, -np.inf, 0.0))
-        slope[live] = d
-    return slope
+    return _F1Batch(value, np.where(clamp, 0.0, x), at_cap, iterations,
+                    np.where(value > 0.0, slope, 0.0))
 
 
 def F1_maximize(rate: float, alpha: float, ch: ChannelParam,
@@ -301,7 +294,7 @@ def _f_search(rate: float):
     """min over alpha of F1 at one rate, as a coroutine.
 
     Yields each alpha array it needs evaluated, receives the array's
-    _F1Batch with the alpha-slopes of F1 (``_f1_slope``), and returns the
+    _F1Batch, the alpha-slopes of F1 included, and returns the
     OptResult, so that _f_rates can evaluate the arrays of many rates in
     shared passes.  F1 >= 0 (W = 0 at omega = 0), so a value <= 0 is a
     minimum and ends the search.  Otherwise a grid cell is searched when
@@ -339,9 +332,9 @@ def _f_search(rate: float):
     cells: list = []
     asks, fresh, later = grid.tolist(), None, []    # later: the 1/2 probe's cells
     while True:
-        batch, slope = yield np.array(asks)
+        batch = yield np.array(asks)
         it += int(batch.iterations.sum())
-        pts.update(zip(asks, zip(batch.value.tolist(), slope.tolist(),
+        pts.update(zip(asks, zip(batch.value.tolist(), batch.slope.tolist(),
                                  batch.arg_omega.tolist(), batch.at_cap.tolist())))
         best = min(best, float(batch.value.min()))
         if best <= 0.0:
@@ -422,11 +415,12 @@ def _f_search(rate: float):
 def _f_rates(rates: list[float], p: float) -> list[OptResult]:
     """F at distinct rates, their searches batched into shared passes.
 
-    Each pass is one _f1_batch call, and one _f1_slope call, over the alpha
-    arrays that every search in flight asks for next.  A search joins
-    while the pass has room for its global grid within _PASS_SLICES slices
-    (one search always runs), and leaves as soon as it is done, so the
-    bound on the slices of a pass bounds the panels it holds.  A pass
+    Each pass is one _f1_batch call, values and alpha-slopes from one
+    MuSlice, over the alpha arrays that every search in flight asks for
+    next.  A search joins while the pass has room for its global grid
+    within _PASS_SLICES slices (one search always runs), and leaves as
+    soon as it is done, so the bound on the slices of a pass bounds the
+    panels it holds.  A pass
     costs about a millisecond of slope-search overhead whatever its size,
     so the bound is as large as memory allows: 31 global grids start up to
     31 rates in one pass.  Batch entries do not depend on their batch, so
@@ -452,14 +446,12 @@ def _f_rates(rates: list[float], p: float) -> list[OptResult]:
         rate = np.repeat([rates[k] for k in flight], sizes)
         alphas = np.concatenate(grids)
         batch = _f1_batch(rate, alphas, L, _F1_TOL)
-        slope = _f1_slope(rate, alphas, L, batch)
         cuts = np.cumsum(sizes)[:-1]
         parts = zip(*(np.split(field, cuts) for field in batch))
         replies = {}
-        slopes = np.split(slope, cuts)
-        for (k, (search, _)), part, d in zip(flight.items(), parts, slopes):
+        for (k, (search, _)), part in zip(flight.items(), parts):
             try:
-                replies[k] = search, search.send((_F1Batch(*part), d))
+                replies[k] = search, search.send(_F1Batch(*part))
             except StopIteration as stop:
                 results[k] = stop.value
         flight = replies

@@ -158,18 +158,10 @@ _BLOCK = 576
 
 
 def _s_rule(lo, hi, half_cap, alpha, tau):
-    """12-node Gauss rule, row by row, for the kernel integral over s in
-    [lo, hi], where u = half_cap (1 - s^2) and du = -2 half_cap s ds."""
-    mid, hw = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    s = mid[..., None] + hw[..., None] * _GL_NODES
-    g = log_kernel(half_cap[..., None] * (1.0 - s * s),
-                   alpha[..., None], tau[..., None]) * s
-    return np.einsum("...k,k->...", g, _GL_WEIGHTS) * hw * (2.0 * half_cap)
-
-
-def _s_slope_rule(lo, hi, half_cap, alpha, tau):
-    """The rule of ``_s_rule`` for the kernel's alpha- and tau-derivatives,
-    one (row, 2) pair per row.
+    """12-node Gauss rule, row by row, over s in [lo, hi], where u =
+    half_cap (1 - s^2) and du = -2 half_cap s ds: one (row, 3) triple per
+    row, the integrals of the kernel and of its alpha- and tau-derivatives,
+    all on the same nodes.
 
     With A = alpha(1-alpha), B = tau(1-tau) and w = A - B - u, the radical
     factors as sqrt(disc) = s r, r = sqrt((A - B)(w + 2u sqrt(B))), since
@@ -180,6 +172,7 @@ def _s_slope_rule(lo, hi, half_cap, alpha, tau):
     s = mid[..., None] + hw[..., None] * _GL_NODES
     a, t = alpha[..., None], tau[..., None]
     u = half_cap[..., None] * (1.0 - s * s)
+    kernel = np.einsum("...k,k->...", log_kernel(u, a, t) * s, _GL_WEIGHTS)
     gap = a * (1.0 - a) - t * (1.0 - t)
     w = gap - u
     r = np.sqrt(gap * (w + 2.0 * u * np.sqrt(t * (1.0 - t))))
@@ -187,7 +180,8 @@ def _s_slope_rule(lo, hi, half_cap, alpha, tau):
     d_alpha = (1.0 - 2.0 * a) * (w + root) / ((w + 2.0 * u * u + root) * r)
     d_tau = -(1.0 - 2.0 * t) / r
     scale = hw * (2.0 * half_cap) / math.log(2.0)
-    return np.stack([np.einsum("...k,k->...", d_alpha, _GL_WEIGHTS) * scale,
+    return np.stack([kernel * hw * (2.0 * half_cap),
+                     np.einsum("...k,k->...", d_alpha, _GL_WEIGHTS) * scale,
                      np.einsum("...k,k->...", d_tau, _GL_WEIGHTS) * scale], axis=-1)
 
 
@@ -211,11 +205,13 @@ class MuSlice:
     degree tau.  Construction integrates nothing: a panel is integrated on
     the first read that reaches it, once, and appended to its slice's
     running sum, so a read at omega = 0 costs no kernel node and the sums
-    do not depend on the order of the reads.  Gauss rules run ``_BLOCK``
-    (slice, panel) rows at a time, which bounds the (row x node)
-    temporaries, and are summed by ``einsum``, row by row: a BLAS product
-    ``g @ w`` rounds a row by its place in the call, and a slice's mu must
-    not depend on its batch.
+    do not depend on the order of the reads.  The same nodes carry the
+    integrals of the kernel's alpha- and tau-derivatives (``_s_rule``), so
+    ``mu_and_slope`` reads d mu / d alpha with mu in one walk of the
+    panels.  Gauss rules run ``_BLOCK`` (slice, panel) rows at a time,
+    which bounds the (row x node) temporaries, and are summed by
+    ``einsum``, row by row: a BLAS product ``g @ w`` rounds a row by its
+    place in the call, and a slice's mu must not depend on its batch.
     """
 
     def __init__(self, rate, alpha) -> None:
@@ -242,21 +238,23 @@ class MuSlice:
         self._alpha, self._tau, self._cap = a, tau, cap
         self.alpha, self.tau, self.cap = map(self._out, (a, tau, cap))
         self._half = np.maximum(0.5 * cap, 0.0)
-        # running integrals from s = 1 down to each bound; the first
-        # _filled[i] + 1 entries of row i are integrated so far, the rest 0
-        self._cum = np.zeros((a.size, _S_BOUNDS.size))
+        # running integrals (kernel, d/dalpha, d/dtau) from s = 1 down to
+        # each bound; the first _filled[i] + 1 entries of row i are
+        # integrated so far, the rest 0
+        self._cum = np.zeros((a.size, _S_BOUNDS.size, 3))
         self._filled = np.zeros(a.size, int)
 
     def _out(self, v: np.ndarray):
         return float(v[0]) if self._scalar else v
 
-    def _pieces(self, x: np.ndarray, first: np.ndarray, rule) -> tuple:
-        """``rule`` over the whole panels [first, k) of each slice below its
-        x in [0, G/2] and over the partial panel of the slices whose x falls
-        strictly inside one, ``_BLOCK`` (slice, panel) rows a call.  Returns
-        the rows' slices and panels, the partial slices, each slice's k
-        (s_x lies in (_S_BOUNDS[k + 1], _S_BOUNDS[k]]) and the rule's values,
-        the whole panels' first."""
+    def _pieces(self, x: np.ndarray) -> tuple:
+        """``_s_rule`` over the whole panels of each slice below its x in
+        [0, G/2] that no earlier read reached, [_filled, k), and over the
+        partial panel of the slices whose x falls strictly inside one,
+        ``_BLOCK`` (slice, panel) rows a call.  Returns the rows' slices and
+        panels, the partial slices, each slice's k (s_x lies in
+        (_S_BOUNDS[k + 1], _S_BOUNDS[k]]) and the rule's values, the whole
+        panels' first."""
         # clipped, so rounding at the cap cannot take the root of a negative
         ratio = np.divide(x, self._half, out=np.zeros_like(x), where=self._half > 0.0)
         s_x = np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0))
@@ -264,18 +262,20 @@ class MuSlice:
         hi = _S_BOUNDS[k]
         part = np.flatnonzero(s_x < hi)
         # panel j spans s in [_S_BOUNDS[j + 1], _S_BOUNDS[j]]
-        row, j = np.nonzero((first[:, None] <= _PANELS) & (_PANELS < k[:, None]))
+        row, j = np.nonzero((self._filled[:, None] <= _PANELS) & (_PANELS < k[:, None]))
         rows = np.concatenate([row, part])
         lo = np.concatenate([_S_BOUNDS[j + 1], s_x[part]])
         top = np.concatenate([_S_BOUNDS[j], hi[part]])
-        vals = []
-        for b in range(0, max(rows.size, 1), _BLOCK):
+        vals = np.empty((rows.size, 3))
+        for b in range(0, rows.size, _BLOCK):
             i, cut = rows[b:b + _BLOCK], slice(b, b + _BLOCK)
-            vals.append(rule(lo[cut], top[cut], self._half[i], self._alpha[i], self._tau[i]))
-        return row, j, part, k, np.concatenate(vals)
+            vals[cut] = _s_rule(lo[cut], top[cut], self._half[i], self._alpha[i],
+                                self._tau[i])
+        return row, j, part, k, vals
 
     def _integral(self, x: np.ndarray) -> np.ndarray:
-        """Integral of the kernel over [0, x], one x per slice, x in [0, G/2].
+        """Integrals of the kernel and of its alpha- and tau-derivatives over
+        [0, x], one x per slice, x in [0, G/2]: one (slice, 3) row each.
 
         Each slice first extends its running integral over the whole
         panels below x that no earlier read reached; only the slices whose
@@ -284,7 +284,7 @@ class MuSlice:
         and the partial pieces of all slices share the Gauss-rule calls."""
         cum, filled = self._cum, self._filled
         every = np.arange(x.size)
-        row, j, part, k, vals = self._pieces(x, filled, _s_rule)
+        row, j, part, k, vals = self._pieces(x)
         if row.size:
             # each row's new running sums, added in the order of the mesh:
             # zeros, the sum reached so far, then the new panels
@@ -312,45 +312,38 @@ class MuSlice:
 
     def mu(self, omega):
         """mu at one omega per slice (or one omega for every slice)."""
+        return self.mu_and_slope(omega)[0]
+
+    def mu_and_slope(self, omega):
+        """mu and d mu / d alpha at fixed omega, one omega per slice (or one
+        for every slice), from one read of the running integrals.
+
+        In the slope tau follows alpha on the rule.  With nu = (alpha -
+        omega/2)/(1 - omega) and tau' = h2'(alpha) / h2'(tau) (0 where
+        tau = 0, and at tau = 1/2, which only alpha = 1/2 reaches), it is
+        -h2'(alpha) + h2'(nu) - 2 (I_alpha + tau' I_tau), where I_alpha and
+        I_tau integrate the kernel's alpha- and tau-derivatives over
+        [0, omega/2].  Every factor vanishes at alpha = 1/2, so the slope
+        there is exactly 0.
+        """
         omega = self._band(omega)
-        alpha = self._alpha
+        alpha, tau = self._alpha, self._tau
+        i_mu, i_alpha, i_tau = self._integral(0.5 * omega).T
         inner = (alpha - 0.5 * omega) / (1.0 - omega)
         val = (-_h2_arr(alpha)
                - 2.0 * (1.0 - omega) * np.log2(1.0 - omega)
                - 2.0 * omega * _LOG2E
                + (1.0 - omega) * _h2_arr(np.clip(inner, 0.0, 1.0))
-               - 2.0 * self._integral(0.5 * omega))
-        return self._out(np.where(omega > 0.0, val, 0.0))
-
-    def alpha_slope(self, omega):
-        """d mu / d alpha at fixed omega, tau following alpha on the rule.
-
-        With nu = (alpha - omega/2)/(1 - omega) and tau' = h2'(alpha) /
-        h2'(tau) (0 where tau = 0), the slope is -h2'(alpha) + h2'(nu) -
-        2 (I_alpha + tau' I_tau), where I_alpha and I_tau integrate the
-        kernel's alpha- and tau-derivatives over [0, omega/2] on the s-mesh
-        of ``mu`` (``_s_slope_rule``).  Every factor vanishes at alpha =
-        1/2, so the slope there is exactly 0.  Nothing is cached: each read
-        integrates its panels afresh, and a row's sum does not depend on
-        the other slices.
-        """
-        omega = self._band(omega)
-        alpha, tau = self._alpha, self._tau
-        row, j, part, _, vals = self._pieces(0.5 * omega, np.zeros(alpha.size, int),
-                                             _s_slope_rule)
-        # panel j in column j, the partial panel in the last column
-        grid = np.zeros((alpha.size, _COLUMNS.size, 2))
-        grid[row, j] = vals[:row.size]
-        grid[part, -1] = vals[row.size:]
-        i_alpha, i_tau = np.cumsum(grid, axis=1)[:, -1].T
-        positive = tau > 0.0
+               - 2.0 * i_mu)
+        inside = (tau > 0.0) & (tau < 0.5)
         tau_slope = np.divide(_h2_slope(alpha),
-                              _h2_slope(np.where(positive, tau, 0.25)),
-                              out=np.zeros_like(tau), where=positive)
-        nu = (alpha - 0.5 * omega) / (1.0 - omega)
-        slope = (_h2_slope(nu) - _h2_slope(alpha)
+                              _h2_slope(np.where(inside, tau, 0.25)),
+                              out=np.zeros_like(tau), where=inside)
+        slope = (_h2_slope(inner) - _h2_slope(alpha)
                  - 2.0 * (i_alpha + tau_slope * i_tau))
-        return self._out(np.where(omega > 0.0, slope, 0.0))
+        read = omega > 0.0
+        return (self._out(np.where(read, val, 0.0)),
+                self._out(np.where(read, slope, 0.0)))
 
     def cap_slope(self):
         """dG/dalpha, tau following alpha on the rule: 0 at alpha = 1/2 and

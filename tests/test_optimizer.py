@@ -39,7 +39,7 @@ from bscbounds.optimizer import (
 )
 from bscbounds import optimizer
 from bscbounds.cli import main
-from bscbounds.optimizer import _f1_batch, _f1_slope, _segment_anchors, _w_slope
+from bscbounds.optimizer import _f1_batch, _segment_anchors, _w_slope
 from bscbounds.spectrum import MuSlice, spectrum_exponent_at
 from bscbounds.verify import (
     _decay_min,
@@ -223,9 +223,8 @@ def test_f1_alpha_slope_matches_central_differences():
             a0 = binary_entropy_inv(1.0 - r)
             alphas = np.append(a0 + rng.uniform(0.05, 0.95, 4) * (0.5 - a0), 0.5)
             batch = _f1_batch(np.full(5, r), alphas, L, 1e-10)
-            slope = _f1_slope(np.full(5, r), alphas, L, batch)
-            assert slope[-1] == 0.0
-            for a, d, at_cap in zip(alphas[:-1], slope, batch.at_cap):
+            assert batch.slope[-1] == 0.0
+            for a, d, at_cap in zip(alphas[:-1], batch.slope, batch.at_cap):
                 h = 1e-3 * min(a - a0, 0.5 - a)
                 v = _f1_batch(np.full(4, r), a + h * np.array([-2.0, -1.0, 1.0, 2.0]),
                               L, 1e-10).value
@@ -355,8 +354,9 @@ def test_f_grid_equals_one_rate_calls(p):
 @given(st.data())
 def test_batch_rows_equal_one_slice_calls(data):
     # 1-3 rates, their alphas shuffled together and split into batches:
-    # every _f1_batch row is the one-alpha F1_maximize in every field, and
-    # every MuSlice row is the one-slice mu, whatever shares the batch
+    # every _f1_batch row is the one-alpha F1_maximize in every field, its
+    # alpha-slope that of a one-slice batch, and every MuSlice row is the
+    # one-slice mu, whatever shares the batch
     ch = ChannelParam(data.draw(st.floats(0.001, 0.49)))
     unit = st.floats(0.0, 1.0)
     rates = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3,
@@ -377,6 +377,8 @@ def test_batch_rows_equal_one_slice_calls(data):
                     batch.iterations[k]) == (
                 one.value, one.arg_omega, one.attained_at_boundary["omega"],
                 one.iterations)
+            alone = _f1_batch(np.array([r]), np.array([a]), ch.log_pair, 1e-10)
+            assert np.array_equal(batch.slope[k], alone.slope[0])
             assert mu[k] == MuSlice(float(r), float(a)).mu(float(omegas[k]))
 
 
@@ -429,11 +431,28 @@ def test_f_passes_and_slices_of_the_default_curve(monkeypatch, capsys):
     assert max(seen) <= optimizer._PASS_SLICES
 
 
+def test_f_pass_builds_one_slice(monkeypatch, capsys):
+    # each of the default curve's 10 passes builds one MuSlice: its values
+    # and alpha-slopes come from the same slices
+    built = []
+
+    class Counting(MuSlice):
+        def __init__(self, rate, alpha):
+            built.append(np.size(alpha))
+            super().__init__(rate, alpha)
+
+    monkeypatch.setattr(optimizer, "MuSlice", Counting)
+    optimizer._f_minimize_cached.cache_clear()
+    assert main(["curve", "--p", "0.1"]) == 0
+    capsys.readouterr()
+    assert (len(built), sum(built)) == (10, 6928)
+
+
 def test_f_pass_memory_stays_bounded(monkeypatch):
     # 2000 rates in 31-grid passes: over the first 24 passes (searches
     # leave and join, and every pass is full: no room for one more grid)
     # the traced peak above what is kept stays near one pass's arrays, its
-    # slopes included (about 2.1 MB), where one pass of every global grid
+    # slopes included (about 2.4 MB), where one pass of every global grid
     # takes 48 MB.  The rest of the grid only repeats such passes, so the
     # call is stopped there
     import tracemalloc

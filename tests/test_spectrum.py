@@ -215,10 +215,11 @@ def test_interleaved_rates_equal_one_rate_slices():
 
 
 def _eager_integral(sl, x):
-    """Kernel integral over [0, x] from every panel of every slice, built
-    in full up front: the construction MuSlice fills lazily."""
+    """Integrals of the kernel and of its alpha- and tau-derivatives over
+    [0, x] from every panel of every slice, built in full up front: the
+    construction MuSlice fills lazily."""
     h = np.maximum(0.5 * sl.cap, 0.0)
-    cum = np.zeros((h.size, _S_BOUNDS.size))
+    cum = np.zeros((h.size, _S_BOUNDS.size, 3))
     live = h > 0.0
     cum[live, 1:] = np.cumsum(_s_rule(
         _S_BOUNDS[1:], _S_BOUNDS[:-1], h[live, None], sl.alpha[live, None],
@@ -334,7 +335,7 @@ def test_mu_slice_integral_against_mpmath():
     sl = MuSlice(np.array(rate), np.array(alpha))
     half_cap = 0.5 * sl.cap
     x = half_cap * (1.0 - np.array(drop))
-    got = sl._integral(x)
+    got = sl._integral(x)[:, 0]
     for k in range(x.size):
         ref = _kernel_integral_mp(alpha[k], sl.tau[k], half_cap[k], x[k])
         assert abs(mpmath.mpf(got[k]) - ref) < 1e-15, (rate[k], alpha[k], drop[k])
