@@ -19,7 +19,7 @@ from .optimizer import CurveKind, curve, rate_regime, segment_window
 from .oracle import (BinaryCode, CodeFormatError, SizeBudgetError, cover_report,
                      distance_distribution, dominates, exact_pe_ml, hamming74,
                      johnson_upper, load_code, lower_bound_21, parity_code,
-                     proposition3_terms, proposition4_check, random_code,
+                     proposition3_best, proposition4_check, random_code,
                      repetition_code, sphere_packing_rhs_23)
 from .quadrature import QuadratureError
 from .svg import SeamMark, render_chart
@@ -28,6 +28,7 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["build_parser", "main"]
 
 _GENERATORS = ("repetition", "parity", "hamming74", "random")
+_READS = {"repetition": ("n",), "parity": ("n",), "random": ("n", "m", "seed")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--p", type=float, required=True)
     orc.add_argument("--n", type=int, help="block length (repetition/parity/random)")
     orc.add_argument("--m", type=int, help="code size (random generator)")
-    orc.add_argument("--seed", type=int, default=0)
+    orc.add_argument("--seed", type=int, help="seed (random generator; default 0)")
     orc.add_argument("--out", help="write here instead of stdout")
     return ap
 
@@ -194,6 +195,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _build_code(ns: argparse.Namespace) -> BinaryCode:
+    for opt in ("n", "m", "seed"):
+        if getattr(ns, opt) is not None and opt not in _READS.get(ns.generator, ()):
+            source = "--code-file" if ns.generator is None else f"generator {ns.generator!r}"
+            raise DomainError(f"--{opt} does not apply to {source}")
     if ns.code_file is not None:
         return load_code(ns.code_file)
     if ns.generator == "hamming74":
@@ -206,7 +211,7 @@ def _build_code(ns: argparse.Namespace) -> BinaryCode:
         return parity_code(ns.n)
     if ns.m is None:
         raise CodeFormatError("random generator needs --m")
-    return random_code(ns.n, ns.m, ns.seed)
+    return random_code(ns.n, ns.m, ns.seed or 0)
 
 
 def cmd_oracle(ns: argparse.Namespace) -> int:
@@ -216,12 +221,8 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     dd = distance_distribution(code)
     lb21 = lower_bound_21(code, ch)
     sp23 = sphere_packing_rhs_23(code, ch)
-    best = {"t": None, "omega_dist": None, "value": 0.0}
-    dominance_ok = dominates(pe, lb21) and dominates(pe, sp23)
-    for t, om_d, term in proposition3_terms(code, ch):
-        dominance_ok = dominance_ok and dominates(pe, term)
-        if term > best["value"]:
-            best = {"t": t, "omega_dist": om_d, "value": term}
+    best, terms_ok = proposition3_best(code, ch, pe)
+    dominance_ok = dominates(pe, lb21) and dominates(pe, sp23) and terms_ok
     covers = []
     for t in range(code.n + 1):
         rep = cover_report(code, t)
@@ -240,7 +241,7 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
         "operation": "oracle",
         "inputs": {"p": ch.p, "n": code.n, "M": code.M,
                    "generator": ns.generator, "code_file": ns.code_file,
-                   "seed": ns.seed if ns.generator == "random" else None},
+                   "seed": (ns.seed or 0) if ns.generator == "random" else None},
         "value": {
             "distance_distribution": dd,
             "exact_pe_ml": pe,

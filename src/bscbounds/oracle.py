@@ -14,11 +14,12 @@ under a fixed byte budget over the 2^(n-1) outputs with the top bit clear;
 each complement y ^ 1^n is mirrored from y (radius t -> n - t, d_min ->
 n - d_max), never enumerated.  The error probability and cover reports read
 one census per code.  The covering maxima X_max(t, d) are enumerated by the
-parity of d, each parity on first read: Proposition 3 reads even d alone,
-since its factor Z(t, d) vanishes at odd d, so the ``oracle`` command never
-enumerates an odd row; the union-cover check of the verify suite asks for
-both.  X_max goes group by group, a group being the words at one distance
-from one reference word.  One planner prices each group of the parity once:
+rows d a reader asks for: ``restricted_cover_max`` one parity of d on first
+read (the union-cover check of the verify suite asks for both), and
+``proposition3_best`` even d alone, since Z(t, d) vanishes at odd d, and only
+where a term bounded from X_max over a few reference words can still win or
+break dominance.  X_max goes group by group, a group being the words at one
+distance from one reference word.  One planner prices each group once:
 a group whose column classes (coordinates with one bit pattern over the
 group, up to complement) give fewer representative outputs than the pass is
 enumerated by its flip counts per class, and the rest are batched into a
@@ -26,9 +27,10 @@ pass.  Pair distances come in row blocks under the same budget, shared by
 the pair counts and the planner.  ``BinaryCode`` itself refuses a length
 over 24 or a census work M^2 2^n over that of the n = 24, M = 32 shape, so
 no code the census cannot take is ever built.
-``proposition3_terms`` scans the spectrum-based lower bound term by term; its
-covering count ``restricted_cover_max`` reads X_max, which the verify suite
-checks against a direct count of the union-cover inequality.
+``proposition3_terms`` scans the spectrum-based lower bound term by term, the
+reference route of ``proposition3_best``; its covering count
+``restricted_cover_max`` reads X_max, which the verify suite checks against
+a direct count of the union-cover inequality.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "restricted_cover_max",
     "proposition3_rhs",
     "proposition3_terms",
+    "proposition3_best",
     "DOMINANCE_SLACK",
     "dominates",
     "johnson_upper",
@@ -203,11 +206,19 @@ def _word_array(code: BinaryCode) -> np.ndarray:
     return np.asarray(code.words, dtype=np.uint32)
 
 
-def _pair_distance_rows(words: np.ndarray) -> Iterator[np.ndarray]:
-    """Pair distances popcount(x_i ^ x_j) in row blocks under the byte budget."""
+def _pair_distance_rows(words: np.ndarray, refs=None) -> Iterator[np.ndarray]:
+    """Pair distances popcount(x_i ^ x_j), x_i all words or those at indices
+    refs, in row blocks under the byte budget."""
+    ref = words if refs is None else words[list(refs)]
     rows = max(1, _BLOCK_BYTES // (8 * words.size))
-    for start in range(0, words.size, rows):
-        yield np.bitwise_count(words[start:start + rows, None] ^ words[None, :])
+    for start in range(0, ref.size, rows):
+        yield np.bitwise_count(ref[start:start + rows, None] ^ words[None, :])
+
+
+def _distance_counts(pair: np.ndarray, width: int) -> np.ndarray:
+    """k[i, d]: the words at distance d from reference word i of a pair block."""
+    return np.bincount((np.arange(pair.shape[0])[:, None] * width + pair).ravel(),
+                       minlength=pair.shape[0] * width).reshape(-1, width)
 
 
 @functools.lru_cache(maxsize=8)
@@ -280,16 +291,16 @@ def _group_x_max(n: int, keys: np.ndarray, sizes: np.ndarray,
     return best
 
 
-def _census_batches(words: np.ndarray, n: int, parity: int,
-                    x_max: np.ndarray) -> Iterator[list]:
-    """Plan the X_max rows of one distance parity group by group: fill x_max
-    from every group that its column classes enumerate more cheaply than the
-    census would, and yield, per block of reference words, the rest packed
-    into batches of (columns, bin offsets, distances) whose keys and bins per
-    output stay within the M + (n+1)^2 of ``_chunk_len``.
+def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
+                    refs=None) -> Iterator[list]:
+    """Plan the X_max rows d in rows group by group: fill x_max from every
+    group that its column classes enumerate more cheaply than the census
+    would, and yield, per block of reference words (all, or the indices
+    refs), the rest packed into batches of (columns, bin offsets, distances)
+    whose keys and bins per output stay within the M + (n+1)^2 of _chunk_len.
 
     A group S is the set of words at distance d from one reference word;
-    only groups with d = parity (mod 2) are planned, the others skipped.
+    only groups with d in rows are planned, the others skipped.
     Bit j of a column's key is the column's bit in word j of S relative to
     its word 0, so equal keys make a class.  The classes cost rows (k + n + 1)
     + _CLASS_COST, rows the number of representative outputs, against the
@@ -303,10 +314,9 @@ def _census_batches(words: np.ndarray, n: int, parity: int,
     m, width, half = words.size, n + 1, 1 << (n - 1)
     limit = m + width * width
     bits = (words[:, None] >> np.arange(n, dtype=np.uint32) & 1).astype(np.uint64)
-    wanted = np.arange(width) % 2 == parity
-    for pair in _pair_distance_rows(words):
-        k = np.bincount((np.arange(pair.shape[0])[:, None] * width + pair).ravel(),
-                        minlength=pair.shape[0] * width).reshape(-1, width)
+    wanted = np.isin(np.arange(width), rows)
+    for pair in _pair_distance_rows(words, refs):
+        k = _distance_counts(pair, width)
         could = (wanted & (k > 0) & (k <= 64)
                  & ((half - n // 2 - 1) * (k + width) > _CLASS_COST))
         batches, parts, cost = [], [], 0
@@ -387,24 +397,25 @@ def _census(code: BinaryCode) -> _Census:
 
 
 @functools.lru_cache(maxsize=16)
-def _x_max(code: BinaryCode, parity: int) -> np.ndarray:
+def _x_max(code: BinaryCode, rows, refs=None) -> np.ndarray:
     """x_max[d, t], the max over (reference word, output y) of the codewords
-    at distance d from the reference and t from y, for every d = parity
-    (mod 2); the rows of the other parity hold zeros.
+    at distance d from the reference and t from y, for every d in rows (the
+    other rows hold zeros), over every reference word or the indices refs,
+    whose maxima are lower bounds.
 
-    Each parity is enumerated only when a reader asks for it: Proposition 3
-    reads even distances alone, since Z(t, d) = 0 for odd d.  x_max[d, t] is
-    a max over groups, the words at distance d from one reference word.  The
-    planner (``_census_batches``) enumerates the groups of this parity whose
-    column classes pay as it meets them, block by block of reference words,
-    and batches the rest: one bincount on (y, group, D) per batch and chunk
-    of the outputs with the top bit clear, followed by a max over y.  The
-    complements' maxima are x_max[d, n - t], taken once after the loop.  A
-    block of reference words with no batch left skips the chunk loop.
+    Rows are enumerated only when read: ``restricted_cover_max`` reads one
+    parity of d, ``proposition3_best`` the even rows where a term counts.
+    x_max[d, t] is a max over groups, the words at distance d from one
+    reference word.  The planner (``_census_batches``) enumerates the groups
+    whose column classes pay as it meets them, block by block of reference
+    words, and batches the rest: one bincount on (y, group, D) per batch and
+    chunk of the outputs with the top bit clear, followed by a max over y.
+    The complements' maxima are x_max[d, n - t], taken once after the loop.
+    A block of reference words with no batch left skips the chunk loop.
     """
     width = code.n + 1
     x_max = np.zeros((width, width), dtype=np.int64)
-    for batches in _census_batches(_word_array(code), code.n, parity, x_max):
+    for batches in _census_batches(_word_array(code), code.n, rows, x_max, refs):
         if not batches:
             continue
         for y_off, dist in _output_chunks(code):
@@ -507,7 +518,7 @@ def restricted_cover_max(code: BinaryCode, t: int, omega_dist: int) -> int:
     distance t from the output AND at distance omega_dist from the reference."""
     if not (0 <= t <= code.n and 0 <= omega_dist <= code.n):
         return 0
-    return int(_x_max(code, omega_dist % 2)[omega_dist, t])
+    return int(_x_max(code, range(omega_dist % 2, code.n + 1, 2))[omega_dist, t])
 
 
 def proposition3_rhs(code: BinaryCode, ch: ChannelParam, t: int,
@@ -525,7 +536,12 @@ def proposition3_rhs(code: BinaryCode, ch: ChannelParam, t: int,
     xmax = restricted_cover_max(code, t, omega_dist)
     if xmax == 0:
         return 0.0
-    return ch.q ** code.n / 2.0 * (ch.p / ch.q) ** t * b * z / xmax
+    return _numerator(code.n, ch, t, b, z) / xmax
+
+
+def _numerator(n: int, ch: ChannelParam, t: int, b: float, z: int) -> float:
+    """A proposition3_rhs term before its division by X_max."""
+    return ch.q ** n / 2.0 * (ch.p / ch.q) ** t * b * z
 
 
 def proposition3_terms(code: BinaryCode,
@@ -538,6 +554,49 @@ def proposition3_terms(code: BinaryCode,
         for t in range(code.n + 1):
             if counts[om_d] and z_pair_count(code.n, om_d, t):
                 yield t, om_d, proposition3_rhs(code, ch, t, om_d)
+
+
+def proposition3_best(code: BinaryCode, ch: ChannelParam,
+                      pe: float) -> tuple[dict, bool]:
+    """The first largest ``proposition3_terms`` term as {t, omega_dist,
+    value} ({None, None, 0.0} if none is positive), and whether pe dominates
+    every term.  A term is num / X_max; rounded division is monotone in the
+    divisor, so num / X_lb bounds it from above for X_lb <= X_max, here X_max
+    over the reference word with the most words at each row's distance.  A
+    row is enumerated exactly only while a bound of it is positive and not
+    below the best exact term, or not dominated by pe: the row of the largest
+    bound first, then all rows still open.  The other terms lie strictly
+    below the best and are dominated, as in the loop over every term.
+    """
+    counts, width = _pair_counts(code), code.n + 1
+    nums = {d: [(t, _numerator(code.n, ch, t, counts[d] / code.M, z))
+                for t in range(width) if (z := z_pair_count(code.n, d, t))]
+            for d in range(2, width, 2) if counts[d]}     # Z(t, d) = 0 at odd d
+    best, dominated, exact = {"t": None, "omega_dist": None, "value": 0.0}, True, ()
+    if not nums:
+        return best, dominated
+    rows = tuple(nums)
+    k = np.concatenate([_distance_counts(pair, width)
+                        for pair in _pair_distance_rows(_word_array(code))])
+    x = _x_max(code, rows, tuple(sorted(set(k[:, list(rows)].argmax(axis=0).tolist()))))
+    top = {d: max(num / int(x[d, t]) for t, num in row) for d, row in nums.items()}
+
+    def still_open(floor, done=()):
+        return tuple(d for d in rows if d not in done
+                     and (not dominates(pe, top[d]) or 0.0 < top[d] >= floor))
+    first = max(still_open(0.0), key=top.get, default=None)
+    if first is not None:
+        x, exact = _x_max(code, (first,)), (first,)
+        rest = still_open(max(num / int(x[first, t]) for t, num in nums[first]), exact)
+        if rest:
+            x, exact = np.maximum(x, _x_max(code, rest)), tuple(sorted(exact + rest))
+    for d in exact:
+        for t, num in nums[d]:
+            value = num / int(x[d, t])
+            dominated = dominated and dominates(pe, value)
+            if value > best["value"]:
+                best = {"t": t, "omega_dist": d, "value": value}
+    return best, dominated
 
 
 def _johnson_once(n: int, d: int, w: int) -> float:

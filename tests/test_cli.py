@@ -456,6 +456,35 @@ def test_oracle_random_needs_m(capsys):
     assert "needs --m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option, source", [
+    (["--generator", "hamming74", "--n", "9", "--m", "3", "--seed", "5"], "n",
+     "generator 'hamming74'"),
+    (["--generator", "hamming74", "--seed", "0"], "seed", "generator 'hamming74'"),
+    (["--generator", "repetition", "--n", "5", "--m", "3"], "m", "generator 'repetition'"),
+    (["--generator", "parity", "--n", "6", "--seed", "1"], "seed", "generator 'parity'"),
+    (["--code-file", "missing.txt", "--n", "3"], "n", "--code-file"),
+    (["--code-file", "missing.txt", "--m", "3"], "m", "--code-file"),
+    (["--code-file", "missing.txt", "--seed", "2"], "seed", "--code-file"),
+], ids=["hamming-n", "hamming-seed", "repetition-m", "parity-seed", "file-n",
+        "file-m", "file-seed"])
+def test_oracle_refuses_options_its_source_ignores(argv, option, source, capsys):
+    # --n is read by repetition, parity and random, --m and --seed by random
+    # alone; a file is not opened once an option is refused
+    assert main(["oracle", *argv, "--p", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bscbounds: --{option} does not apply to {source}\n"
+
+
+def test_oracle_random_seed_defaults_to_zero(capsys):
+    argv = ["oracle", "--generator", "random", "--n", "8", "--m", "6", "--p", "0.1"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert json.loads(default)["inputs"]["seed"] == 0
+    assert main(argv + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_oracle_johnson_rows(capsys):
     assert main(["oracle", "--generator", "hamming74", "--p", "0.05"]) == 0
     rec = json.loads(capsys.readouterr().out)

@@ -34,6 +34,7 @@ from bscbounds.oracle import (
     lower_bound_21,
     parity_code,
     parse_code,
+    proposition3_best,
     proposition3_rhs,
     proposition3_terms,
     proposition4_check,
@@ -353,9 +354,14 @@ _CENSUS_CODES = builtin_roster() + [("random_n10_m40_s3", random_code(10, 40, 3)
                                     ("parity6", parity_code(6))]
 
 
+def _parity_rows(code, parity):
+    return range(parity, code.n + 1, 2)
+
+
 def _halves(code):
     """The even and odd distance halves of X_max, each enumerated afresh."""
-    return tuple(oracle._x_max.__wrapped__(code, parity) for parity in (0, 1))
+    return tuple(oracle._x_max.__wrapped__(code, _parity_rows(code, parity))
+                 for parity in (0, 1))
 
 
 def _assert_same(got, want):
@@ -578,33 +584,96 @@ def test_class_blocks_of_few_rows(rows, monkeypatch):
     _assert_halves(halves, _reference_x_max(code))
 
 
-@pytest.mark.parametrize("code", [random_code(12, 128, 7), hamming74()],
-                         ids=["rand12x128", "hamming74"])
-def test_oracle_enumerates_no_odd_distance_group(code, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("code, bound_rows, exact_rows", [
+    (random_code(12, 128, 7), (2, 4, 6, 8, 10, 12), [(2,)]),
+    (hamming74(), (4,), [(4,)]),
+], ids=["rand12x128", "hamming74"])
+def test_oracle_enumerates_no_odd_distance_group(code, bound_rows, exact_rows,
+                                                 tmp_path, monkeypatch, capsys):
     # Proposition 3 reads X_max at even distances alone (Z = 0 at odd ones),
-    # so the oracle command plans and enumerates the even half only
+    # so the oracle command plans even rows only: every even row that occurs
+    # over a few reference words for the bounds, then exactly only the rows
+    # a term of which can still win or break dominance
     assert any(distance_distribution(code)[1::2])
     path = tmp_path / "code.txt"
     path.write_text("".join(w + "\n" for w in code.word_strings()), encoding="ascii")
-    planned, plan = [], oracle._census_batches
+    planned, enumerated, plan = [], [], oracle._census_batches
 
-    def spy(words, n, parity, x_max):
-        for batches in plan(words, n, parity, x_max):
-            planned.append((parity, [ds for _, _, ds in batches]))
+    def spy(words, n, rows, x_max, refs=None):
+        planned.append((rows, refs))
+        for batches in plan(words, n, rows, x_max, refs):
+            enumerated.extend(ds for _, _, ds in batches)
             yield batches
 
     monkeypatch.setattr(oracle, "_census_batches", spy)
     oracle._x_max.cache_clear()
     assert main(["oracle", "--code-file", str(path), "--p", "0.1"]) == 0
-    assert oracle._x_max.cache_info().misses == 1
-    assert planned and {parity for parity, _ in planned} == {0}
-    assert all((ds % 2 == 0).all() for _, batches in planned for ds in batches)
+    (rows, refs), *exact = planned
+    assert rows == bound_rows and 0 < len(refs) < code.M
+    assert exact == [(rows, None) for rows in exact_rows]
+    assert all((ds % 2 == 0).all() for ds in enumerated)
     # an odd distance is still answered exactly, from a half of its own
     x_ref = _reference_x_max(code)
     for t in range(code.n + 1):
         assert restricted_cover_max(code, t, 3) == x_ref[3, t]
-    assert oracle._x_max.cache_info().misses == 2
+    assert planned[-1] == (_parity_rows(code, 1), None)
     capsys.readouterr()
+
+
+def _terms_loop(code, ch, pe):
+    """The reference route: the first largest term and the dominance flag,
+    term by term over proposition3_terms."""
+    best, dominated = {"t": None, "omega_dist": None, "value": 0.0}, True
+    for t, d, term in proposition3_terms(code, ch):
+        dominated = dominated and dominates(pe, term)
+        if term > best["value"]:
+            best = {"t": t, "omega_dist": d, "value": term}
+    return best, dominated
+
+
+def _assert_best_is_terms_loop(code, p, pe_scale):
+    # pe_scale < 1 leaves terms undominated, whose rows must be enumerated
+    ch = ChannelParam(p)
+    pe = exact_pe_ml(code, ch) * pe_scale
+    got, want = proposition3_best(code, ch, pe), _terms_loop(code, ch, pe)
+    assert got == want
+    assert got[0]["value"].hex() == want[0]["value"].hex()
+
+
+_P3_PS = (0.01, 0.1, 0.3, 0.45)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_codes(), st.sampled_from(_P3_PS), st.sampled_from((1.0, 1e-3)))
+def test_proposition3_best_is_the_terms_loop_on_small_codes(code, p, pe_scale):
+    _assert_best_is_terms_loop(code, p, pe_scale)
+
+
+@pytest.mark.parametrize("pe_scale", [1.0, 1e-3])
+@pytest.mark.parametrize("p", _P3_PS)
+@pytest.mark.parametrize("code", [random_code(16, 32, 7), random_code(12, 128, 7),
+                                  parity_code(8), hamming74()],
+                         ids=["rand16x32", "rand12x128", "parity8", "hamming74"])
+def test_proposition3_best_is_the_terms_loop(code, p, pe_scale):
+    _assert_best_is_terms_loop(code, p, pe_scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_codes(), st.data())
+def test_x_max_over_reference_subsets(code, data):
+    # fewer reference words give a lower X_max, all of them the full one;
+    # a row where a reference word has a word reads at least 1 at every t
+    rows = tuple(range(code.n + 1))
+    full = oracle._x_max.__wrapped__(code, rows)
+    _assert_same(full, np.maximum(*_halves(code)))
+    _assert_same(oracle._x_max.__wrapped__(code, rows, tuple(range(code.M))), full)
+    refs = tuple(sorted(data.draw(st.sets(st.integers(0, code.M - 1), min_size=1))))
+    part = oracle._x_max.__wrapped__(code, rows, refs)
+    assert (part <= full).all()
+    words = np.asarray(code.words, dtype=np.uint32)
+    seen = np.unique(np.bitwise_count(words[list(refs), None] ^ words[None, :]))
+    assert (part[seen] >= 1).all()
+    assert not np.delete(part, seen, axis=0).any()
 
 
 def test_census_memory_follows_the_byte_budget(monkeypatch):
