@@ -105,7 +105,10 @@ class CriticalConstants:
 
     def __post_init__(self) -> None:
         if not self.r_crit < self.capacity:
-            raise DomainError("critical rate must stay below capacity")
+            edge = "0" if self.p < 0.25 else "1/2"
+            raise DomainError(
+                f"crossover probability {self.p!r} is too close to {edge}: "
+                f"R_crit rounds to {self.r_crit:.6g}, not below C = {self.capacity:.6g}")
 
 
 def binary_entropy(x: float) -> float:

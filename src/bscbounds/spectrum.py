@@ -150,10 +150,9 @@ def spectrum_exponent_at(rate: float, alpha: float, omega: float) -> float:
 # equal panels, five of ratio 1/4, then [0, 4^-6].  The grading resolves the
 # discriminant's second root, about 2 tau^(1/4) off the real s axis.
 _S_BOUNDS = np.array([1.0, 0.75, 0.5] + [0.25 ** k for k in range(1, 7)] + [0.0])
-_COLUMNS = np.arange(_S_BOUNDS.size)
-_PANELS = _COLUMNS[:-1]
-# (slice, panel) rows per Gauss-rule call: the 64 slices x 9 panels of an
-# eager build, whose temporaries stay small; 512 to 768 rows ran fastest
+_PANELS = np.arange(_S_BOUNDS.size - 1)
+# (slice, panel) rows per Gauss-rule call: bounds the (row x node)
+# temporaries of a rule; 512 to 768 rows ran fastest
 _BLOCK = 576
 
 
@@ -190,26 +189,25 @@ class MuSlice:
 
     The logarithmic kernel does not depend on omega, so one panel
     decomposition of [0, G/2] serves every omega on the slice: mu(omega)
-    costs a running integral over the whole panels below omega/2 plus one
-    Gauss rule on the partial panel, and at the cap (or on a panel bound)
-    the running integral alone.  The integral is taken in s, where
-    u = (G/2)(1 - s^2): the factor du = -G s ds cancels the radical's
-    square-root endpoint at the cap, so one fixed s-mesh (_S_BOUNDS, 9
-    panels of 12 nodes) serves every slice.  Against 30-digit mpmath the
-    kernel integral was within 2.8e-16 on 280 seeded slices (rates 1e-12 to
-    1 - 1e-6, x at and below the cap), and tests/test_spectrum.py holds it
-    to 1e-15.  The adaptive-quadrature route stays untouched as the
-    independent reference.  For a vector of alpha, attributes are arrays
-    and ``mu`` takes one omega per slice; the rate is one number for every
-    slice or an array with one rate per slice, and enters only through the
-    degree tau.  Construction integrates nothing: a panel is integrated on
-    the first read that reaches it, once, and appended to its slice's
-    running sum, so a read at omega = 0 costs no kernel node and the sums
-    do not depend on the order of the reads.  The same nodes carry the
-    integrals of the kernel's alpha- and tau-derivatives (``_s_rule``), so
-    ``mu_and_slope`` reads d mu / d alpha with mu in one walk of the
-    panels.  Gauss rules run ``_BLOCK`` (slice, panel) rows at a time,
-    which bounds the (row x node) temporaries, and are summed by
+    costs one Gauss rule on each whole panel below omega/2 plus one on the
+    partial panel, and at the cap (or on a panel bound) the whole panels
+    alone.  The integral is taken in s, where u = (G/2)(1 - s^2): the
+    factor du = -G s ds cancels the radical's square-root endpoint at the
+    cap, so one fixed s-mesh (_S_BOUNDS, 9 panels of 12 nodes) serves every
+    slice.  Against 30-digit mpmath the kernel integral was within 2.8e-16
+    on 280 seeded slices (rates 1e-12 to 1 - 1e-6, x at and below the
+    cap), and tests/test_spectrum.py holds it to 1e-15.  The
+    adaptive-quadrature route stays untouched as the independent
+    reference.  For a vector of alpha, attributes are arrays and ``mu``
+    takes one omega per slice; the rate is one number for every slice or
+    an array with one rate per slice, and enters only through the degree
+    tau.  Construction integrates nothing and a read keeps nothing: each
+    read integrates the panels below its omega/2, so a read at omega = 0
+    costs no kernel node, and an F pass reads its slice once.  The same
+    nodes carry the integrals of the kernel's alpha- and tau-derivatives
+    (``_s_rule``), so ``mu_and_slope`` reads d mu / d alpha with mu in one
+    walk of the panels.  Gauss rules run ``_BLOCK`` (slice, panel) rows at
+    a time, which bounds the (row x node) temporaries, and are summed by
     ``einsum``, row by row: a BLAS product ``g @ w`` rounds a row by its
     place in the call, and a slice's mu must not depend on its batch.
     """
@@ -238,23 +236,19 @@ class MuSlice:
         self._alpha, self._tau, self._cap = a, tau, cap
         self.alpha, self.tau, self.cap = map(self._out, (a, tau, cap))
         self._half = np.maximum(0.5 * cap, 0.0)
-        # running integrals (kernel, d/dalpha, d/dtau) from s = 1 down to
-        # each bound; the first _filled[i] + 1 entries of row i are
-        # integrated so far, the rest 0
-        self._cum = np.zeros((a.size, _S_BOUNDS.size, 3))
-        self._filled = np.zeros(a.size, int)
 
     def _out(self, v: np.ndarray):
         return float(v[0]) if self._scalar else v
 
-    def _pieces(self, x: np.ndarray) -> tuple:
-        """``_s_rule`` over the whole panels of each slice below its x in
-        [0, G/2] that no earlier read reached, [_filled, k), and over the
-        partial panel of the slices whose x falls strictly inside one,
-        ``_BLOCK`` (slice, panel) rows a call.  Returns the rows' slices and
-        panels, the partial slices, each slice's k (s_x lies in
-        (_S_BOUNDS[k + 1], _S_BOUNDS[k]]) and the rule's values, the whole
-        panels' first."""
+    def _integral(self, x: np.ndarray) -> np.ndarray:
+        """Integrals of the kernel and of its alpha- and tau-derivatives over
+        [0, x], one x per slice, x in [0, G/2]: one (slice, 3) row each.
+
+        s_x lies in (_S_BOUNDS[k + 1], _S_BOUNDS[k]]: ``_s_rule`` runs over
+        each slice's whole panels [0, k), and over the partial panel of the
+        slices whose x falls strictly inside one, ``_BLOCK`` (slice, panel)
+        rows a call.  The whole panels are summed in the order of the mesh,
+        then the partial piece is added; x = G/2 reads all 9 panels."""
         # clipped, so rounding at the cap cannot take the root of a negative
         ratio = np.divide(x, self._half, out=np.zeros_like(x), where=self._half > 0.0)
         s_x = np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0))
@@ -262,7 +256,7 @@ class MuSlice:
         hi = _S_BOUNDS[k]
         part = np.flatnonzero(s_x < hi)
         # panel j spans s in [_S_BOUNDS[j + 1], _S_BOUNDS[j]]
-        row, j = np.nonzero((self._filled[:, None] <= _PANELS) & (_PANELS < k[:, None]))
+        row, j = np.nonzero(_PANELS < k[:, None])
         rows = np.concatenate([row, part])
         lo = np.concatenate([_S_BOUNDS[j + 1], s_x[part]])
         top = np.concatenate([_S_BOUNDS[j], hi[part]])
@@ -271,30 +265,9 @@ class MuSlice:
             i, cut = rows[b:b + _BLOCK], slice(b, b + _BLOCK)
             vals[cut] = _s_rule(lo[cut], top[cut], self._half[i], self._alpha[i],
                                 self._tau[i])
-        return row, j, part, k, vals
-
-    def _integral(self, x: np.ndarray) -> np.ndarray:
-        """Integrals of the kernel and of its alpha- and tau-derivatives over
-        [0, x], one x per slice, x in [0, G/2]: one (slice, 3) row each.
-
-        Each slice first extends its running integral over the whole
-        panels below x that no earlier read reached; only the slices whose
-        x falls strictly inside a panel then integrate a partial one, and
-        x = G/2 reads the running integral over every panel.  The panels
-        and the partial pieces of all slices share the Gauss-rule calls."""
-        cum, filled = self._cum, self._filled
-        every = np.arange(x.size)
-        row, j, part, k, vals = self._pieces(x)
-        if row.size:
-            # each row's new running sums, added in the order of the mesh:
-            # zeros, the sum reached so far, then the new panels
-            grid = np.zeros_like(cum)
-            grid[every, filled] = cum[every, filled]
-            grid[row, j + 1] = vals[:row.size]
-            new = (_COLUMNS > filled[:, None]) & (_COLUMNS <= k[:, None])
-            cum[new] = np.cumsum(grid, axis=1)[new]
-            np.maximum(filled, k, out=filled)
-        out = cum[every, k]
+        grid = np.zeros((x.size, _S_BOUNDS.size, 3))
+        grid[row, j + 1] = vals[:row.size]
+        out = np.cumsum(grid, axis=1)[np.arange(x.size), k]
         out[part] += vals[row.size:]
         return out
 
@@ -316,7 +289,7 @@ class MuSlice:
 
     def mu_and_slope(self, omega):
         """mu and d mu / d alpha at fixed omega, one omega per slice (or one
-        for every slice), from one read of the running integrals.
+        for every slice), from one walk of the panels.
 
         In the slope tau follows alpha on the rule.  With nu = (alpha -
         omega/2)/(1 - omega) and tau' = h2'(alpha) / h2'(tau) (0 where

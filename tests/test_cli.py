@@ -73,6 +73,17 @@ def test_p_next_to_half_is_one_line(command, capsys):
     assert "too close to 1/2" in err
 
 
+@pytest.mark.parametrize("command", ["constants", "curve"])
+@pytest.mark.parametrize("p, edge", [("1e-40", "0"), ("0.4999999999999997", "1/2")])
+def test_r_crit_rounding_to_capacity_is_one_line(command, p, edge, capsys):
+    # R_crit and C both round to 1 at p = 1e-40 (1e-36 still runs), and
+    # R_crit rounds above C = 0 next to 1/2, where log2(1/(4pq)) is not 0
+    assert main([command, "--p", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bscbounds: ") and err.count("\n") == 1
+    assert f"probability {p} is too close to {edge}: R_crit rounds" in err
+
+
 def test_curve_default_rmax_below_rmin_is_one_line(capsys):
     # C(0.4999) = 2.9e-8, so the default end C(p) - 0.001 is below --rmin
     assert main(["curve", "--p", "0.4999"]) == 2

@@ -37,7 +37,7 @@ from bscbounds.optimizer import (
     straight_line,
     theorem1_bound,
 )
-from bscbounds import optimizer
+from bscbounds import optimizer, spectrum
 from bscbounds.cli import main
 from bscbounds.optimizer import _f1_batch, _segment_anchors, _w_slope
 from bscbounds.spectrum import MuSlice, spectrum_exponent_at
@@ -433,26 +433,34 @@ def test_f_passes_and_slices_of_the_default_curve(monkeypatch, capsys):
 
 def test_f_pass_builds_one_slice(monkeypatch, capsys):
     # each of the default curve's 10 passes builds one MuSlice: its values
-    # and alpha-slopes come from the same slices
-    built = []
+    # and alpha-slopes come from the same slices, and each slice is read
+    # once, so the Gauss rules see 29380 (slice, panel) rows (352560 nodes)
+    built, rows = [], []
 
     class Counting(MuSlice):
         def __init__(self, rate, alpha):
             built.append(np.size(alpha))
             super().__init__(rate, alpha)
 
+    def counting(lo, hi, half_cap, alpha, tau):
+        rows.append(lo.size)
+        return s_rule(lo, hi, half_cap, alpha, tau)
+
+    s_rule = spectrum._s_rule
     monkeypatch.setattr(optimizer, "MuSlice", Counting)
+    monkeypatch.setattr(spectrum, "_s_rule", counting)
     optimizer._f_minimize_cached.cache_clear()
     assert main(["curve", "--p", "0.1"]) == 0
     capsys.readouterr()
     assert (len(built), sum(built)) == (10, 6928)
+    assert sum(rows) == 29380
 
 
 def test_f_pass_memory_stays_bounded(monkeypatch):
     # 2000 rates in 31-grid passes: over the first 24 passes (searches
     # leave and join, and every pass is full: no room for one more grid)
     # the traced peak above what is kept stays near one pass's arrays, its
-    # slopes included (about 2.4 MB), where one pass of every global grid
+    # slopes included (about 2.1 MB), where one pass of every global grid
     # takes 48 MB.  The rest of the grid only repeats such passes, so the
     # call is stopped there
     import tracemalloc

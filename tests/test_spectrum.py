@@ -1,7 +1,7 @@
 """Distance-spectrum exponent mu(R, alpha, omega).
 
 The closed form on the symmetric slice, the adaptive-quadrature route and
-the cached panel evaluator (MuSlice) are three independent computations of
+the fixed-mesh panel evaluator (MuSlice) are three independent computations of
 the same surface; the tests play them against each other, and MuSlice
 against 30-digit mpmath.
 """
@@ -216,8 +216,8 @@ def test_interleaved_rates_equal_one_rate_slices():
 
 def _eager_integral(sl, x):
     """Integrals of the kernel and of its alpha- and tau-derivatives over
-    [0, x] from every panel of every slice, built in full up front: the
-    construction MuSlice fills lazily."""
+    [0, x] from every panel of every slice, built in full up front,
+    whatever x: MuSlice integrates only the panels below each read."""
     h = np.maximum(0.5 * sl.cap, 0.0)
     cum = np.zeros((h.size, _S_BOUNDS.size, 3))
     live = h > 0.0
@@ -252,7 +252,7 @@ def _reads(rng, cap):
     return 0.5 * omega
 
 
-def test_lazy_integral_equals_eager_build():
+def test_integral_equals_eager_build():
     # reads in any order, repeated or deeper, give the bits of a slice
     # whose panels were all integrated at construction
     rng = np.random.default_rng(29)
@@ -264,10 +264,11 @@ def test_lazy_integral_equals_eager_build():
             assert np.array_equal(sl._integral(x), _eager_integral(sl, x))
 
 
-def test_each_panel_integrated_once(monkeypatch):
+def test_each_read_integrates_the_panels_below_it(monkeypatch):
     # count the (slice, panel) rows the whole-panel Gauss rules receive:
-    # a read integrates only the panels below its x that no earlier read
-    # reached, and a read at 0 integrates none
+    # construction and a read at 0 integrate none, every read (a repeated
+    # one too) integrates each whole panel below its x once, and a read at
+    # the cap all 9 panels of each slice
     calls = []
 
     def counting(lo, hi, half_cap, alpha, tau):
@@ -275,6 +276,10 @@ def test_each_panel_integrated_once(monkeypatch):
         panel = np.searchsorted(-_S_BOUNDS, -hi[whole])
         calls.extend(zip(alpha[whole].tolist(), panel.tolist()))
         return _s_rule(lo, hi, half_cap, alpha, tau)
+
+    def panels_below(k):
+        return sorted((a, j) for a, top in zip(alpha.tolist(), k.tolist())
+                      for j in range(top))
 
     monkeypatch.setattr(spectrum, "_s_rule", counting)
     rng = np.random.default_rng(31)
@@ -284,16 +289,18 @@ def test_each_panel_integrated_once(monkeypatch):
     assert not calls
     sl.mu(np.zeros(alpha.size))
     assert not calls
-    reached = np.zeros(alpha.size, int)
     for _ in range(4):
         x = _reads(rng, sl.cap)
-        sl._integral(x)
-        sl._integral(x)
         s_x = np.sqrt(np.clip(1.0 - x / (0.5 * sl.cap), 0.0, 1.0))
-        reached = np.maximum(reached, (_S_BOUNDS >= s_x[:, None]).sum(axis=1) - 1)
-        assert len(calls) == len(set(calls)) == reached.sum()
+        k = (_S_BOUNDS >= s_x[:, None]).sum(axis=1) - 1
+        for _ in range(2):
+            calls.clear()
+            sl._integral(x)
+            assert len(calls) == k.sum()
+            assert sorted(calls) == panels_below(k)
+    calls.clear()
     sl.mu(sl.cap)
-    assert len(calls) == len(set(calls)) == alpha.size * (_S_BOUNDS.size - 1)
+    assert sorted(calls) == panels_below(np.full(alpha.size, _S_BOUNDS.size - 1))
 
 
 def _kernel_integral_mp(alpha, tau, half_cap, x):
