@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_LOG2E, DomainError, _h2_arr, _h2_inv_arr, _h2_slope,
-                   binary_entropy, binary_entropy_inv, omega_cap)
+from .core import (_LOG2E, _TOL, DomainError, _h2_arr, _h2_inv_arr,
+                   _h2_slope, binary_entropy, binary_entropy_inv, omega_cap)
 from .quadrature import _GL_NODES, _GL_WEIGHTS, integrate
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "log_kernel",
 ]
 
-_TOL = 1e-12
 _DISC_SLACK = 1e-12
 _QUAD_TOL = 1e-11       # absolute tolerance of the quadrature route
 

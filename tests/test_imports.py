@@ -184,8 +184,8 @@ def test_no_module_level_scipy_import(path):
 
 def test_benchmark_commands_do_not_load_scipy(tmp_path):
     # a fresh interpreter, as a CLI user starts one: none of the commands
-    # perfbench runs may load scipy, numpy.ma or numpy.polynomial, n > 10
-    # oracle codes included
+    # perfbench runs, nor oracle on a code of any length, may load scipy,
+    # numpy.ma or numpy.polynomial
     code_file = tmp_path / "code.txt"
     code_file.write_text("".join(format(w, "012b") + "\n"
                                  for w in range(5, 4096, 97)), encoding="ascii")
@@ -194,6 +194,9 @@ def test_benchmark_commands_do_not_load_scipy(tmp_path):
         from bscbounds.cli import main
         for argv in (["curve", "--p", "0.1"], ["constants", "--p", "0.1"],
                      ["oracle", "--code-file", {str(code_file)!r}, "--p", "0.1"],
+                     ["oracle", "--generator", "hamming74", "--p", "0.4"],
+                     ["oracle", "--generator", "parity", "--n", "8",
+                      "--p", "0.45"],
                      ["verify", "--suite", "all"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv

@@ -762,7 +762,18 @@ def test_johnson_and_exhaustive_agree_small():
 
 
 def test_exhaustive_dominated_by_johnson():
-    for n, d, w in ((8, 4, 3), (10, 5, 3), (9, 4, 2), (10, 6, 5)):
+    # proposition4_check reads the Johnson bound alone, which is sound only
+    # because A(n, d, w) never exceeds it: check every (n, d, w) it meets
+    # at n <= 10 with the bound below n^2.  Five dense layers are left out
+    # for their MILP time, about 9 s together: (10, 5, 5), (9, 5, 5),
+    # (10, 5, 4), (9, 4, 4) and (9, 5, 4).
+    dense = {(10, 5, 5), (9, 5, 5), (10, 5, 4), (9, 4, 4), (9, 5, 4)}
+    sweep = [(n, d, w) for n in range(1, 11)
+             for d in range(1, (n + 1) // 2 + 1)
+             for w in range(1, (n + 1) // 2 + 1)
+             if johnson_upper(n, d, w) < n * n and (n, d, w) not in dense]
+    assert len(sweep) == 61
+    for n, d, w in [(8, 4, 3), (10, 5, 3), (9, 4, 2), (10, 6, 5)] + sweep:
         exact = exhaustive_max_constant_weight(n, d, w)
         assert exact <= johnson_upper(n, d, w) + 1e-9, (n, d, w)
 
