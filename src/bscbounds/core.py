@@ -381,38 +381,22 @@ def cleaning_gap_case1(lam, s, ch: ChannelParam):
     return out if out.ndim else float(out)
 
 
-def _cleaning_gap_case2(lam: float, s: float, ch: ChannelParam) -> float:
-    arg = 0.5 - (1.0 - 2.0 * ch.p) * (1.0 - s) / (2.0 * (1.0 - lam))
-    return ((1.0 - lam) * (binary_entropy(arg) - binary_entropy(ch.p))
-            - (0.5 - ch.p) * (s - lam) * ch.log_ratio)
-
-
-def _cleaning_gap_case3(lam: float, s: float, ch: ChannelParam) -> float:
-    # Split the radius path at omega1: the straddling part f(lam, s) telescopes
-    # out of the ratio-exponent composition exactly, the remainder is the
-    # below-omega1 closed form evaluated at (lam, omega1).
-    omega1 = channel_constants(ch).omega1
-    denom = 2.0 * (1.0 - lam)
-    scale = 1.0 - 2.0 * ch.p
-    straddle = ((1.0 - lam)
-                * (binary_entropy(0.5 - (1.0 - s) * scale / denom)
-                   - binary_entropy(0.5 - (1.0 - omega1) * scale / denom))
-                - 0.5 * (s - omega1) * scale * ch.log_ratio)
-    return straddle + float(cleaning_gap_case1(lam, omega1, ch))
-
-
 def cleaning_gap(lam: float, s: float, ch: ChannelParam) -> float:
-    """Cleaning gap g(lam, s) via the case-specific closed forms.
+    """Cleaning gap g(lam, s), placed by (lam, s) against omega1(p).
 
-    Dispatches on the position of (lam, s) relative to omega1(p): both below
-    omega1 (convex closed form, :func:`cleaning_gap_case1`), both above
-    (identical to :func:`cleaning_gap_generic`), or straddling (straddle part
-    plus the below-omega1 form at (lam, omega1)).
+    Both distances below omega1: the convex closed form
+    :func:`cleaning_gap_case1`.  Both above: the composition
+    :func:`cleaning_gap_generic`.  Straddling: the radius path splits at
+    omega1; the part above it telescopes out of the composition as
+    generic(lam, s) - generic(lam, omega1), and the convex form at
+    (lam, omega1) gives the rest.
     """
     _check_gap_domain(lam, s)
     omega1 = channel_constants(ch).omega1
     if s <= omega1 + _TOL:
         return float(cleaning_gap_case1(lam, s, ch))
+    gap = cleaning_gap_generic(lam, s, ch)
     if lam >= omega1 - _TOL:
-        return _cleaning_gap_case2(lam, s, ch)
-    return _cleaning_gap_case3(lam, s, ch)
+        return gap
+    return (gap - cleaning_gap_generic(lam, omega1, ch)
+            + float(cleaning_gap_case1(lam, omega1, ch)))

@@ -88,8 +88,6 @@ def _log2_binom(n: int, k: int) -> float:
 def hahn_at_zero(ctx: HahnContext) -> LogSigned:
     """Q_j(0) = ((n - 2j + 1)/(n - j + 1)) binom(n, j); positive throughout."""
     n, j = ctx.n, ctx.j
-    if j == 0:
-        return LogSigned(0.0, 1)
     log = math.log2((n - 2 * j + 1) / (n - j + 1)) + _log2_binom(n, j)
     return LogSigned(log, 1)
 
@@ -157,8 +155,6 @@ def hahn_eval(ctx: HahnContext, i: int) -> LogSigned:
     """
     if not 0 <= i <= ctx.w:
         raise DomainError(f"coordinate must lie in [0, w], got {i!r}")
-    if i == 0:
-        return hahn_at_zero(ctx)
     ratios = hahn_ratios(ctx, min(i, min(ctx.w, ctx.n - ctx.w) - 1))
     if len(ratios) >= i and all(r > 0.0 for r in ratios[:i]):
         log = hahn_at_zero(ctx).log_abs + sum(math.log2(r) for r in ratios[:i])

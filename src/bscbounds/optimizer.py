@@ -99,9 +99,10 @@ def W_value(omega: float, alpha: float, rate: float, ch: ChannelParam) -> float:
     return 0.5 * pt.omega * ch.log_pair - spectrum_exponent_at(rate, alpha, pt.omega)
 
 
-def _w_terms(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
-             at_cap: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The two omega-dependent terms of W's omega-slope, a' and the kernel.
+def _w_slope(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
+             L: float, at_cap: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """d/d omega of W at fixed rate, L/2 - mu'(omega), broadcast over
+    arrays, and the rounding it may carry.
 
     mu' splits into an elementary part a' and one kernel sample at
     omega/2, so the slope of a whole alpha batch costs a few array passes
@@ -109,7 +110,9 @@ def _w_terms(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
     the band nu = (alpha - omega/2)/(1 - omega) stays inside (0, 1).  With
     ``at_cap`` omega is the cap G, where the kernel's radical is 0 exactly
     and the kernel is log2(G (sqrt(tau(1 - tau)) + G/2)): ``log_kernel``
-    forms the radical from a cancelling difference, ~1e-8 off there.
+    forms the radical from a cancelling difference, ~1e-8 off there.  The
+    second array, eps (|L|/2 + |a'| + |kernel|), bounds the rounding the
+    three terms can leave in the slope.
     """
     rest = 1.0 - omega
     nu = (alpha - 0.5 * omega) / rest
@@ -118,15 +121,8 @@ def _w_terms(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
                + (log_co - log_nu) * (alpha - 0.5) / rest)
     kernel = (np.log2(omega * (np.sqrt(tau * (1.0 - tau)) + 0.5 * omega)) if at_cap
               else log_kernel(0.5 * omega, alpha, tau))
-    return a_prime, kernel
-
-
-def _w_slope(omega: np.ndarray, alpha: np.ndarray, tau: np.ndarray,
-             L: float, at_cap: bool = False) -> np.ndarray:
-    """d/d omega of W at fixed rate: L/2 - mu'(omega), broadcast over
-    arrays (see ``_w_terms``)."""
-    a_prime, kernel = _w_terms(omega, alpha, tau, at_cap)
-    return 0.5 * L - a_prime + kernel
+    return (0.5 * L - a_prime + kernel,
+            _EPS * (0.5 * abs(L) + np.abs(a_prime) + np.abs(kernel)))
 
 
 class _F1Batch(NamedTuple):
@@ -152,10 +148,10 @@ def _slope_root(cap: np.ndarray, alpha: np.ndarray, tau: np.ndarray, L: float,
     both ends close in on the root superlinearly.  A slice freezes once
     its bracket is at most ``width`` G wide in omega, once the step no
     longer falls strictly inside it (the root is then within rounding of
-    the step), or once the slope at the step is at round-off level: at
-    most eps (|L|/2 + |a'| + |kernel|), the rounding its terms can leave.
-    So its passes do not depend on the other slices.  Returns omega at
-    each slice's last step and the passes it took.
+    the step), or once the slope at the step is within the rounding bound
+    ``_w_slope`` returns with it.  So its passes do not depend on the
+    other slices.  Returns omega at each slice's last step and the passes
+    it took.
     """
     x, passes = np.empty(cap.size), np.empty(cap.size, int)
     rows = np.arange(cap.size)
@@ -165,12 +161,10 @@ def _slope_root(cap: np.ndarray, alpha: np.ndarray, tau: np.ndarray, L: float,
     while rows.size:
         k += 1
         c = b + (a - b) * (fb / (fb - fa))
-        a_prime, kernel = _w_terms(cap * (1.0 - c * c), alpha, tau)
-        fc = 0.5 * L - a_prime + kernel
+        fc, noise = _w_slope(cap * (1.0 - c * c), alpha, tau, L)
         sign = np.sign(fc)
         halve = np.where(sign == last, 0.5, 1.0)
         up, last = sign > 0.0, sign
-        noise = _EPS * (0.5 * abs(L) + np.abs(a_prime) + np.abs(kernel))
         done = ~((b < c) & (c < a)) | (np.abs(fc) <= noise)
         a, fa = np.where(up, c, a), np.where(up, fc, halve * fa)
         b, fb = np.where(up, b, c), np.where(up, halve * fb, fc)
@@ -221,11 +215,11 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
                 field[live] = sub
         return out
     alpha, tau = sl.alpha, sl.tau
-    f_top = _w_slope(cap * (1.0 - _S_TOP * _S_TOP), alpha, tau, L)
+    f_top = _w_slope(cap * (1.0 - _S_TOP * _S_TOP), alpha, tau, L)[0]
     at_cap = f_top >= 0.0
     x, iterations = cap.copy(), np.ones(cap.size, int)
     below = np.flatnonzero(~at_cap)
-    f_zero = _w_slope(np.zeros(below.size), alpha[below], tau[below], L)
+    f_zero = _w_slope(np.zeros(below.size), alpha[below], tau[below], L)[0]
     x[below], iterations[below] = 0.0, 2
     rise = f_zero > 0.0
     k = below[rise]
@@ -237,7 +231,7 @@ def _f1_batch(rate: np.ndarray, alphas: np.ndarray, L: float, tol: float) -> _F1
     clamp = ~at_cap & (value < 0.0)
     value = np.where(clamp, 0.0, value)
     at = np.flatnonzero(at_cap)
-    w_omega = _w_slope(x[at], alpha[at], tau[at], L, at_cap=True)
+    w_omega = _w_slope(x[at], alpha[at], tau[at], L, at_cap=True)[0]
     # dG/dalpha is -inf where tau = 0: the slope is too if W still rises
     g = sl.cap_slope()[at]
     finite = np.isfinite(g)

@@ -307,9 +307,7 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
     2^(n-1) (k + n + 1) keys and bins S takes in the census; each group is
     priced once, and only if it could pay even with a single class.  Groups
     of more than 64 words stay in the census: their keys would not fit 64
-    bits.  A reference word none of whose groups went by classes keeps all
-    its columns of the parity, read as a slice when they make up its whole
-    row and it has a batch of its own.
+    bits.
     """
     m, width, half = words.size, n + 1, 1 << (n - 1)
     limit = m + width * width
@@ -337,26 +335,24 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
                 continue
             dist, group = np.unique(row[cols], return_inverse=True)
             if parts and cost + cols.size + dist.size * width > limit:
-                batches.append(_batch(parts, m, width))
+                batches.append(_batch(parts, width))
                 parts, cost = [], 0
             parts.append((cols, group, dist))
             cost += cols.size + dist.size * width
         if parts:
-            batches.append(_batch(parts, m, width))
+            batches.append(_batch(parts, width))
         yield batches
 
 
-def _batch(parts: list, m: int, width: int) -> tuple:
+def _batch(parts: list, width: int) -> tuple:
     """(columns, bin offsets, distances) of census groups of some reference
     words, given as (columns, group of each column, group distances), for
     one bincount; int32 halves what a block of batches holds."""
     base = np.cumsum([0] + [dist.size for _, _, dist in parts])
-    whole = len(parts) == 1 and parts[0][0].size == m
     cols = np.concatenate([keep for keep, _, _ in parts], dtype=np.int32)
     offs = np.concatenate([(b + group) * width for b, (_, group, _) in zip(base, parts)],
                           dtype=np.int32)
-    return (slice(None) if whole else cols, offs,
-            np.concatenate([dist for _, _, dist in parts]))
+    return cols, offs, np.concatenate([dist for _, _, dist in parts])
 
 
 def _output_chunks(code: BinaryCode) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -629,7 +625,8 @@ def exhaustive_max_constant_weight(n: int, d: int, w: int) -> int:
     At s = 1 that leaves words with disjoint supports, so the maximum is
     n // w.  For s >= 2 those clique constraints describe the feasible sets
     completely, and the resulting 0/1 packing program is dispatched to an
-    exact MILP solve; scipy is imported there, on first use.  (A
+    exact MILP solve; scipy, which comes with the ``test`` extra, is
+    imported there on first use.  (A
     branch-and-bound clique search over the weight-w layer is correct too,
     but needs minutes on the dense w = 3 layer at n = 10; the packing program
     closes (10, 4, 3) in about 0.2 s and the densest n = 10 layers, (10, 5, 5)

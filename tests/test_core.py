@@ -399,12 +399,42 @@ def test_cleaning_gap_negative_off_diagonal():
         assert cleaning_gap(lam, s, CH) < 0.0
 
 
-def test_cleaning_gap_case2_matches_generic():
-    # above omega1 the closed form and the plain composition coincide
-    cc = channel_constants(CH)
-    for lam, s in ((cc.omega1 + 0.01, 0.42), (0.40, 0.48), (0.45, 0.5)):
-        assert cleaning_gap(lam, s, CH) == pytest.approx(
-            cleaning_gap_generic(lam, s, CH), abs=1e-10)
+def _mp_gap_closed_form(lam, s, p, omega1):
+    """The cleaning gap for s above omega1, in closed form at 50 digits.
+
+    Above omega1 the radius is t = omega/2 + (1 - omega) p, so with both
+    distances there g(lam, s) = (1 - lam)[h2(1/2 - (1-2p)(1-s)/(2(1-lam)))
+    - h2(p)] - (1/2 - p)(s - lam) log2(q/p).  A pair straddling omega1 takes
+    the same form from omega1 to s, plus the convex form at (lam, omega1).
+    """
+    with mpmath.workdps(_MP_DIGITS):
+        lam, s, p, o1 = (mpmath.mpf(v) for v in (lam, s, p, omega1))
+        ratio = mpmath.log((1 - p) / p, 2)
+
+        def upper(w):
+            return (1 - lam) * _h2_mp(0.5 - (1 - 2 * p) * (1 - w) / (2 * (1 - lam)))
+
+        if lam >= o1:
+            return upper(s) - (1 - lam) * _h2_mp(p) - (0.5 - p) * (s - lam) * ratio
+        r1, rl = mpmath.sqrt(1 - 2 * o1), mpmath.sqrt(1 - 2 * lam)
+        convex = ((1 - lam) * (_h2_mp(0.5 - r1 / (2 * (1 - o1)))
+                               - _h2_mp(0.5 - rl / (2 * (1 - lam))))
+                  + 0.5 * (r1 - rl) * ratio)
+        return upper(s) - upper(o1) - (0.5 - p) * (s - o1) * ratio + convex
+
+
+def test_cleaning_gap_above_omega1_against_high_precision():
+    # above omega1 and across it the gap is composed from the generic form;
+    # the closed forms it replaces, at 50 digits, pin it to rounding
+    for p in (0.02, 0.1, 0.2):
+        ch = ChannelParam(p)
+        o1 = channel_constants(ch).omega1
+        top = 0.5 - o1
+        pairs = [(o1 + 0.2 * top, o1 + 0.7 * top), (o1 + 0.5 * top, 0.5),
+                 (0.3 * o1, o1 + 0.4 * top), (0.9 * o1, 0.5)]
+        for lam, s in pairs:
+            ref = _mp_gap_closed_form(lam, s, p, o1)
+            assert abs(cleaning_gap(lam, s, ch) - float(ref)) <= 1e-14, (p, lam, s)
 
 
 def test_cleaning_gap_case1_differs_from_generic_composition():

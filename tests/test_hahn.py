@@ -73,6 +73,17 @@ def test_at_zero_against_exact():
                 math.log2(ex.numerator) - math.log2(ex.denominator), abs=1e-10)
 
 
+def test_origin_values_are_exact():
+    # Q_0 = 1 and hahn_eval at i = 0 is hahn_at_zero, to the bit: the
+    # general formulas give log2 1 = 0.0 and add an empty sum of ratio logs
+    for n in range(2, 2001):
+        for w in sorted({1, n // 3 or 1, n // 2}):
+            assert hahn_at_zero(HahnContext(n, w, 0)) == LogSigned(0.0, 1)
+            for j in sorted({0, 1, w // 2, w}):
+                ctx = HahnContext(n, w, j)
+                assert hahn_eval(ctx, 0) == hahn_at_zero(ctx), (n, w, j)
+
+
 def test_eval_against_exact_rational_oracle():
     for n, w in ((20, 8), (25, 10), (60, 20)):
         for j in (0, 1, 3, min(w - 1, 7)):

@@ -121,13 +121,13 @@ def _eight_cell_search(rate, alphas, L, tol):
     explicitly: (value, arg_omega) per slice."""
     sl = MuSlice(rate, alphas)
     cap = sl.cap
-    at_cap = _w_slope(cap * (1.0 - 1e-12), sl.alpha, sl.tau, L) >= 0.0
+    at_cap = _w_slope(cap * (1.0 - 1e-12), sl.alpha, sl.tau, L)[0] >= 0.0
     alpha, tau = sl.alpha[:, None], sl.tau[:, None]
     lo, width = np.zeros_like(cap), cap
     for _ in range(math.ceil(math.log(0.5 / tol, 8))):
         cell = width / 8
         probes = lo[:, None] + cell[:, None] * np.arange(1, 8)
-        lo = lo + cell * (_w_slope(probes, alpha, tau, L) > 0.0).sum(axis=1)
+        lo = lo + cell * (_w_slope(probes, alpha, tau, L)[0] > 0.0).sum(axis=1)
         width = cell
     x = np.where(at_cap, cap, lo + 0.5 * width)
     w_x, w_cap = 0.5 * x * L - sl.mu(x), 0.5 * cap * L - sl.mu(cap)
@@ -153,9 +153,9 @@ def _search_grid(p, rng):
         # 0: at the cap, 1: interior, 2: at omega = 0
         a0 = binary_entropy_inv(1.0 - r)
         sl = MuSlice(r, a0 + f * (0.5 - a0))
-        if _w_slope(sl.cap * (1.0 - 1e-12), sl.alpha, sl.tau, L) >= 0.0:
+        if _w_slope(sl.cap * (1.0 - 1e-12), sl.alpha, sl.tau, L)[0] >= 0.0:
             return 0
-        return 1 if _w_slope(0.0, sl.alpha, sl.tau, L) > 0.0 else 2
+        return 1 if _w_slope(0.0, sl.alpha, sl.tau, L)[0] > 0.0 else 2
 
     # bisect the rate, at a fixed place f in the slice range, wherever the
     # maximum changes place between neighbouring rates

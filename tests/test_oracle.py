@@ -764,18 +764,22 @@ def test_johnson_and_exhaustive_agree_small():
 def test_exhaustive_dominated_by_johnson():
     # proposition4_check reads the Johnson bound alone, which is sound only
     # because A(n, d, w) never exceeds it: check every (n, d, w) it meets
-    # at n <= 10 with the bound below n^2.  Five dense layers are left out
-    # for their MILP time, about 9 s together: (10, 5, 5), (9, 5, 5),
-    # (10, 5, 4), (9, 4, 4) and (9, 5, 4).
-    dense = {(10, 5, 5), (9, 5, 5), (10, 5, 4), (9, 4, 4), (9, 5, 4)}
+    # at n <= 10 with the bound below n^2.  The dense layers take their
+    # exact maxima from the published table (Brouwer, Shearer, Sloane and
+    # Smith, IEEE Trans. Inform. Theory 36, 1990; an odd d reads as d + 1),
+    # which the packing solve reproduces in 10 to 14 s together.
+    dense = {(10, 5, 5): 6, (10, 6, 5): 6, (9, 5, 5): 3, (10, 5, 4): 5,
+             (9, 4, 4): 18, (9, 5, 4): 3}
     sweep = [(n, d, w) for n in range(1, 11)
              for d in range(1, (n + 1) // 2 + 1)
              for w in range(1, (n + 1) // 2 + 1)
-             if johnson_upper(n, d, w) < n * n and (n, d, w) not in dense]
-    assert len(sweep) == 61
+             if johnson_upper(n, d, w) < n * n]
+    assert len(sweep) == 66 and set(dense) - set(sweep) == {(10, 6, 5)}
     for n, d, w in [(8, 4, 3), (10, 5, 3), (9, 4, 2), (10, 6, 5)] + sweep:
-        exact = exhaustive_max_constant_weight(n, d, w)
+        exact = (dense[n, d, w] if (n, d, w) in dense
+                 else exhaustive_max_constant_weight(n, d, w))
         assert exact <= johnson_upper(n, d, w) + 1e-9, (n, d, w)
+    assert johnson_upper(10, 6, 5) == 6.0  # the tight case: A = 6
 
 
 def test_exhaustive_known_values():
