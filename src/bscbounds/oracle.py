@@ -19,12 +19,16 @@ read (the union-cover check of the verify suite asks for both), and
 ``proposition3_best`` even d alone, since Z(t, d) vanishes at odd d, and only
 where a term bounded from X_max over a few reference words can still win or
 break dominance.  X_max goes group by group, a group being the words at one
-distance from one reference word.  One planner prices each group once:
-a group whose column classes (coordinates with one bit pattern over the
-group, up to complement) give fewer representative outputs than the pass is
-enumerated by its flip counts per class, and the rest are batched into a
-pass.  Pair distances come in row blocks under the same budget, shared by
-the pair counts and the planner.  ``BinaryCode`` itself refuses a length
+distance from one reference word, and each group is counted one of three
+ways.  One planner prices each group once: a group whose column classes
+(coordinates with one bit pattern over the group, up to complement) give
+fewer representative outputs than the pass is enumerated by its flip
+counts per class.  The groups a block of reference words leaves go
+together by whichever pass the planner prices cheaper: bincount batches on
+(output, group, distance) keys, or one float32 product of the outputs'
+one-hot distance rows with the groups' 0/1 membership matrix.  Pair
+distances come in row blocks under the same budget, shared by the pair
+counts and the planner.  ``BinaryCode`` itself refuses a length
 over 24 or a census work M^2 2^n over that of the n = 24, M = 32 shape, so
 no code the census cannot take is ever built.
 ``proposition3_terms`` scans the spectrum-based lower bound term by term, the
@@ -79,6 +83,13 @@ _WORK_CAP = 1 << 34     # census work M^2 2^n: the n = 24, M = 32 shape
 _BLOCK_BYTES = 1 << 20  # byte budget of one block of outputs or pair rows
 _CLASS_COST = 1 << 17   # fixed cost of enumerating one group by its column
                         # classes, in census keys and bins
+# The product route's prices, in the same unit.  Timed with each route
+# forced, single-threaded OpenBLAS on a 2-core x86-64 host: a census key or
+# bin took 2.3-3.9 ns (more in larger blocks), a one-hot entry 1.6 ns and a
+# multiply-add 0.018 ns.  This pair picked the faster route for 147 of 155
+# blocks of 15 random codes, losing 29 ms of 10.2 s.
+_ONEHOT_COST = 2 / 3    # one one-hot distance entry
+_MAC_COST = 1 / 256     # one float32 multiply-add
 DOMINANCE_SLACK = 1e-15  # round-off allowed when a lower bound meets P_e
 
 
@@ -292,22 +303,28 @@ def _group_x_max(n: int, keys: np.ndarray, sizes: np.ndarray,
 
 
 def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
-                    refs=None) -> Iterator[list]:
+                    refs=None) -> Iterator[tuple[bool, list]]:
     """Plan the X_max rows d in rows group by group: fill x_max from every
     group that its column classes enumerate more cheaply than the census
     would, and yield, per block of reference words (all, or the indices
-    refs), the rest packed into batches of (columns, bin offsets, distances)
-    whose keys and bins per output stay within the M + (n+1)^2 of _chunk_len.
+    refs), the rest as (by_product, batches).  By the product, batches is
+    one (pair block, reference row, distance) triple of arrays, one entry
+    per group, for ``_product_x_max``; by bincount, the groups are packed
+    into batches of (columns, bin offsets, distances) whose keys and bins
+    per output stay within the M + (n+1)^2 of _chunk_len.
 
     A group S is the set of words at distance d from one reference word;
     only groups with d in rows are planned, the others skipped.
     Bit j of a column's key is the column's bit in word j of S relative to
-    its word 0, so equal keys make a class.  The classes cost rows (k + n + 1)
-    + _CLASS_COST, rows the number of representative outputs, against the
+    its word 0, so equal keys make a class.  The classes cost reps (k + n + 1)
+    + _CLASS_COST, reps the number of representative outputs, against the
     2^(n-1) (k + n + 1) keys and bins S takes in the census; each group is
     priced once, and only if it could pay even with a single class.  Groups
     of more than 64 words stay in the census: their keys would not fit 64
-    bits.
+    bits.  The g groups a block leaves, with c columns in all, cost
+    c + g (n+1) keys and bins per output by bincount, and by the product
+    (n+1) M one-hot entries per slab of groups plus (n+1) M g multiply-adds,
+    at _ONEHOT_COST and _MAC_COST each; the cheaper route takes them all.
     """
     m, width, half = words.size, n + 1, 1 << (n - 1)
     limit = m + width * width
@@ -315,25 +332,28 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
     wanted = np.isin(np.arange(width), rows)
     for pair in _pair_distance_rows(words, refs):
         k = _distance_counts(pair, width)
-        could = (wanted & (k > 0) & (k <= 64)
-                 & ((half - n // 2 - 1) * (k + width) > _CLASS_COST))
+        left = wanted & (k > 0)
+        could = left & (k <= 64) & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)
+        for i, d in zip(*np.nonzero(could)):
+            members = np.flatnonzero(pair[i] == d)
+            shifts = np.arange(members.size, dtype=np.uint64)[:, None]
+            keys = np.bitwise_or.reduce((bits[members] ^ bits[members[0]]) << shifts, axis=0)
+            keys, sizes = np.unique(keys, return_counts=True)
+            big, per_output = sizes.max(), members.size + width
+            reps = np.prod(sizes + 1) // (big + 1) * (big // 2 + 1)
+            if reps * per_output + _CLASS_COST < half * per_output:
+                left[i, d] = False
+                x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, members.size))
+        ref, ds = np.nonzero(left)
+        slabs = -(-ds.size // _slab_len(m))
+        if (slabs * width * m * _ONEHOT_COST + width * m * ds.size * _MAC_COST
+                < k[left].sum() + ds.size * width):
+            yield True, [(pair, ref, ds)]
+            continue
         batches, parts, cost = [], [], 0
-        for row, candidates in zip(pair, could):
-            classed = np.zeros(width, dtype=bool)
-            for d in np.flatnonzero(candidates):
-                members = np.flatnonzero(row == d)
-                shifts = np.arange(members.size, dtype=np.uint64)[:, None]
-                keys = np.bitwise_or.reduce((bits[members] ^ bits[members[0]]) << shifts, axis=0)
-                keys, sizes = np.unique(keys, return_counts=True)
-                big, per_output = sizes.max(), members.size + width
-                rows = np.prod(sizes + 1) // (big + 1) * (big // 2 + 1)
-                if rows * per_output + _CLASS_COST < half * per_output:
-                    classed[d] = True
-                    x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, members.size))
-            cols = np.flatnonzero(wanted[row] & ~classed[row])
-            if not cols.size:
-                continue
-            dist, group = np.unique(row[cols], return_inverse=True)
+        for i in np.flatnonzero(left.any(axis=1)):
+            cols = np.flatnonzero(left[i, pair[i]])
+            dist, group = np.unique(pair[i, cols], return_inverse=True)
             if parts and cost + cols.size + dist.size * width > limit:
                 batches.append(_batch(parts, width))
                 parts, cost = [], 0
@@ -341,7 +361,7 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
             cost += cols.size + dist.size * width
         if parts:
             batches.append(_batch(parts, width))
-        yield batches
+        yield False, batches
 
 
 def _batch(parts: list, width: int) -> tuple:
@@ -392,6 +412,40 @@ def _census(code: BinaryCode) -> _Census:
     return _Census(dmin_hist, cover.reshape(width, m + 1))
 
 
+def _slab_len(m: int) -> int:
+    """Groups per membership slab of ``_product_x_max``: an M x slab float32
+    matrix takes half the byte budget at most."""
+    return max(1, _BLOCK_BYTES // (8 * m))
+
+
+def _product_x_max(words: np.ndarray, n: int, pair: np.ndarray, ref: np.ndarray,
+                   ds: np.ndarray, x_max: np.ndarray) -> None:
+    """Fill x_max[ds[c]] from group c, the words at distance ds[c] from
+    reference row ref[c] of pair, by float32 products.
+
+    G[j, c] = [pair[ref[c], j] = ds[c]] is a slab's 0/1 membership matrix
+    and H[(y, t), j] = [d(y, x_j) = t] the one-hot distance rows of a chunk
+    of outputs, so (H @ G)[(y, t), c] counts the words of group c at distance
+    t from y.  Every count is an integer below 2^24, so float32 sums it
+    exactly in any order.  Chunks of the outputs with the top bit clear are
+    sized so that H and the product stay within the byte budget.
+    """
+    m, width, half = words.size, n + 1, 1 << (n - 1)
+    radii = np.arange(width, dtype=np.uint8)[:, None]
+    for s in range(0, ds.size, _slab_len(m)):
+        cut = slice(s, s + _slab_len(m))
+        # compared in the pair rows' own uint8, not copied to int64
+        g = (pair[ref[cut]] == ds[cut, None].astype(pair.dtype)).T.astype(np.float32)
+        step = max(1, _BLOCK_BYTES // (4 * width * (m + g.shape[1])))
+        best = np.zeros((width, g.shape[1]), dtype=np.float32)
+        for start in range(0, half, step):
+            ys = np.arange(start, min(start + step, half), dtype=np.uint32)
+            dist = np.bitwise_count(ys[:, None] ^ words[None, :])
+            h = (dist[:, None, :] == radii).astype(np.float32).reshape(-1, m)
+            np.maximum(best, (h @ g).reshape(ys.size, width, -1).max(axis=0), out=best)
+        np.maximum.at(x_max, ds[cut], best.T.astype(np.int64))
+
+
 @functools.lru_cache(maxsize=16)
 def _x_max(code: BinaryCode, rows, refs=None) -> np.ndarray:
     """x_max[d, t], the max over (reference word, output y) of the codewords
@@ -402,24 +456,29 @@ def _x_max(code: BinaryCode, rows, refs=None) -> np.ndarray:
     Rows are enumerated only when read: ``restricted_cover_max`` reads one
     parity of d, ``proposition3_best`` the even rows where a term counts.
     x_max[d, t] is a max over groups, the words at distance d from one
-    reference word.  The planner (``_census_batches``) enumerates the groups
-    whose column classes pay as it meets them, block by block of reference
-    words, and batches the rest: one bincount on (y, group, D) per batch and
-    chunk of the outputs with the top bit clear, followed by a max over y.
-    The complements' maxima are x_max[d, n - t], taken once after the loop.
-    A block of reference words with no batch left skips the chunk loop.
+    reference word, and each group is counted one of three ways.  The
+    planner (``_census_batches``) enumerates the groups whose column classes
+    pay as it meets them, block by block of reference words, and prices the
+    rest of a block both ways: one float32 product of one-hot distance rows
+    and group membership (``_product_x_max``), or one bincount on
+    (y, group, D) per batch and chunk of the outputs with the top bit clear,
+    each followed by a max over y.  The complements' maxima are
+    x_max[d, n - t], taken once after the loop.  A block of reference words
+    with no group left skips the chunk loop.
     """
-    width = code.n + 1
+    width, words = code.n + 1, _word_array(code)
     x_max = np.zeros((width, width), dtype=np.int64)
-    for batches in _census_batches(_word_array(code), code.n, rows, x_max, refs):
-        if not batches:
-            continue
-        for y_off, dist in _output_chunks(code):
-            for cols, offs, ds in batches:
-                g = ds.size * width
-                best = np.bincount((y_off * g + offs + dist[:, cols]).ravel(),
-                                   minlength=y_off.size * g).reshape(-1, g).max(axis=0)
-                np.maximum.at(x_max, ds, best.reshape(-1, width))
+    for by_product, batches in _census_batches(words, code.n, rows, x_max, refs):
+        if by_product:
+            for pair, ref, ds in batches:
+                _product_x_max(words, code.n, pair, ref, ds, x_max)
+        elif batches:
+            for y_off, dist in _output_chunks(code):
+                for cols, offs, ds in batches:
+                    g = ds.size * width
+                    best = np.bincount((y_off * g + offs + dist[:, cols]).ravel(),
+                                       minlength=y_off.size * g).reshape(-1, g).max(axis=0)
+                    np.maximum.at(x_max, ds, best.reshape(-1, width))
     return np.maximum(x_max, x_max[:, ::-1])
 
 
@@ -652,7 +711,12 @@ def exhaustive_max_constant_weight(n: int, d: int, w: int) -> int:
                       for combo in itertools.combinations(range(n), s)])
     # one row per s-subset: the C(n-s, w-s) >= 2 layer words that contain it
     rows = (layer & masks[:, None]) == masks[:, None]
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    try:
+        from scipy.optimize import Bounds, LinearConstraint, milp
+    except ImportError:
+        raise ModuleNotFoundError(
+            "exhaustive_max_constant_weight needs scipy for its packing solve; "
+            "install the test extra: pip install 'bscbounds[test]'") from None
     res = milp(c=-np.ones(layer.size),
                constraints=LinearConstraint(rows.astype(float), -np.inf, 1.0),
                integrality=np.ones(layer.size),

@@ -8,6 +8,7 @@ only for float roundoff.
 
 import hashlib
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -334,19 +335,20 @@ def _reference_cover_histogram(code, t):
     return dict(zip(vals.tolist(), reps.tolist()))
 
 
-def _reference_x_max(code):
-    """X[d, t], one reference word and one (t, d) pair at a time."""
+def _reference_x_max(code, rows=None, refs=None):
+    """X[d, t] by direct enumeration: each group, the words at distance d
+    from one reference word (every word, or the indices refs), counted at
+    every distance t from all 2^n outputs.  Only the rows d in rows
+    (default: all) are counted; the others hold zeros."""
+    width, dist = code.n + 1, _output_distances(code)
     words = np.asarray(code.words, dtype=np.uint32)
-    pair_d = np.bitwise_count(words[:, None] ^ words[None, :])
-    dist = _output_distances(code)
-    x = np.zeros((code.n + 1, code.n + 1), dtype=np.int64)
-    for d in range(code.n + 1):
-        for t in range(code.n + 1):
-            for i in range(code.M):
-                cols = np.flatnonzero(pair_d[i] == d)
-                if cols.size:
-                    cnt = (dist[:, cols] == t).sum(axis=1)
-                    x[d, t] = max(x[d, t], int(cnt.max()))
+    y_off = np.arange(1 << code.n)[:, None] * width
+    x = np.zeros((width, width), dtype=np.int64)
+    for i in range(code.M) if refs is None else refs:
+        pair = np.bitwise_count(words[i] ^ words)
+        for d in set(pair.tolist()) & set(range(width) if rows is None else rows):
+            cnt = np.bincount((y_off + dist[:, pair == d]).ravel(), minlength=width << code.n)
+            x[d] = np.maximum(x[d], cnt.reshape(-1, width).max(axis=0))
     return x
 
 
@@ -601,9 +603,9 @@ def test_oracle_enumerates_no_odd_distance_group(code, bound_rows, exact_rows,
 
     def spy(words, n, rows, x_max, refs=None):
         planned.append((rows, refs))
-        for batches in plan(words, n, rows, x_max, refs):
+        for by_product, batches in plan(words, n, rows, x_max, refs):
             enumerated.extend(ds for _, _, ds in batches)
-            yield batches
+            yield by_product, batches
 
     monkeypatch.setattr(oracle, "_census_batches", spy)
     oracle._x_max.cache_clear()
@@ -689,6 +691,113 @@ def test_census_memory_follows_the_byte_budget(monkeypatch):
         try:
             oracle._census.__wrapped__(code)
             _halves(code)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] <= 3 * budget, budget
+    assert peaks[0] < peaks[1]
+
+
+# --- X_max by each route: product, bincount, direct enumeration ----------
+#
+# The groups the column classes leave are counted by one float32 product
+# or by bincount batches, whichever the planner prices cheaper.  Prices of
+# 0 send every block of them to the product, an infinite multiply-add price
+# to the bincount; _CLASS_COST = +inf leaves every group to the route.
+
+_ROUTES = {"product": (0.0, 0.0), "bincount": (0.0, math.inf)}
+
+
+def _x_max_by(code, route, rows, refs=None):
+    """X_max rows of code over refs with every group counted by route (None:
+    the default prices and classes), and the routes the blocks with a group
+    left took."""
+    plan, taken = oracle._census_batches, set()
+
+    def spy(*args):
+        for by_product, batches in plan(*args):
+            if any(ds.size for _, _, ds in batches):
+                taken.add("product" if by_product else "bincount")
+            yield by_product, batches
+
+    with pytest.MonkeyPatch.context() as mp:
+        if route is not None:
+            mp.setattr(oracle, "_CLASS_COST", math.inf)
+            mp.setattr(oracle, "_ONEHOT_COST", _ROUTES[route][0])
+            mp.setattr(oracle, "_MAC_COST", _ROUTES[route][1])
+        mp.setattr(oracle, "_census_batches", spy)
+        return oracle._x_max.__wrapped__(code, rows, refs), taken
+
+
+def _assert_routes_agree(code, refs):
+    for parity in (0, 1):
+        rows = _parity_rows(code, parity)
+        want = _reference_x_max(code, rows, refs)
+        for route in _ROUTES:
+            got, taken = _x_max_by(code, route, rows, refs)
+            _assert_same(got, want)
+            assert taken == ({route} if want.any() else set())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_codes(), st.data())
+def test_routes_agree_on_small_codes(code, data):
+    refs = data.draw(st.none() | st.sets(st.integers(0, code.M - 1), min_size=1)
+                     .map(lambda s: tuple(sorted(s))))
+    _assert_routes_agree(code, refs)
+
+
+@pytest.mark.parametrize("shape, all_refs", [
+    ((12, 128, 7), True), ((10, 256, 1), True), ((16, 32, 7), False),
+    ((12, 512, 2), False),
+], ids=["12x128s7", "10x256s1", "16x32s7", "12x512s2"])
+def test_routes_agree_on_random_codes(shape, all_refs):
+    # a seeded subset of 12 reference words, and all of them where the
+    # direct count stays quick
+    code = random_code(*shape)
+    subset = np.random.default_rng(shape[2]).choice(code.M, 12, replace=False)
+    for refs in (tuple(sorted(subset.tolist())),) + ((None,) if all_refs else ()):
+        _assert_routes_agree(code, refs)
+
+
+@pytest.mark.parametrize("shape, rows, refs, route", [
+    ((12, 128, 7), (4,), None, "product"),
+    ((12, 128, 7), (4,), (0, 1, 2), "bincount"),
+    ((14, 48, 1), (4,), None, "bincount"),
+    ((14, 48, 1), (6,), None, "product"),
+], ids=["12x128-all", "12x128-three", "14x48-row4", "14x48-row6"])
+def test_route_pricing_pinned(shape, rows, refs, route):
+    # the route the default prices pick for a block's leftover groups, on
+    # blocks whose two prices lie a factor 1.8 or more apart: the one-hot
+    # rows cost the same for three reference words as for all of them
+    code = random_code(*shape)
+    got, taken = _x_max_by(code, None, rows, refs)
+    assert taken == {route}
+    _assert_same(got, _reference_x_max(code, rows, refs))
+
+
+@pytest.mark.parametrize("budget", [1 << 11, 1 << 13])
+def test_product_in_slabs_and_chunks(budget, monkeypatch):
+    # a small byte budget cuts the pair rows into blocks, the groups into
+    # membership slabs and the outputs into chunks of a few
+    code = random_code(9, 40, seed=5)
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+    assert oracle._slab_len(code.M) < code.M
+    _assert_routes_agree(code, None)
+
+
+def test_product_memory_follows_the_byte_budget(monkeypatch):
+    # the product holds one membership slab of M x _slab_len floats, the
+    # one-hot rows of a chunk of outputs and their product, all under
+    # _BLOCK_BYTES
+    code = random_code(14, 48, seed=1)
+    rows = _parity_rows(code, 0)
+    peaks = []
+    for budget in (1 << 16, 1 << 18):
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            _x_max_by(code, "product", rows)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -815,6 +924,18 @@ def test_exhaustive_matches_clique_search():
                     g.add_edge(x, y)
         _, size = nx.max_weight_clique(g, weight=None)
         assert exhaustive_max_constant_weight(n, d, w) == size, (n, d, w)
+
+
+def test_exhaustive_without_scipy_names_the_extra(monkeypatch):
+    # scipy comes with the test extra only: a packing solve without it is
+    # one error naming the extra, with no chained scipy import failure.
+    # The closed forms (s <= 1) need no scipy
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    with pytest.raises(ModuleNotFoundError, match=r"bscbounds\[test\]") as info:
+        exhaustive_max_constant_weight(8, 4, 3)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+    assert exhaustive_max_constant_weight(9, 5, 3) == 3
 
 
 def test_exhaustive_budget():
