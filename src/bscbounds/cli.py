@@ -9,6 +9,7 @@ byte-identical files.  JSON results follow the record shape
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -258,8 +259,15 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     return 0 if dominance_ok else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on its first call in a process;
+    parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         if ns.command == "constants":
             return cmd_constants(ns)

@@ -12,25 +12,30 @@ against, with no tolerance.
 Words are stored as integer bitmasks.  Every enumeration passes in chunks
 under a fixed byte budget over the 2^(n-1) outputs with the top bit clear;
 each complement y ^ 1^n is mirrored from y (radius t -> n - t, d_min ->
-n - d_max), never enumerated.  The error probability and cover reports read
-one census per code.  The covering maxima X_max(t, d) are enumerated by the
-rows d a reader asks for: ``restricted_cover_max`` one parity of d on first
-read (the union-cover check of the verify suite asks for both), and
-``proposition3_best`` even d alone, since Z(t, d) vanishes at odd d, and only
-where a term bounded from X_max over a few reference words can still win or
-break dominance.  X_max goes group by group, a group being the words at one
-distance from one reference word, and each group is counted one of three
-ways.  One planner prices each group once: a group whose column classes
-(coordinates with one bit pattern over the group, up to complement) give
-fewer representative outputs than the pass is enumerated by its flip
-counts per class.  The groups a block of reference words leaves go
+n - d_max), never enumerated.  A chunk's distances are word-major,
+D[j, y] = d(y, x_j), so d_min and d_max reduce across its rows and a
+group's words are whole rows.  The error probability and cover reports
+read one census per code, whose cover histogram is counted once and
+reversed in t for the complements.  The covering maxima X_max(t, d) are
+enumerated by the rows d a reader asks for: ``restricted_cover_max`` one
+parity of d on first read (the union-cover check of the verify suite asks
+for both), and ``proposition3_best`` even d alone, since Z(t, d) vanishes
+at odd d, and only where a term bounded from X_max over a few reference
+words can still win or break dominance.  X_max goes group by group, a
+group being the words at one distance from one reference word, and each
+group is counted one of three ways.  One planner prices each group once: a
+group whose column classes (coordinates with one bit pattern over the
+group, up to complement) give fewer representative outputs than the pass
+is enumerated by its flip counts per class, unless it holds one word,
+which lies at every distance from some output and so adds exactly 1 to
+every X_max[d, t].  The groups a block of reference words leaves go
 together by whichever pass the planner prices cheaper: bincount batches on
 (output, group, distance) keys, or one float32 product of the outputs'
 one-hot distance rows with the groups' 0/1 membership matrix.  Pair
 distances come in row blocks under the same budget, shared by the pair
-counts and the planner.  ``BinaryCode`` itself refuses a length
-over 24 or a census work M^2 2^n over that of the n = 24, M = 32 shape, so
-no code the census cannot take is ever built.
+counts and the planner.  ``BinaryCode`` itself refuses a length over 24 or
+a census work M^2 2^n over that of the n = 24, M = 32 shape, so no code
+the census cannot take is ever built.
 ``proposition3_terms`` scans the spectrum-based lower bound term by term, the
 reference route of ``proposition3_best``; its covering count
 ``restricted_cover_max`` reads X_max, which the verify suite checks against
@@ -319,12 +324,15 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
     its word 0, so equal keys make a class.  The classes cost reps (k + n + 1)
     + _CLASS_COST, reps the number of representative outputs, against the
     2^(n-1) (k + n + 1) keys and bins S takes in the census; each group is
-    priced once, and only if it could pay even with a single class.  Groups
-    of more than 64 words stay in the census: their keys would not fit 64
-    bits.  The g groups a block leaves, with c columns in all, cost
-    c + g (n+1) keys and bins per output by bincount, and by the product
-    (n+1) M one-hot entries per slab of groups plus (n+1) M g multiply-adds,
-    at _ONEHOT_COST and _MAC_COST each; the cheaper route takes them all.
+    priced once, and only if it could pay even with a single class.  Of
+    the groups so priced, one of a single word is not enumerated: that word
+    lies at every distance t from some output, so the group adds exactly 1
+    to every x_max[d, t].  Groups of more than 64 words stay in the census:
+    their keys would not fit 64 bits.  The g groups a block leaves, with c
+    columns in all, cost c + g (n+1) keys and bins per output by bincount,
+    and by the product (n+1) M one-hot entries per slab of groups plus
+    (n+1) M g multiply-adds, at _ONEHOT_COST and _MAC_COST each; the
+    cheaper route takes them all.
     """
     m, width, half = words.size, n + 1, 1 << (n - 1)
     limit = m + width * width
@@ -335,6 +343,10 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
         left = wanted & (k > 0)
         could = left & (k <= 64) & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)
         for i, d in zip(*np.nonzero(could)):
+            if k[i, d] == 1:
+                left[i, d] = False
+                x_max[d] = np.maximum(x_max[d], 1)
+                continue
             members = np.flatnonzero(pair[i] == d)
             shifts = np.arange(members.size, dtype=np.uint64)[:, None]
             keys = np.bitwise_or.reduce((bits[members] ^ bits[members[0]]) << shifts, axis=0)
@@ -377,12 +389,14 @@ def _batch(parts: list, width: int) -> tuple:
 
 def _output_chunks(code: BinaryCode) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(y offsets, D) per chunk of the 2^(n-1) outputs y with the top bit
-    clear: D[y, j] = d(y, x_j), formed once per chunk."""
+    clear: D[j, y] = d(y, x_j), formed once per chunk.  D is word-major, so a
+    reduction over the words runs across its rows and a group's words are
+    whole rows."""
     words = _word_array(code)
     step, half = _chunk_len(code.n, code.M), 1 << (code.n - 1)
     for start in range(0, half, step):
         ys = np.arange(start, min(start + step, half), dtype=np.uint32)
-        yield np.arange(ys.size)[:, None], np.bitwise_count(ys[:, None] ^ words[None, :])
+        yield np.arange(ys.size), np.bitwise_count(words[:, None] ^ ys[None, :])
 
 
 @functools.lru_cache(maxsize=8)
@@ -393,9 +407,11 @@ def _census(code: BinaryCode) -> _Census:
     complement y ^ 1^n lies at distance n - d(y, x) from every codeword x, so
     its summaries are those of y mirrored: t -> n - t, d_min -> n - d_max.
     One bincount on y (n+1) + D gives cnt[y, t], the number of codewords at
-    distance t from y, which feeds the d_min and cover histograms of y and,
-    reversed in t, of its complement.  The code's size was checked when it
-    was built.
+    distance t from y, and the cover histogram counts it once per chunk;
+    the complements' cover, #{y : cnt[y, n - t] = k}, is that histogram
+    reversed in t, added after the loop.  d_min and d_max are reductions
+    over the words, across the rows of the word-major D.  The code's size
+    was checked when it was built.
     """
     n, m = code.n, code.M
     width = n + 1
@@ -405,11 +421,11 @@ def _census(code: BinaryCode) -> _Census:
     for y_off, dist in _output_chunks(code):
         cnt = np.bincount((y_off * width + dist).ravel(),
                           minlength=y_off.size * width).reshape(-1, width)
-        dmin_hist += np.bincount(dist.min(axis=1), minlength=width)
-        dmin_hist += np.bincount(n - dist.max(axis=1), minlength=width)
-        for mirrored in (cnt, cnt[:, ::-1]):
-            cover += np.bincount((mirrored + t_off).ravel(), minlength=cover.size)
-    return _Census(dmin_hist, cover.reshape(width, m + 1))
+        dmin_hist += np.bincount(dist.min(axis=0), minlength=width)
+        dmin_hist += np.bincount(n - dist.max(axis=0), minlength=width)
+        cover += np.bincount((cnt + t_off).ravel(), minlength=cover.size)
+    cover = cover.reshape(width, m + 1)
+    return _Census(dmin_hist, cover + cover[::-1])
 
 
 def _slab_len(m: int) -> int:
@@ -462,7 +478,8 @@ def _x_max(code: BinaryCode, rows, refs=None) -> np.ndarray:
     rest of a block both ways: one float32 product of one-hot distance rows
     and group membership (``_product_x_max``), or one bincount on
     (y, group, D) per batch and chunk of the outputs with the top bit clear,
-    each followed by a max over y.  The complements' maxima are
+    the batch's columns read as whole rows of the word-major D, each
+    followed by a max over y.  The complements' maxima are
     x_max[d, n - t], taken once after the loop.  A block of reference words
     with no group left skips the chunk loop.
     """
@@ -476,7 +493,7 @@ def _x_max(code: BinaryCode, rows, refs=None) -> np.ndarray:
             for y_off, dist in _output_chunks(code):
                 for cols, offs, ds in batches:
                     g = ds.size * width
-                    best = np.bincount((y_off * g + offs + dist[:, cols]).ravel(),
+                    best = np.bincount((y_off * g + offs[:, None] + dist[cols]).ravel(),
                                        minlength=y_off.size * g).reshape(-1, g).max(axis=0)
                     np.maximum.at(x_max, ds, best.reshape(-1, width))
     return np.maximum(x_max, x_max[:, ::-1])

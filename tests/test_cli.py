@@ -5,6 +5,9 @@ captured with capsys and files land in tmp_path.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import math
@@ -14,7 +17,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from bscbounds.cli import build_parser, main
-from bscbounds import verify
+from bscbounds import cli, verify
 from bscbounds.verify import SUITE_NAMES
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -515,6 +518,40 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _fresh_process(argv):
+    """(status, stdout, stderr) of main(argv) in a new interpreter."""
+    script = "import sys; from bscbounds.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(pathlib.Path(cli.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    # main parses every call with one parser; an argparse error exit leaves
+    # it as a fresh process would find it, byte for byte
+    built, fresh = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or fresh())
+    cli._parser.cache_clear()
+    bad = ["oracle", "--generator", "hamming74"]                # --p missing
+    good = ["oracle", "--generator", "hamming74", "--p", "0.1"]
+    try:
+        runs = []
+        for argv in (bad, good, bad):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            runs.append((status, *capsys.readouterr()))
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert [status for status, _, _ in runs] == [2, 0, 2]
+    assert runs == [_fresh_process(argv) for argv in (bad, good, bad)]
+    # build_parser itself still returns a parser of its own on every call
+    assert fresh() is not fresh()
 
 
 def test_parser_defaults():

@@ -475,10 +475,11 @@ def _reference_cover(code):
                      for t in range(code.n + 1)])
 
 
-def _group_count(code):
+def _group_count(code, least=1):
+    """The groups of code with at least `least` words."""
     words = np.asarray(code.words, dtype=np.uint32)
     pair = np.bitwise_count(words[:, None] ^ words[None, :])
-    return sum(len(set(row.tolist())) for row in pair)
+    return sum(int((np.bincount(row) >= least).sum()) for row in pair)
 
 
 def _census_at_cost(code, cost=oracle._CLASS_COST):
@@ -502,7 +503,9 @@ def _census_at_cost(code, cost=oracle._CLASS_COST):
 def test_class_path_matches_reference_routes(code):
     x_ref = _reference_x_max(code)
     cover, dmin_hist = _reference_cover(code), _reference_dmin_hist(code)
-    for cost, groups in ((-math.inf, _group_count(code)), (math.inf, 0)):
+    # a group of one word is not enumerated: it lies at every distance from
+    # some output, so it adds 1 to every X_max[d, t]
+    for cost, groups in ((-math.inf, _group_count(code, least=2)), (math.inf, 0)):
         calls, census, halves = _census_at_cost(code, cost)
         assert len(calls) == groups
         _assert_halves(halves, x_ref)
@@ -511,15 +514,39 @@ def test_class_path_matches_reference_routes(code):
 
 
 def test_class_path_live_on_a_long_code():
-    # the default cost sends 265 of this code's 299 groups to their classes
+    # the default cost sends 265 of this code's 299 groups to their classes,
+    # and enumerates the 177 of them that hold two words or more
     code = random_code(16, 32, seed=7)
     calls, live, live_halves = _census_at_cost(code)
-    assert (len(calls), _group_count(code)) == (265, 299)
+    assert (len(calls), _group_count(code)) == (177, 299)
     _, whole, whole_halves = _census_at_cost(code, math.inf)
     for field in ("cover", "dmin_hist"):
         _assert_same(getattr(live, field), getattr(whole, field))
     for live_half, whole_half in zip(live_halves, whole_halves):
         _assert_same(live_half, whole_half)
+
+
+@pytest.mark.parametrize("code, ones", [
+    (random_code(13, 40, 2), ()), (random_code(13, 40, 5), ()),
+    (random_code(16, 32, 7), ()), (repetition_code(15), (0, 15)),
+    (random_code(16, 1, 3), (0,)),
+], ids=["13x40s2", "13x40s5", "16x32s7", "repetition15", "16x1s3"])
+def test_census_over_many_chunks_matches_full_enumeration(code, ones):
+    # seeded codes longer than the hypothesis strategy's, whose outputs take
+    # many chunks, against all 2^n outputs; the rows `ones` hold one-word
+    # groups alone, which read 1 at every t without being enumerated
+    assert oracle._chunk_len(code.n, code.M) < 1 << (code.n - 1)
+    calls, census, halves = _census_at_cost(code)
+    for got, want in ((census.dmin_hist, _reference_dmin_hist(code)),
+                      (census.cover, _reference_cover(code))):
+        assert want.dtype == np.int64
+        _assert_same(got, want)
+    want = _reference_x_max(code)
+    assert want.dtype == np.int64
+    _assert_halves(halves, want)
+    if ones:
+        assert not calls
+        assert (want[list(ones)] == 1).all()
 
 
 def _calls_digest(calls, ordered=True):
@@ -535,15 +562,15 @@ def _calls_digest(calls, ordered=True):
 
 
 @pytest.mark.parametrize("shape, classed_groups, groups, digest, unordered", [
-    ((16, 32, 7), 265, 299,
-     "492a2f6b871f022c99d0c837e1f95df78cd7dbd9d5a1d159874effc2e69cbaf7",
-     "d2d8c76d28b4505189c86edbffa04dd48ab2ddac98ef3c7e31b28345cf321e81"),
+    ((16, 32, 7), 177, 299,
+     "5f056559002daa996bad18956929fc2ec4b78d418e39bafa301c26fddb5f845d",
+     "873d6a7ca8b2ff503c568507bb5840440782e83310fb4928a9b99f933190d2ff"),
     ((14, 48, 1), 166, 462,
      "5639c36f23a7aacdae5442d818189f85c825aaf61d7c090472283573376ca4fe",
      "0b15f99c9275ea311fc2531cafe8eab54d96bab5007fb0bba95f4d5339475d64"),
-    ((20, 32, 1), 315, 332,
-     "43b6a84ef4cf4f17a4dbddc1d74a34e70c8a94e951546bf3adc9c8f4ac5987cc",
-     "65342a38a4ca924111947be9a343e246e1449f2714a0b2e684f43b573535da96"),
+    ((20, 32, 1), 202, 332,
+     "2c0ae5f2ea79bbcdc88a0f048c50d9b11381be44e010db8132c53f3718d4d074",
+     "737b6a128f80659407508d9c73cd48834a07a09c96606a95728633a4af830380"),
 ], ids=["16x32s7", "14x48s1", "20x32s1"])
 def test_class_pricing_pinned(shape, classed_groups, groups, digest, unordered):
     # which groups go by their classes, with what classes and in what order,
