@@ -112,10 +112,14 @@ def hahn_ratios(ctx: HahnContext, k_max: int) -> list[float]:
     for k in range(1, k_max + 1):
         if out[-1] <= 0.0:
             break
-        prev = out[-1]
-        rho = (_b_coeff(ctx, k) * prev - k * k) / ((w - k) * (n - w - k) * prev)
-        out.append(rho)
+        out.append(_next_ratio(ctx, k, out[-1]))
     return out
+
+
+def _next_ratio(ctx: HahnContext, k: int, prev: float) -> float:
+    """rho_k from rho_{k-1} = prev, by the quadratic recurrence in rho."""
+    n, w = ctx.n, ctx.w
+    return (_b_coeff(ctx, k) * prev - k * k) / ((w - k) * (n - w - k) * prev)
 
 
 def _eval_by_degree(ctx: HahnContext, x: float) -> LogSigned:
@@ -208,9 +212,7 @@ def min_root(ctx: HahnContext) -> float:
         v1 = ratios[0]
         if v1 == 0.0:
             return 1.0
-        rho1 = ((_b_coeff(ctx, 1) * v1 - 1.0)
-                / ((ctx.w - 1) * (ctx.n - ctx.w - 1) * v1))
-        return _quad_root(1.0, v1, v1 * rho1, 1.0, -1.0, 0.0)
+        return _quad_root(1.0, v1, v1 * _next_ratio(ctx, 1, v1), 1.0, -1.0, 0.0)
     # samples at k-1, k, k+1 relative to Q(k); root between t = 0 and t = 1
     return _quad_root(1.0 / ratios[k - 1], 1.0, ratios[k], float(k), 0.0, 1.0)
 

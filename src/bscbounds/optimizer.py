@@ -528,7 +528,10 @@ def rate_regime(R: float, ch: ChannelParam) -> tuple[str, CurveKind]:
 
 def segment_window(kind: CurveKind, ch: ChannelParam) -> tuple[float, float]:
     """The rates of a segment kind: [R1, R_crit] for ``straight_line``,
-    [R1, C] for ``corollary1``.  Refuses channels with p <= p1."""
+    [R1, C] for ``corollary1``.  Refuses every other kind, and channels
+    with p <= p1."""
+    if kind not in (CurveKind.corollary1, CurveKind.straight_line):
+        raise DomainError(f"curve kind {CurveKind(kind).value!r} has no segment window")
     cc = channel_constants(ch)
     if ch.p <= cc.p1:
         raise DomainError(f"curve kind {CurveKind(kind).value!r} needs a "

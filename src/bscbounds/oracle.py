@@ -30,10 +30,11 @@ is enumerated by its flip counts per class, unless it holds one word,
 which lies at every distance from some output and so adds exactly 1 to
 every X_max[d, t].  The groups a block of reference words leaves go
 together by whichever pass the planner prices cheaper: bincount batches on
-(output, group, distance) keys, or one float32 product of the outputs'
-one-hot distance rows with the groups' 0/1 membership matrix.  Pair
-distances come in row blocks under the same budget, shared by the pair
-counts and the planner.  ``BinaryCode`` itself refuses a length over 24 or
+(output, group, distance) keys, or float32 products of the groups' 0/1
+membership slabs with a chunk's 0/1 rows [D = t], radius by radius.  Both
+passes read the same word-major chunks in one loop.  Pair distances come
+in row blocks under the same budget, shared by the pair counts and the
+planner.  ``BinaryCode`` itself refuses a length over 24 or
 a census work M^2 2^n over that of the n = 24, M = 32 shape, so no code
 the census cannot take is ever built.
 ``proposition3_terms`` scans the spectrum-based lower bound term by term, the
@@ -312,11 +313,12 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
     """Plan the X_max rows d in rows group by group: fill x_max from every
     group that its column classes enumerate more cheaply than the census
     would, and yield, per block of reference words (all, or the indices
-    refs), the rest as (by_product, batches).  By the product, batches is
-    one (pair block, reference row, distance) triple of arrays, one entry
-    per group, for ``_product_x_max``; by bincount, the groups are packed
-    into batches of (columns, bin offsets, distances) whose keys and bins
-    per output stay within the M + (n+1)^2 of _chunk_len.
+    refs), the rest as (by_product, batches).  By the product, a block goes
+    one membership slab at a time, batches being [(G, distances)] with
+    G[c, j] = [pair[ref_c, j] = d_c] a (g, M) float32 matrix of the slab's g
+    groups; by bincount, the groups are packed into batches of (columns, bin
+    offsets, distances) whose keys and bins per output stay within the
+    M + (n+1)^2 of _chunk_len.
 
     A group S is the set of words at distance d from one reference word;
     only groups with d in rows are planned, the others skipped.
@@ -330,9 +332,9 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
     to every x_max[d, t].  Groups of more than 64 words stay in the census:
     their keys would not fit 64 bits.  The g groups a block leaves, with c
     columns in all, cost c + g (n+1) keys and bins per output by bincount,
-    and by the product (n+1) M one-hot entries per slab of groups plus
-    (n+1) M g multiply-adds, at _ONEHOT_COST and _MAC_COST each; the
-    cheaper route takes them all.
+    and by the product (n+1) M one-hot entries per slab of groups (the
+    0/1 rows [D = t] of every radius) plus (n+1) M g multiply-adds, at
+    _ONEHOT_COST and _MAC_COST each; the cheaper route takes them all.
     """
     m, width, half = words.size, n + 1, 1 << (n - 1)
     limit = m + width * width
@@ -360,7 +362,11 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
         slabs = -(-ds.size // _slab_len(m))
         if (slabs * width * m * _ONEHOT_COST + width * m * ds.size * _MAC_COST
                 < k[left].sum() + ds.size * width):
-            yield True, [(pair, ref, ds)]
+            for start in range(0, ds.size, _slab_len(m)):
+                cut = slice(start, start + _slab_len(m))
+                # compared in the pair rows' own uint8, not copied to int64
+                member = (pair[ref[cut]] == ds[cut, None].astype(pair.dtype)).astype(np.float32)
+                yield True, [(member, ds[cut])]
             continue
         batches, parts, cost = [], [], 0
         for i in np.flatnonzero(left.any(axis=1)):
@@ -387,13 +393,12 @@ def _batch(parts: list, width: int) -> tuple:
     return cols, offs, np.concatenate([dist for _, _, dist in parts])
 
 
-def _output_chunks(code: BinaryCode) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(y offsets, D) per chunk of the 2^(n-1) outputs y with the top bit
-    clear: D[j, y] = d(y, x_j), formed once per chunk.  D is word-major, so a
-    reduction over the words runs across its rows and a group's words are
-    whole rows."""
-    words = _word_array(code)
-    step, half = _chunk_len(code.n, code.M), 1 << (code.n - 1)
+def _output_chunks(code: BinaryCode, step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(y offsets, D) per chunk of step outputs y, of the 2^(n-1) with the top
+    bit clear: D[j, y] = d(y, x_j), formed once per chunk.  D is word-major,
+    so a reduction over the words runs across its rows and a group's words
+    are whole rows."""
+    words, half = _word_array(code), 1 << (code.n - 1)
     for start in range(0, half, step):
         ys = np.arange(start, min(start + step, half), dtype=np.uint32)
         yield np.arange(ys.size), np.bitwise_count(words[:, None] ^ ys[None, :])
@@ -418,7 +423,7 @@ def _census(code: BinaryCode) -> _Census:
     dmin_hist = np.zeros(width, dtype=np.int64)
     cover = np.zeros(width * (m + 1), dtype=np.int64)
     t_off = np.arange(width) * (m + 1)
-    for y_off, dist in _output_chunks(code):
+    for y_off, dist in _output_chunks(code, _chunk_len(n, m)):
         cnt = np.bincount((y_off * width + dist).ravel(),
                           minlength=y_off.size * width).reshape(-1, width)
         dmin_hist += np.bincount(dist.min(axis=0), minlength=width)
@@ -429,37 +434,9 @@ def _census(code: BinaryCode) -> _Census:
 
 
 def _slab_len(m: int) -> int:
-    """Groups per membership slab of ``_product_x_max``: an M x slab float32
-    matrix takes half the byte budget at most."""
+    """Groups per membership slab of the product: a slab x M float32 matrix
+    takes half the byte budget at most."""
     return max(1, _BLOCK_BYTES // (8 * m))
-
-
-def _product_x_max(words: np.ndarray, n: int, pair: np.ndarray, ref: np.ndarray,
-                   ds: np.ndarray, x_max: np.ndarray) -> None:
-    """Fill x_max[ds[c]] from group c, the words at distance ds[c] from
-    reference row ref[c] of pair, by float32 products.
-
-    G[j, c] = [pair[ref[c], j] = ds[c]] is a slab's 0/1 membership matrix
-    and H[(y, t), j] = [d(y, x_j) = t] the one-hot distance rows of a chunk
-    of outputs, so (H @ G)[(y, t), c] counts the words of group c at distance
-    t from y.  Every count is an integer below 2^24, so float32 sums it
-    exactly in any order.  Chunks of the outputs with the top bit clear are
-    sized so that H and the product stay within the byte budget.
-    """
-    m, width, half = words.size, n + 1, 1 << (n - 1)
-    radii = np.arange(width, dtype=np.uint8)[:, None]
-    for s in range(0, ds.size, _slab_len(m)):
-        cut = slice(s, s + _slab_len(m))
-        # compared in the pair rows' own uint8, not copied to int64
-        g = (pair[ref[cut]] == ds[cut, None].astype(pair.dtype)).T.astype(np.float32)
-        step = max(1, _BLOCK_BYTES // (4 * width * (m + g.shape[1])))
-        best = np.zeros((width, g.shape[1]), dtype=np.float32)
-        for start in range(0, half, step):
-            ys = np.arange(start, min(start + step, half), dtype=np.uint32)
-            dist = np.bitwise_count(ys[:, None] ^ words[None, :])
-            h = (dist[:, None, :] == radii).astype(np.float32).reshape(-1, m)
-            np.maximum(best, (h @ g).reshape(ys.size, width, -1).max(axis=0), out=best)
-        np.maximum.at(x_max, ds[cut], best.T.astype(np.int64))
 
 
 @functools.lru_cache(maxsize=16)
@@ -475,27 +452,37 @@ def _x_max(code: BinaryCode, rows, refs=None) -> np.ndarray:
     reference word, and each group is counted one of three ways.  The
     planner (``_census_batches``) enumerates the groups whose column classes
     pay as it meets them, block by block of reference words, and prices the
-    rest of a block both ways: one float32 product of one-hot distance rows
-    and group membership (``_product_x_max``), or one bincount on
-    (y, group, D) per batch and chunk of the outputs with the top bit clear,
-    the batch's columns read as whole rows of the word-major D, each
-    followed by a max over y.  The complements' maxima are
-    x_max[d, n - t], taken once after the loop.  A block of reference words
-    with no group left skips the chunk loop.
+    rest of a block both ways.  Either way one loop counts them, per chunk
+    of the outputs with the top bit clear and per batch, then takes a max
+    over the chunk's y.  A bincount batch counts on (y, group, D), its
+    columns read as whole rows of the word-major D.  A product slab G
+    counts (G @ [D = t])[c, y], the words of group c at distance t from y,
+    radius by radius; every count is an integer below 2^24, so float32 sums
+    it exactly in any order.  A product chunk holds D, one radius's float32
+    rows and the (g, chunk) product within the byte budget.  The
+    complements' maxima are x_max[d, n - t], taken once after the loop.  A
+    block of reference words with no group left skips the chunk loop.
     """
-    width, words = code.n + 1, _word_array(code)
+    n, m, words = code.n, code.M, _word_array(code)
+    width = n + 1
     x_max = np.zeros((width, width), dtype=np.int64)
-    for by_product, batches in _census_batches(words, code.n, rows, x_max, refs):
-        if by_product:
-            for pair, ref, ds in batches:
-                _product_x_max(words, code.n, pair, ref, ds, x_max)
-        elif batches:
-            for y_off, dist in _output_chunks(code):
-                for cols, offs, ds in batches:
+    for by_product, batches in _census_batches(words, n, rows, x_max, refs):
+        if not batches:
+            continue
+        step = (max(1, _BLOCK_BYTES // (5 * m + 4 * batches[0][1].size)) if by_product
+                else _chunk_len(n, m))
+        for y_off, dist in _output_chunks(code, step):
+            for *batch, ds in batches:
+                if by_product:
+                    best = np.empty((ds.size, width), dtype=np.int64)
+                    for t in range(width):
+                        best[:, t] = (batch[0] @ (dist == t).astype(np.float32)).max(axis=1)
+                else:
+                    cols, offs = batch
                     g = ds.size * width
                     best = np.bincount((y_off * g + offs[:, None] + dist[cols]).ravel(),
                                        minlength=y_off.size * g).reshape(-1, g).max(axis=0)
-                    np.maximum.at(x_max, ds, best.reshape(-1, width))
+                np.maximum.at(x_max, ds, best.reshape(-1, width))
     return np.maximum(x_max, x_max[:, ::-1])
 
 
@@ -605,10 +592,7 @@ def proposition3_rhs(code: BinaryCode, ch: ChannelParam, t: int,
     z = z_pair_count(code.n, omega_dist, t)
     if z == 0:
         return 0.0
-    xmax = restricted_cover_max(code, t, omega_dist)
-    if xmax == 0:
-        return 0.0
-    return _numerator(code.n, ch, t, b, z) / xmax
+    return _numerator(code.n, ch, t, b, z) / restricted_cover_max(code, t, omega_dist)
 
 
 def _numerator(n: int, ch: ChannelParam, t: int, b: float, z: int) -> float:

@@ -484,8 +484,6 @@ def _union_cover_violations(code: BinaryCode) -> int:
     for om_d in np.flatnonzero(np.bincount(pair_d.ravel()))[1:].tolist():
         for t in range(n + 1):
             xmax = restricted_cover_max(code, t, om_d)
-            if xmax == 0:
-                continue
             for i in range(code.M):
                 cols = np.flatnonzero(pair_d[i] == om_d)
                 if cols.size == 0:

@@ -654,6 +654,16 @@ def test_rate_windows_split_at_r1_and_r_crit_within_tol():
     assert segment_window(CurveKind.corollary1, CH) == (CC.r1, CC.capacity)
 
 
+@pytest.mark.parametrize("p", [0.005, 0.1])
+@pytest.mark.parametrize("kind", [k for k in CurveKind
+                                  if k not in (CurveKind.corollary1, CurveKind.straight_line)])
+def test_segment_window_refuses_kinds_without_one(kind, p):
+    # only the two segment kinds have a window, on any channel
+    with pytest.raises(DomainError) as exc:
+        segment_window(kind, ChannelParam(p))
+    assert str(exc.value) == f"curve kind {kind.value!r} has no segment window"
+
+
 @pytest.mark.parametrize("p", [0.005, 0.1, 0.2])
 def test_regime_label_picks_the_combined_piece(p, capsys):
     # the rows of the default-grid curve JSON: R, E_sp, F, combined, regime

@@ -291,6 +291,18 @@ def test_union_cover_check_reads_the_census(monkeypatch):
     assert verify._union_cover_violations(code) > 0
 
 
+def test_union_cover_check_fails_a_zero_x_max(monkeypatch):
+    # every occurring distance has a nonempty group, so a covered (t, omega)
+    # has X_max >= 1; a census that reads 0 there undercounts, and the
+    # check must count it, not skip the pair
+    true_max, code = verify.restricted_cover_max, parity_code(4)
+    monkeypatch.setattr(verify, "restricted_cover_max",
+                        lambda c, t, d: 0 if (c, t, d) == (code, 1, 2) else true_max(c, t, d))
+    check, = (c for c in verify.suite_oracle()["checks"]
+              if c["name"] == "union_cover_inequality")
+    assert not check["passed"] and check["violations"] > 0
+
+
 def test_proposition3_term_two_word_code():
     # the (t=1, omega=n) term equals pq exactly, matching the
     # multiply-covered-output bound on the same code
@@ -631,7 +643,7 @@ def test_oracle_enumerates_no_odd_distance_group(code, bound_rows, exact_rows,
     def spy(words, n, rows, x_max, refs=None):
         planned.append((rows, refs))
         for by_product, batches in plan(words, n, rows, x_max, refs):
-            enumerated.extend(ds for _, _, ds in batches)
+            enumerated.extend(ds for *_, ds in batches)
             yield by_product, batches
 
     monkeypatch.setattr(oracle, "_census_batches", spy)
@@ -743,7 +755,7 @@ def _x_max_by(code, route, rows, refs=None):
 
     def spy(*args):
         for by_product, batches in plan(*args):
-            if any(ds.size for _, _, ds in batches):
+            if any(ds.size for *_, ds in batches):
                 taken.add("product" if by_product else "bincount")
             yield by_product, batches
 
