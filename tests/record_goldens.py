@@ -8,7 +8,8 @@ document, CSV fields as ``line:column``, SVG files by line.
     PYTHONPATH=src python tests/record_goldens.py FILE ...
     PYTHONPATH=src python tests/record_goldens.py --check [FILE ...]
 
-The first form re-records the named files.  ``--check`` writes nothing: it
+The first form re-records the named files, and records a golden that
+has no file yet.  ``--check`` writes nothing: it
 prints the moves of the named files (by default every golden) and exits 1
 if any would change.  The default-grid CSVs are kept as first recorded
 (tests/test_cli.py holds the output to them within 1e-9), so only name
@@ -87,7 +88,14 @@ def run(argv: list[str] | None = None) -> int:
     changed = 0
     for name in args.files or GOLDEN_ARGV:
         target = DATA / name
-        old, new = target.read_text(encoding="ascii"), record(name)
+        new = record(name)
+        if not target.exists():
+            print(f"{name}: new")
+            changed += 1
+            if not args.check:
+                target.write_bytes(new.encode("ascii"))
+            continue
+        old = target.read_text(encoding="ascii")
         found = list(moves(name, old, new))
         for path, a, b in found:
             print(f"{name} {path}: {a!r} -> {b!r}")

@@ -171,6 +171,21 @@ GOLDEN_ARGV.update(
      ["curve", "--p", p, "--format", "json", "--rmin", "0.0001",
       "--rmax", rmax, "--step", step])
     for p, (step, rmax) in _F_REF_GRIDS.items())
+# oracle JSON, byte for byte: the roster's Hamming, parity and repetition
+# codes and the random shapes of the X_max routes
+ORACLE_GOLDENS = {
+    "oracle_hamming74_p0.1.json": ["--generator", "hamming74", "--p", "0.1"],
+    "oracle_random_n12_m128_s7_p0.1.json":
+        ["--generator", "random", "--n", "12", "--m", "128", "--seed", "7", "--p", "0.1"],
+    "oracle_random_n16_m32_s7_p0.1.json":
+        ["--generator", "random", "--n", "16", "--m", "32", "--seed", "7", "--p", "0.1"],
+    "oracle_random_n12_m512_s2_p0.45.json":
+        ["--generator", "random", "--n", "12", "--m", "512", "--seed", "2", "--p", "0.45"],
+    "oracle_parity_n8_p0.05.json": ["--generator", "parity", "--n", "8", "--p", "0.05"],
+    "oracle_repetition_n7_p0.45.json":
+        ["--generator", "repetition", "--n", "7", "--p", "0.45"],
+}
+GOLDEN_ARGV.update((name, ["oracle"] + argv) for name, argv in ORACLE_GOLDENS.items())
 
 
 @pytest.mark.parametrize("p", ["0.1", "0.005"])
@@ -195,6 +210,13 @@ def test_curve_default_grid_matches_golden(p, capsys):
 ], ids=["json", "svg-segment-kinds", "svg-all-kinds"])
 def test_curve_output_matches_golden_bytes(golden, capsys):
     # tests/data holds these outputs as first recorded, byte for byte
+    assert main(GOLDEN_ARGV[golden]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("golden", ORACLE_GOLDENS)
+def test_oracle_output_matches_golden_bytes(golden, capsys):
+    # tests/data holds the oracle reports byte for byte
     assert main(GOLDEN_ARGV[golden]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="ascii")
 
