@@ -1,13 +1,10 @@
 """Exhaustive ground truth on explicit small binary codes.
 
 Everything in this module is exact: maximum-likelihood error probabilities
-come from enumerating all 2^n channel outputs, covering multiplicities from
-counting, and the small constant-weight maxima from a closed form when
-two words may share no coordinate, otherwise from an exact 0/1 packing
-solve (scipy's ``milp``, imported on first use).  These values anchor the
-asymptotic bounds elsewhere in the package — every analytic lower bound
-must sit below the enumerated error probability on every code it is tested
-against, with no tolerance.
+come from enumerating all 2^n channel outputs, and covering multiplicities
+from counting.  These values anchor the asymptotic bounds elsewhere in the
+package — every analytic lower bound must sit below the enumerated error
+probability on every code it is tested against, with no tolerance.
 
 Words are stored as integer bitmasks.  Every enumeration passes in chunks
 under a fixed byte budget over the 2^(n-1) outputs with the top bit clear;
@@ -20,8 +17,9 @@ reversed in t for the complements.  The covering maxima X_max(t, d) are
 enumerated by the rows d a reader asks for: ``restricted_cover_max`` one
 parity of d on first read (the union-cover check of the verify suite asks
 for both), and ``proposition3_best`` even d alone, since Z(t, d) vanishes
-at odd d, and only where a term bounded from X_max over a few reference
-words can still win or break dominance.  X_max goes group by group, a
+at odd d, and only the rows and radii t of the cells (d, t) whose term,
+bounded by 1 <= X_max <= k_max and then by X_max over a few reference
+words, can still win or break dominance.  X_max goes group by group, a
 group being the words at one distance from one reference word, and each
 group is counted one of three ways.  One planner prices each group once: a
 group whose column classes (coordinates with one bit pattern over the
@@ -46,7 +44,6 @@ a direct count of the union-cover inequality.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator
@@ -79,12 +76,10 @@ __all__ = [
     "DOMINANCE_SLACK",
     "dominates",
     "johnson_upper",
-    "exhaustive_max_constant_weight",
     "proposition4_check",
 ]
 
 _ENUM_CAP = 24          # 2^n output enumeration budget
-_CLIQUE_CAP = 10        # exhaustive constant-weight search budget
 _WORK_CAP = 1 << 34     # census work M^2 2^n: the n = 24, M = 32 shape
 _BLOCK_BYTES = 1 << 20  # byte budget of one block of outputs or pair rows
 _CLASS_COST = 1 << 17   # fixed cost of enumerating one group by its column
@@ -96,6 +91,7 @@ _CLASS_COST = 1 << 17   # fixed cost of enumerating one group by its column
 # blocks of 15 random codes, losing 29 ms of 10.2 s.
 _ONEHOT_COST = 2 / 3    # one one-hot distance entry
 _MAC_COST = 1 / 256     # one float32 multiply-add
+_GATHER_COST = 1 / 3    # one radius-table entry (1.0-1.2 ns, same host)
 DOMINANCE_SLACK = 1e-15  # round-off allowed when a lower bound meets P_e
 
 
@@ -309,7 +305,7 @@ def _group_x_max(n: int, keys: np.ndarray, sizes: np.ndarray,
 
 
 def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
-                    refs=None) -> Iterator[tuple[bool, list]]:
+                    refs=None, radii=None) -> Iterator[tuple[bool, list]]:
     """Plan the X_max rows d in rows group by group: fill x_max from every
     group that its column classes enumerate more cheaply than the census
     would, and yield, per block of reference words (all, or the indices
@@ -335,9 +331,16 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
     and by the product (n+1) M one-hot entries per slab of groups (the
     0/1 rows [D = t] of every radius) plus (n+1) M g multiply-adds, at
     _ONEHOT_COST and _MAC_COST each; the cheaper route takes them all.
+    With radii, the r radii kept (closed under t -> n - t, as the
+    complements read radius n - t), the product counts r radii in place of
+    n + 1, and bincount r + 1 bins per group, the last for every radius not
+    kept, after a gather of D through a radius table, M entries per output
+    at _GATHER_COST each.  The class route fills every radius either way.
     """
     m, width, half = words.size, n + 1, 1 << (n - 1)
     limit = m + width * width
+    kept = width if radii is None else len(radii)
+    bins, gather = (width, 0) if radii is None else (kept + 1, m * _GATHER_COST)
     bits = (words[:, None] >> np.arange(n, dtype=np.uint32) & 1).astype(np.uint64)
     wanted = np.isin(np.arange(width), rows)
     for pair in _pair_distance_rows(words, refs):
@@ -360,8 +363,8 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
                 x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, members.size))
         ref, ds = np.nonzero(left)
         slabs = -(-ds.size // _slab_len(m))
-        if (slabs * width * m * _ONEHOT_COST + width * m * ds.size * _MAC_COST
-                < k[left].sum() + ds.size * width):
+        if (slabs * kept * m * _ONEHOT_COST + kept * m * ds.size * _MAC_COST
+                < gather + k[left].sum() + ds.size * bins):
             for start in range(0, ds.size, _slab_len(m)):
                 cut = slice(start, start + _slab_len(m))
                 # compared in the pair rows' own uint8, not copied to int64
@@ -372,23 +375,24 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
         for i in np.flatnonzero(left.any(axis=1)):
             cols = np.flatnonzero(left[i, pair[i]])
             dist, group = np.unique(pair[i, cols], return_inverse=True)
-            if parts and cost + cols.size + dist.size * width > limit:
-                batches.append(_batch(parts, width))
+            if parts and cost + cols.size + dist.size * bins > limit:
+                batches.append(_batch(parts, bins))
                 parts, cost = [], 0
             parts.append((cols, group, dist))
-            cost += cols.size + dist.size * width
+            cost += cols.size + dist.size * bins
         if parts:
-            batches.append(_batch(parts, width))
+            batches.append(_batch(parts, bins))
         yield False, batches
 
 
-def _batch(parts: list, width: int) -> tuple:
+def _batch(parts: list, bins: int) -> tuple:
     """(columns, bin offsets, distances) of census groups of some reference
     words, given as (columns, group of each column, group distances), for
-    one bincount; int32 halves what a block of batches holds."""
+    one bincount of `bins` bins per group; int32 halves what a block of
+    batches holds."""
     base = np.cumsum([0] + [dist.size for _, _, dist in parts])
     cols = np.concatenate([keep for keep, _, _ in parts], dtype=np.int32)
-    offs = np.concatenate([(b + group) * width for b, (_, group, _) in zip(base, parts)],
+    offs = np.concatenate([(b + group) * bins for b, (_, group, _) in zip(base, parts)],
                           dtype=np.int32)
     return cols, offs, np.concatenate([dist for _, _, dist in parts])
 
@@ -440,14 +444,17 @@ def _slab_len(m: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _x_max(code: BinaryCode, rows, refs=None) -> np.ndarray:
+def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
     """x_max[d, t], the max over (reference word, output y) of the codewords
     at distance d from the reference and t from y, for every d in rows (the
     other rows hold zeros), over every reference word or the indices refs,
-    whose maxima are lower bounds.
+    whose maxima are lower bounds, at every radius t or at the radii given,
+    which hold n - t with each t; x_max at a radius not kept is a lower
+    bound too, and no reader reads it.
 
     Rows are enumerated only when read: ``restricted_cover_max`` reads one
-    parity of d, ``proposition3_best`` the even rows where a term counts.
+    parity of d at every radius, ``proposition3_best`` the even rows and
+    the radii of the cells where a term counts.
     x_max[d, t] is a max over groups, the words at distance d from one
     reference word, and each group is counted one of three ways.  The
     planner (``_census_batches``) enumerates the groups whose column classes
@@ -459,30 +466,43 @@ def _x_max(code: BinaryCode, rows, refs=None) -> np.ndarray:
     counts (G @ [D = t])[c, y], the words of group c at distance t from y,
     radius by radius; every count is an integer below 2^24, so float32 sums
     it exactly in any order.  A product chunk holds D, one radius's float32
-    rows and the (g, chunk) product within the byte budget.  The
-    complements' maxima are x_max[d, n - t], taken once after the loop.  A
-    block of reference words with no group left skips the chunk loop.
+    rows and the (g, chunk) product within the byte budget.  Given radii,
+    the product counts the kept radii alone, and a bincount chunk maps D
+    through a radius table first, so that each group takes one bin per kept
+    radius and one for the rest.  The complements' maxima are
+    x_max[d, n - t], taken once after the loop.  A block of reference words
+    with no group left skips the chunk loop.
     """
     n, m, words = code.n, code.M, _word_array(code)
     width = n + 1
+    kept = list(range(width) if radii is None else radii)
+    bins, table = width, None
+    if radii is not None:
+        bins, table = len(kept) + 1, np.full(width, len(kept), dtype=np.uint8)
+        table[kept] = np.arange(len(kept))
     x_max = np.zeros((width, width), dtype=np.int64)
-    for by_product, batches in _census_batches(words, n, rows, x_max, refs):
+    x_kept = np.zeros((width, len(kept)), dtype=np.int64)
+    for by_product, batches in _census_batches(words, n, rows, x_max, refs, radii):
         if not batches:
             continue
         step = (max(1, _BLOCK_BYTES // (5 * m + 4 * batches[0][1].size)) if by_product
                 else _chunk_len(n, m))
         for y_off, dist in _output_chunks(code, step):
+            if table is not None and not by_product:
+                dist = np.take(table, dist)
             for *batch, ds in batches:
                 if by_product:
-                    best = np.empty((ds.size, width), dtype=np.int64)
-                    for t in range(width):
-                        best[:, t] = (batch[0] @ (dist == t).astype(np.float32)).max(axis=1)
+                    best = np.empty((ds.size, len(kept)), dtype=np.int64)
+                    for j, t in enumerate(kept):
+                        best[:, j] = (batch[0] @ (dist == t).astype(np.float32)).max(axis=1)
                 else:
                     cols, offs = batch
-                    g = ds.size * width
-                    best = np.bincount((y_off * g + offs[:, None] + dist[cols]).ravel(),
-                                       minlength=y_off.size * g).reshape(-1, g).max(axis=0)
-                np.maximum.at(x_max, ds, best.reshape(-1, width))
+                    g = ds.size * bins
+                    best = (np.bincount((y_off * g + offs[:, None] + dist[cols]).ravel(),
+                                        minlength=y_off.size * g).reshape(-1, g).max(axis=0)
+                            .reshape(-1, bins)[:, :len(kept)])
+                np.maximum.at(x_kept, ds, best)
+    x_max[:, kept] = np.maximum(x_max[:, kept], x_kept)
     return np.maximum(x_max, x_max[:, ::-1])
 
 
@@ -616,42 +636,73 @@ def proposition3_best(code: BinaryCode, ch: ChannelParam,
                       pe: float) -> tuple[dict, bool]:
     """The first largest ``proposition3_terms`` term as {t, omega_dist,
     value} ({None, None, 0.0} if none is positive), and whether pe dominates
-    every term.  A term is num / X_max; rounded division is monotone in the
-    divisor, so num / X_lb bounds it from above for X_lb <= X_max, here X_max
-    over the reference word with the most words at each row's distance.  A
-    row is enumerated exactly only while a bound of it is positive and not
-    below the best exact term, or not dominated by pe: the row of the largest
-    bound first, then all rows still open.  The other terms lie strictly
-    below the best and are dominated, as in the loop over every term.
+    every term.
+
+    A term is num / X_max[d, t] at a cell (d, t); rounded division is
+    monotone in the divisor, so a bound on X_max bounds the term.  Two bounds
+    are free: 1 <= X_max[d, t] <= k_max[d], the most words at distance d from
+    one word, since a group lies at every radius t from some output and holds
+    at most k_max[d] words.  So num bounds its term from above, and the
+    largest num / k_max[d] is a floor that the best term reaches.  A cell
+    stays open while a bound of its term is positive and not below the
+    floor, or not dominated by pe; a closed cell's term lies strictly below
+    the best and is dominated, as in the loop over every term, and its X_max
+    is never read.  The open cells go to X_max at their rows and radii alone
+    (t with n - t): first over the words with the most words at an open
+    row's distance, ties kept by their whole distance profile, so the plan
+    depends on distances alone (over every word, as for a linear code, this
+    pass is exact); then exactly, the row of the largest bound first, which
+    raises the floor, and every cell still open in one more pass.  The exact
+    cells are read in (d, t) order, as the loop reads them.
     """
-    counts, width = _pair_counts(code), code.n + 1
-    nums = {d: [(t, _numerator(code.n, ch, t, counts[d] / code.M, z))
-                for t in range(width) if (z := z_pair_count(code.n, d, t))]
-            for d in range(2, width, 2) if counts[d]}     # Z(t, d) = 0 at odd d
-    best, dominated, exact = {"t": None, "omega_dist": None, "value": 0.0}, True, ()
+    counts, n = _pair_counts(code), code.n
+    width = n + 1
+    nums = {(d, t): _numerator(n, ch, t, counts[d] / code.M, z)
+            for d in range(2, width, 2) if counts[d]      # Z(t, d) = 0 at odd d
+            for t in range(width) if (z := z_pair_count(n, d, t))}
+    best, dominated = {"t": None, "omega_dist": None, "value": 0.0}, True
     if not nums:
         return best, dominated
-    rows = tuple(nums)
     k = np.concatenate([_distance_counts(pair, width)
                         for pair in _pair_distance_rows(_word_array(code))])
-    x = _x_max(code, rows, tuple(sorted(set(k[:, list(rows)].argmax(axis=0).tolist()))))
-    top = {d: max(num / int(x[d, t]) for t, num in row) for d, row in nums.items()}
+    k_max = k.max(axis=0)
+    floor = max(num / int(k_max[d]) for (d, _), num in nums.items())
 
-    def still_open(floor, done=()):
-        return tuple(d for d in rows if d not in done
-                     and (not dominates(pe, top[d]) or 0.0 < top[d] >= floor))
-    first = max(still_open(0.0), key=top.get, default=None)
-    if first is not None:
-        x, exact = _x_max(code, (first,)), (first,)
-        rest = still_open(max(num / int(x[first, t]) for t, num in nums[first]), exact)
+    def still_open(bounds):
+        return {c: b for c, b in bounds.items()
+                if not dominates(pe, b) or 0.0 < b >= floor}
+
+    def x_over(cells, refs=None):
+        rows = tuple(sorted({d for d, _ in cells}))
+        radii = tuple(sorted({t for _, t in cells} | {n - t for _, t in cells}))
+        return _x_max(code, rows, refs, radii)
+
+    cells = still_open(nums)
+    if not cells:
+        return best, dominated
+    profiles, refs = k.tolist(), set()
+    for d in {d for d, _ in cells}:
+        top = max(row for row in profiles if row[d] == k_max[d])
+        refs |= {i for i, row in enumerate(profiles) if row == top}
+    refs = tuple(sorted(refs)) if len(refs) < code.M else None
+    x = x_over(cells, refs)
+    if refs is not None:
+        cells = still_open({c: nums[c] / int(x[c]) for c in cells})
+        if not cells:
+            return best, dominated
+        first = max(cells, key=cells.get)[0]
+        head = [c for c in cells if c[0] == first]
+        x = x_over(head)
+        floor = max(floor, *(nums[c] / int(x[c]) for c in head))
+        rest = still_open({c: b for c, b in cells.items() if c[0] != first})
         if rest:
-            x, exact = np.maximum(x, _x_max(code, rest)), tuple(sorted(exact + rest))
-    for d in exact:
-        for t, num in nums[d]:
-            value = num / int(x[d, t])
-            dominated = dominated and dominates(pe, value)
-            if value > best["value"]:
-                best = {"t": t, "omega_dist": d, "value": value}
+            x = np.maximum(x, x_over(rest))
+        cells = head + list(rest)
+    for c in sorted(cells):
+        value = nums[c] / int(x[c])
+        dominated = dominated and dominates(pe, value)
+        if value > best["value"]:
+            best = {"t": c[1], "omega_dist": c[0], "value": value}
     return best, dominated
 
 
@@ -674,57 +725,6 @@ def johnson_upper(n: int, d: int, w: int) -> float:
     direct = _johnson_once(n, d, w)
     reduced = n / w * _johnson_once(n - 1, d, w - 1)
     return min(direct, reduced)
-
-
-def exhaustive_max_constant_weight(n: int, d: int, w: int) -> int:
-    """True maximum size of a weight-w code with pairwise distance >= d.
-
-    Two equal-weight words are always an even distance apart, so they are
-    too close exactly when they share at least s = w - (d-1)//2 positions,
-    and a valid code picks at most one word containing any given s-subset.
-    At s = 1 that leaves words with disjoint supports, so the maximum is
-    n // w.  For s >= 2 those clique constraints describe the feasible sets
-    completely, and the resulting 0/1 packing program is dispatched to an
-    exact MILP solve; scipy, which comes with the ``test`` extra, is
-    imported there on first use.  (A
-    branch-and-bound clique search over the weight-w layer is correct too,
-    but needs minutes on the dense w = 3 layer at n = 10; the packing program
-    closes (10, 4, 3) in about 0.2 s and the densest n = 10 layers, (10, 5, 5)
-    and (10, 6, 5), in about 3.7 s each, on a 2-core machine.)
-    """
-    if n > _CLIQUE_CAP:
-        raise SizeBudgetError(
-            f"exhaustive weight-layer search exceeds the n <= {_CLIQUE_CAP} budget")
-    if not (0 <= w <= n):
-        raise DomainError(f"need 0 <= w <= n, got w={w!r}")
-    if w in (0, n):
-        return 1
-    if d <= 2:
-        return math.comb(n, w)  # distinct equal-weight words differ in >= 2 places
-    s = w - (d - 1) // 2
-    if s <= 0:
-        return 1  # d exceeds the layer diameter 2w: no two words fit
-    if s == 1:
-        return n // w  # no shared coordinate: words with disjoint supports
-    words = np.arange(1 << n)
-    layer = words[np.bitwise_count(words) == w]
-    masks = np.array([sum(1 << c for c in combo)
-                      for combo in itertools.combinations(range(n), s)])
-    # one row per s-subset: the C(n-s, w-s) >= 2 layer words that contain it
-    rows = (layer & masks[:, None]) == masks[:, None]
-    try:
-        from scipy.optimize import Bounds, LinearConstraint, milp
-    except ImportError:
-        raise ModuleNotFoundError(
-            "exhaustive_max_constant_weight needs scipy for its packing solve; "
-            "install the test extra: pip install 'bscbounds[test]'") from None
-    res = milp(c=-np.ones(layer.size),
-               constraints=LinearConstraint(rows.astype(float), -np.inf, 1.0),
-               integrality=np.ones(layer.size),
-               bounds=Bounds(0.0, 1.0))
-    if not res.success:
-        raise RuntimeError(f"packing solve failed for {(n, d, w)!r}: {res.message}")
-    return round(-res.fun)
 
 
 def proposition4_check(n: int, omega: float, ch: ChannelParam) -> bool:

@@ -24,13 +24,9 @@ import pytest
 import bscbounds
 
 SOURCES = sorted(pathlib.Path(bscbounds.__file__).parent.glob("*.py"))
-# Third-party names each module may import; numpy is allowed everywhere.
-# The scipy solver stays with its only user, the s >= 2 packing solve, so
-# none creeps back into the scalar layer.
-THIRD_PARTY = {
-    "oracle": {"scipy.optimize.Bounds", "scipy.optimize.LinearConstraint",
-               "scipy.optimize.milp"},
-}
+# Third-party names each module may import; numpy is allowed everywhere,
+# and no module imports anything else: scipy is the tests' alone.
+THIRD_PARTY: dict = {}
 
 
 def _imported(tree: ast.Module) -> dict:

@@ -8,7 +8,7 @@ only for float roundoff.
 
 import hashlib
 import math
-import sys
+import pathlib
 import tracemalloc
 from collections import Counter
 
@@ -28,7 +28,6 @@ from bscbounds.oracle import (
     distance_distribution,
     dominates,
     exact_pe_ml,
-    exhaustive_max_constant_weight,
     hamming74,
     johnson_upper,
     load_code,
@@ -46,6 +45,7 @@ from bscbounds.oracle import (
     z_pair_count,
 )
 from bscbounds.verify import builtin_roster
+from constant_weight import exhaustive_max_constant_weight
 
 CH = ChannelParam(0.1)
 
@@ -625,40 +625,75 @@ def test_class_blocks_of_few_rows(rows, monkeypatch):
     _assert_halves(halves, _reference_x_max(code))
 
 
-@pytest.mark.parametrize("code, bound_rows, exact_rows", [
-    (random_code(12, 128, 7), (2, 4, 6, 8, 10, 12), [(2,)]),
-    (hamming74(), (4,), [(4,)]),
-], ids=["rand12x128", "hamming74"])
-def test_oracle_enumerates_no_odd_distance_group(code, bound_rows, exact_rows,
+@pytest.mark.parametrize("code, plans, never", [
+    (random_code(12, 128, 7), [((2, 4, 6, 8), 4, (1, 2, 3, 4, 5, 7, 8, 9, 10, 11)),
+                               ((2,), None, (1, 2, 10, 11))], ()),
+    (hamming74(), [((4,), None, (2, 3, 4, 5))], ()),
+    (random_code(16, 32, 7), [((4, 6, 8), 3, (2, 3, 4, 5, 11, 12, 13, 14)),
+                              ((4,), None, (2, 3, 13, 14)), ((6,), None, (3, 13))],
+     (10, 12, 14)),
+], ids=["rand12x128", "hamming74", "rand16x32"])
+def test_oracle_enumerates_no_odd_distance_group(code, plans, never,
                                                  tmp_path, monkeypatch, capsys):
     # Proposition 3 reads X_max at even distances alone (Z = 0 at odd ones),
-    # so the oracle command plans even rows only: every even row that occurs
-    # over a few reference words for the bounds, then exactly only the rows
-    # a term of which can still win or break dominance
+    # so the oracle command plans even rows only, and only the rows and
+    # radii of the cells (d, t) that 1 <= X_max <= k_max leave open: first
+    # over the reference words with the most words at an open row's
+    # distance (every word of a linear code, which makes the pass exact),
+    # then exactly where a term can still win or break dominance.  The
+    # plans are (rows, number of reference words or None for all, radii)
     assert any(distance_distribution(code)[1::2])
     path = tmp_path / "code.txt"
     path.write_text("".join(w + "\n" for w in code.word_strings()), encoding="ascii")
     planned, enumerated, plan = [], [], oracle._census_batches
 
-    def spy(words, n, rows, x_max, refs=None):
-        planned.append((rows, refs))
-        for by_product, batches in plan(words, n, rows, x_max, refs):
+    def spy(words, n, rows, x_max, refs=None, radii=None):
+        planned.append((rows, None if refs is None else len(refs), radii))
+        for by_product, batches in plan(words, n, rows, x_max, refs, radii):
             enumerated.extend(ds for *_, ds in batches)
             yield by_product, batches
 
     monkeypatch.setattr(oracle, "_census_batches", spy)
     oracle._x_max.cache_clear()
     assert main(["oracle", "--code-file", str(path), "--p", "0.1"]) == 0
-    (rows, refs), *exact = planned
-    assert rows == bound_rows and 0 < len(refs) < code.M
-    assert exact == [(rows, None) for rows in exact_rows]
+    assert planned == plans
     assert all((ds % 2 == 0).all() for ds in enumerated)
+    assert not {d for rows, _, _ in planned for d in rows} & set(never)
     # an odd distance is still answered exactly, from a half of its own
     x_ref = _reference_x_max(code)
     for t in range(code.n + 1):
         assert restricted_cover_max(code, t, 3) == x_ref[3, t]
-    assert planned[-1] == (_parity_rows(code, 1), None)
+    assert planned[-1] == (_parity_rows(code, 1), None, None)
     capsys.readouterr()
+
+
+def test_plans_depend_on_distances_only(monkeypatch):
+    # the bound pass takes, for each open row d, the words with the most
+    # words at distance d, ties kept by their whole distance profile, so
+    # an isometry maps it onto itself: the benchmark's seeded images of
+    # one code give one plan (rows, number of reference words, radii)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    calls, x_max = [], oracle._x_max
+
+    def spy(code, rows, refs=None, radii=None):
+        calls.append((rows, None if refs is None else len(refs), radii))
+        return x_max(code, rows, refs, radii)
+
+    monkeypatch.setattr(oracle, "_x_max", spy)
+    for n, m in workloads.ORACLE_SHAPES:
+        base = workloads.base_code(n, m)
+        for p in (0.1, 0.45):
+            plans = set()
+            for seed in range(5):
+                code = BinaryCode(n, tuple(workloads.isometric_image(base, n, seed)))
+                ch = ChannelParam(p)
+                calls.clear()
+                proposition3_best(code, ch, exact_pe_ml(code, ch))
+                plans.add(tuple(calls))
+            assert len(plans) == 1, (n, m, p, plans)
+            assert all(refs is None or refs < m for _, refs, _ in plans.pop())
 
 
 def _terms_loop(code, ch, pe):
@@ -681,7 +716,7 @@ def _assert_best_is_terms_loop(code, p, pe_scale):
     assert got[0]["value"].hex() == want[0]["value"].hex()
 
 
-_P3_PS = (0.01, 0.1, 0.3, 0.45)
+_P3_PS = (0.001, 0.01, 0.1, 0.3, 0.45)
 
 
 @settings(max_examples=80, deadline=None)
@@ -693,8 +728,9 @@ def test_proposition3_best_is_the_terms_loop_on_small_codes(code, p, pe_scale):
 @pytest.mark.parametrize("pe_scale", [1.0, 1e-3])
 @pytest.mark.parametrize("p", _P3_PS)
 @pytest.mark.parametrize("code", [random_code(16, 32, 7), random_code(12, 128, 7),
-                                  parity_code(8), hamming74()],
-                         ids=["rand16x32", "rand12x128", "parity8", "hamming74"])
+                                  random_code(12, 512, 2), parity_code(8), hamming74()],
+                         ids=["rand16x32", "rand12x128", "rand12x512", "parity8",
+                              "hamming74"])
 def test_proposition3_best_is_the_terms_loop(code, p, pe_scale):
     _assert_best_is_terms_loop(code, p, pe_scale)
 
@@ -747,10 +783,10 @@ def test_census_memory_follows_the_byte_budget(monkeypatch):
 _ROUTES = {"product": (0.0, 0.0), "bincount": (0.0, math.inf)}
 
 
-def _x_max_by(code, route, rows, refs=None):
-    """X_max rows of code over refs with every group counted by route (None:
-    the default prices and classes), and the routes the blocks with a group
-    left took."""
+def _x_max_by(code, route, rows, refs=None, radii=None):
+    """X_max rows of code over refs, at radii, with every group counted by
+    route ("classes": every group by its column classes; None: the default
+    prices and classes), and the routes the blocks with a group left took."""
     plan, taken = oracle._census_batches, set()
 
     def spy(*args):
@@ -760,12 +796,14 @@ def _x_max_by(code, route, rows, refs=None):
             yield by_product, batches
 
     with pytest.MonkeyPatch.context() as mp:
-        if route is not None:
+        if route == "classes":
+            mp.setattr(oracle, "_CLASS_COST", -math.inf)
+        elif route is not None:
             mp.setattr(oracle, "_CLASS_COST", math.inf)
             mp.setattr(oracle, "_ONEHOT_COST", _ROUTES[route][0])
             mp.setattr(oracle, "_MAC_COST", _ROUTES[route][1])
         mp.setattr(oracle, "_census_batches", spy)
-        return oracle._x_max.__wrapped__(code, rows, refs), taken
+        return oracle._x_max.__wrapped__(code, rows, refs, radii), taken
 
 
 def _assert_routes_agree(code, refs):
@@ -784,6 +822,27 @@ def test_routes_agree_on_small_codes(code, data):
     refs = data.draw(st.none() | st.sets(st.integers(0, code.M - 1), min_size=1)
                      .map(lambda s: tuple(sorted(s))))
     _assert_routes_agree(code, refs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_codes(), st.data())
+def test_x_max_at_kept_radii(code, data):
+    # radii closed under t -> n - t (the complements read radius n - t)
+    # give the full X_max at every kept radius, dtype included, on each
+    # route, which the radii leave as it is
+    n = code.n
+    drawn = data.draw(st.sets(st.integers(0, n), min_size=1))
+    radii = tuple(sorted(drawn | {n - t for t in drawn}))
+    rows = data.draw(st.sampled_from([_parity_rows(code, 0), _parity_rows(code, 1),
+                                      tuple(range(n + 1))]))
+    refs = data.draw(st.none() | st.sets(st.integers(0, code.M - 1), min_size=1)
+                     .map(lambda s: tuple(sorted(s))))
+    for route in (*_ROUTES, "classes"):
+        full, full_taken = _x_max_by(code, route, rows, refs)
+        kept, taken = _x_max_by(code, route, rows, refs, radii)
+        assert kept.dtype == full.dtype
+        assert np.array_equal(kept[:, list(radii)], full[:, list(radii)])
+        assert taken == full_taken
 
 
 @pytest.mark.parametrize("shape, all_refs", [
@@ -963,18 +1022,6 @@ def test_exhaustive_matches_clique_search():
                     g.add_edge(x, y)
         _, size = nx.max_weight_clique(g, weight=None)
         assert exhaustive_max_constant_weight(n, d, w) == size, (n, d, w)
-
-
-def test_exhaustive_without_scipy_names_the_extra(monkeypatch):
-    # scipy comes with the test extra only: a packing solve without it is
-    # one error naming the extra, with no chained scipy import failure.
-    # The closed forms (s <= 1) need no scipy
-    monkeypatch.setitem(sys.modules, "scipy", None)
-    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
-    with pytest.raises(ModuleNotFoundError, match=r"bscbounds\[test\]") as info:
-        exhaustive_max_constant_weight(8, 4, 3)
-    assert info.value.__cause__ is None and info.value.__suppress_context__
-    assert exhaustive_max_constant_weight(9, 5, 3) == 3
 
 
 def test_exhaustive_budget():
