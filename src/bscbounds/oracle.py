@@ -91,7 +91,6 @@ _CLASS_COST = 1 << 17   # fixed cost of enumerating one group by its column
 # blocks of 15 random codes, losing 29 ms of 10.2 s.
 _ONEHOT_COST = 2 / 3    # one one-hot distance entry
 _MAC_COST = 1 / 256     # one float32 multiply-add
-_GATHER_COST = 1 / 3    # one radius-table entry (1.0-1.2 ns, same host)
 DOMINANCE_SLACK = 1e-15  # round-off allowed when a lower bound meets P_e
 
 
@@ -333,14 +332,12 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
     _ONEHOT_COST and _MAC_COST each; the cheaper route takes them all.
     With radii, the r radii kept (closed under t -> n - t, as the
     complements read radius n - t), the product counts r radii in place of
-    n + 1, and bincount r + 1 bins per group, the last for every radius not
-    kept, after a gather of D through a radius table, M entries per output
-    at _GATHER_COST each.  The class route fills every radius either way.
+    n + 1, so it is priced with r; bincount and the classes count every
+    radius either way.
     """
     m, width, half = words.size, n + 1, 1 << (n - 1)
     limit = m + width * width
     kept = width if radii is None else len(radii)
-    bins, gather = (width, 0) if radii is None else (kept + 1, m * _GATHER_COST)
     bits = (words[:, None] >> np.arange(n, dtype=np.uint32) & 1).astype(np.uint64)
     wanted = np.isin(np.arange(width), rows)
     for pair in _pair_distance_rows(words, refs):
@@ -364,7 +361,7 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
         ref, ds = np.nonzero(left)
         slabs = -(-ds.size // _slab_len(m))
         if (slabs * kept * m * _ONEHOT_COST + kept * m * ds.size * _MAC_COST
-                < gather + k[left].sum() + ds.size * bins):
+                < k[left].sum() + ds.size * width):
             for start in range(0, ds.size, _slab_len(m)):
                 cut = slice(start, start + _slab_len(m))
                 # compared in the pair rows' own uint8, not copied to int64
@@ -375,24 +372,23 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
         for i in np.flatnonzero(left.any(axis=1)):
             cols = np.flatnonzero(left[i, pair[i]])
             dist, group = np.unique(pair[i, cols], return_inverse=True)
-            if parts and cost + cols.size + dist.size * bins > limit:
-                batches.append(_batch(parts, bins))
+            if parts and cost + cols.size + dist.size * width > limit:
+                batches.append(_batch(parts, width))
                 parts, cost = [], 0
             parts.append((cols, group, dist))
-            cost += cols.size + dist.size * bins
+            cost += cols.size + dist.size * width
         if parts:
-            batches.append(_batch(parts, bins))
+            batches.append(_batch(parts, width))
         yield False, batches
 
 
-def _batch(parts: list, bins: int) -> tuple:
+def _batch(parts: list, width: int) -> tuple:
     """(columns, bin offsets, distances) of census groups of some reference
     words, given as (columns, group of each column, group distances), for
-    one bincount of `bins` bins per group; int32 halves what a block of
-    batches holds."""
+    one bincount; int32 halves what a block of batches holds."""
     base = np.cumsum([0] + [dist.size for _, _, dist in parts])
     cols = np.concatenate([keep for keep, _, _ in parts], dtype=np.int32)
-    offs = np.concatenate([(b + group) * bins for b, (_, group, _) in zip(base, parts)],
+    offs = np.concatenate([(b + group) * width for b, (_, group, _) in zip(base, parts)],
                           dtype=np.int32)
     return cols, offs, np.concatenate([dist for _, _, dist in parts])
 
@@ -467,19 +463,16 @@ def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
     radius by radius; every count is an integer below 2^24, so float32 sums
     it exactly in any order.  A product chunk holds D, one radius's float32
     rows and the (g, chunk) product within the byte budget.  Given radii,
-    the product counts the kept radii alone, and a bincount chunk maps D
-    through a radius table first, so that each group takes one bin per kept
-    radius and one for the rest.  The complements' maxima are
+    the product counts the kept radii alone; a bincount batch counts every
+    radius, since its bins cost less than mapping D to the kept ones, and
+    keeps the kept ones.  The complements' maxima are
     x_max[d, n - t], taken once after the loop.  A block of reference words
     with no group left skips the chunk loop.
     """
     n, m, words = code.n, code.M, _word_array(code)
     width = n + 1
-    kept = list(range(width) if radii is None else radii)
-    bins, table = width, None
-    if radii is not None:
-        bins, table = len(kept) + 1, np.full(width, len(kept), dtype=np.uint8)
-        table[kept] = np.arange(len(kept))
+    kept = range(width) if radii is None else radii
+    cut = slice(None) if radii is None else list(radii)   # the kept columns
     x_max = np.zeros((width, width), dtype=np.int64)
     x_kept = np.zeros((width, len(kept)), dtype=np.int64)
     for by_product, batches in _census_batches(words, n, rows, x_max, refs, radii):
@@ -488,8 +481,6 @@ def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
         step = (max(1, _BLOCK_BYTES // (5 * m + 4 * batches[0][1].size)) if by_product
                 else _chunk_len(n, m))
         for y_off, dist in _output_chunks(code, step):
-            if table is not None and not by_product:
-                dist = np.take(table, dist)
             for *batch, ds in batches:
                 if by_product:
                     best = np.empty((ds.size, len(kept)), dtype=np.int64)
@@ -497,12 +488,12 @@ def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
                         best[:, j] = (batch[0] @ (dist == t).astype(np.float32)).max(axis=1)
                 else:
                     cols, offs = batch
-                    g = ds.size * bins
+                    g = ds.size * width
                     best = (np.bincount((y_off * g + offs[:, None] + dist[cols]).ravel(),
                                         minlength=y_off.size * g).reshape(-1, g).max(axis=0)
-                            .reshape(-1, bins)[:, :len(kept)])
+                            .reshape(-1, width)[:, cut])
                 np.maximum.at(x_kept, ds, best)
-    x_max[:, kept] = np.maximum(x_max[:, kept], x_kept)
+    x_max[:, cut] = np.maximum(x_max[:, cut], x_kept)
     return np.maximum(x_max, x_max[:, ::-1])
 
 
