@@ -172,7 +172,8 @@ GOLDEN_ARGV.update(
       "--rmax", rmax, "--step", step])
     for p, (step, rmax) in _F_REF_GRIDS.items())
 # oracle JSON, byte for byte: the roster's Hamming, parity and repetition
-# codes and the random shapes of the X_max routes
+# codes and the random shapes of the X_max routes, small-radius groups
+# among them
 ORACLE_GOLDENS = {
     "oracle_hamming74_p0.1.json": ["--generator", "hamming74", "--p", "0.1"],
     "oracle_random_n12_m128_s7_p0.1.json":
@@ -184,6 +185,14 @@ ORACLE_GOLDENS = {
     "oracle_parity_n8_p0.05.json": ["--generator", "parity", "--n", "8", "--p", "0.05"],
     "oracle_repetition_n7_p0.45.json":
         ["--generator", "repetition", "--n", "7", "--p", "0.45"],
+    "oracle_random_n18_m64_s1_p0.05.json":
+        ["--generator", "random", "--n", "18", "--m", "64", "--seed", "1", "--p", "0.05"],
+    "oracle_random_n20_m32_s1_p0.1.json":
+        ["--generator", "random", "--n", "20", "--m", "32", "--seed", "1", "--p", "0.1"],
+    "oracle_random_n14_m256_s1_p0.1.json":
+        ["--generator", "random", "--n", "14", "--m", "256", "--seed", "1", "--p", "0.1"],
+    "oracle_random_n12_m512_s2_p0.1.json":
+        ["--generator", "random", "--n", "12", "--m", "512", "--seed", "2", "--p", "0.1"],
 }
 GOLDEN_ARGV.update((name, ["oracle"] + argv) for name, argv in ORACLE_GOLDENS.items())
 
