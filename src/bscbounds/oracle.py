@@ -21,18 +21,23 @@ at odd d, and only the rows and radii t of the cells (d, t) whose term,
 bounded by 1 <= X_max <= k_max and then by X_max over a few reference
 words, can still win or break dominance.  X_max goes group by group, a
 group being the words at one distance from one reference word, and each
-group is counted one of three ways.  One planner prices each group once: a
+group is counted one of four ways.  One planner prices each group once: a
 group whose column classes (coordinates with one bit pattern over the
 group, up to complement) give fewer representative outputs than the pass
 is enumerated by its flip counts per class, unless it holds one word,
 which lies at every distance from some output and so adds exactly 1 to
-every X_max[d, t].  The groups a block of reference words leaves go
-together by whichever pass the planner prices cheaper: bincount batches on
-(output, group, distance) keys, or float32 products of the groups' 0/1
-membership slabs with a chunk's 0/1 rows [D = t], radius by radius.  Both
-passes read the same word-major chunks in one loop.  Pair distances come
-in row blocks under the same budget, shared by the pair counts and the
-planner.  ``BinaryCode`` itself refuses a length over 24 or
+every X_max[d, t].  A pass that names its radii (``proposition3_best``)
+also takes two words delta apart in closed form, 2 where Z(t, delta) > 0
+and 1 elsewhere, and may count a group S by sphere offsets: an output at
+distance t from c words of S is x ^ e with wt(e) = t for exactly those c
+words x, so X(S, t) is the top multiplicity of {x ^ e}, |S| C(n, t) sorted
+keys, counted once for t and n - t.  The groups a block of reference words
+leaves go together by whichever pass the planner prices cheaper: bincount
+batches on (output, group, distance) keys, or float32 products of the
+groups' 0/1 membership slabs with a chunk's 0/1 rows [D = t], radius by
+radius.  Both passes read the same word-major chunks in one loop.  Pair
+distances come in row blocks under the same budget, shared by the pair
+counts and the planner.  ``BinaryCode`` itself refuses a length over 24 or
 a census work M^2 2^n over that of the n = 24, M = 32 shape, so no code
 the census cannot take is ever built.
 ``proposition3_terms`` scans the spectrum-based lower bound term by term, the
@@ -91,6 +96,8 @@ _CLASS_COST = 1 << 17   # fixed cost of enumerating one group by its column
 # blocks of 15 random codes, losing 29 ms of 10.2 s.
 _ONEHOT_COST = 2 / 3    # one one-hot distance entry
 _MAC_COST = 1 / 256     # one float32 multiply-add
+_SPHERE_COST = 5        # one sphere offset key, sorted
+_SPHERE_PASS = 1 << 14  # fixed cost of one offset pass over one radius
 DOMINANCE_SLACK = 1e-15  # round-off allowed when a lower bound meets P_e
 
 
@@ -303,17 +310,98 @@ def _group_x_max(n: int, keys: np.ndarray, sizes: np.ndarray,
     return best
 
 
+@functools.lru_cache(maxsize=64)
+def _sphere(n: int, t: int) -> np.ndarray:
+    """The C(n, t) masks of weight t below 2^n: each mask of weight t - 1
+    with one bit added above its top bit."""
+    if t == 0:
+        return np.zeros(1, dtype=np.uint32)
+    stems = _sphere(n, t - 1)
+    top = np.frexp(stems)[1]                # bit length, 0 for the mask 0
+    fan = n - top
+    bit = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan - top, fan)
+    return np.repeat(stems, fan) | (1 << bit).astype(np.uint32)
+
+
+def _sphere_x_max(n: int, t: int, members: np.ndarray, group: np.ndarray,
+                  g: int) -> np.ndarray:
+    """max over the outputs y of #{x in S_c : d(x, y) = t} for each of g
+    groups S_c, the words members[group == c], group ascending: the top
+    multiplicity of the multiset {x ^ e : x in S_c, wt(e) = t}, counted on
+    sorted uint32 keys (c, y) by their runs.  The groups are halved until
+    their |members| C(n, t) keys fit the byte budget or one group is left.
+    That group's outputs go in buckets by their top b bits, the fewest that
+    leave each bucket half the budget: y takes from word x the offsets e
+    whose top bits u are those of y ^ x, u above each low mask of weight
+    t - wt(u), so a bucket counts whole multiplicities and no offset set
+    larger than a bucket is formed; runs of buckets are counted together
+    within the budget."""
+    cap = _BLOCK_BYTES // 32        # a key with its gather index and temporaries
+    if g > 1 and (members.size * math.comb(n, t) > cap or g << n > 1 << 32):
+        cut = np.searchsorted(group, g // 2)
+        return np.concatenate((_sphere_x_max(n, t, members[:cut], group[:cut], g // 2),
+                               _sphere_x_max(n, t, members[cut:], group[cut:] - g // 2,
+                                             g - g // 2)))
+    b = 0
+    while True:
+        low = n - b
+        part = np.arange(1 << b, dtype=np.uint32)[:, None] ^ members >> low   # [bucket, word]
+        rest = t - np.bitwise_count(part).astype(np.int64)       # weight below the top bits
+        rest[(rest < 0) | (rest > low)] = low + 1
+        comb = np.array([math.comb(low, j) for j in range(low + 1)] + [0])
+        load = comb[rest].sum(axis=1)
+        if b == n or load.max() <= (cap if b == 0 else cap // 2):
+            break
+        b += 1
+    used = np.zeros(low + 2, dtype=np.int64)
+    weights = list(range(max(0, t - b), min(t, low) + 1))
+    used[weights] = comb[weights]
+    table = np.concatenate([_sphere(low, j) for j in weights])
+    first, size = (np.cumsum(used) - used)[rest], comb[rest]
+    base = (members | group.astype(np.uint32) << np.uint32(n)) ^ part << np.uint32(low)
+    run = (np.cumsum(load) - load) // (cap // 2)
+    edges = np.searchsorted(run, np.arange(run[-1] + 2))
+    best = np.ones(g, dtype=np.int64)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        cut = size[lo:hi].ravel()
+        index = np.arange(cut.sum()) + np.repeat(first[lo:hi].ravel() - np.cumsum(cut) + cut, cut)
+        keys = np.sort(table[index] ^ np.repeat(base[lo:hi].ravel(), cut))
+        rep = np.flatnonzero(keys[1:] == keys[:-1])     # keys[i + 1] repeats keys[i]
+        if rep.size:
+            head = np.flatnonzero(np.diff(rep, prepend=-2) != 1)
+            np.maximum.at(best, keys[rep[head]] >> n, np.diff(head, append=rep.size) + 1)
+    return best
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_x_max(n: int) -> np.ndarray:
+    """[delta, t]: the most of two words delta apart at distance t from one
+    output, 2 where z_pair_count(n, delta, t) > 0 (delta even, delta/2 <= t
+    <= n - delta/2) and 1 elsewhere."""
+    delta, t = np.ogrid[:n + 1, :n + 1]
+    return 1 + ((delta % 2 == 0) & (2 * t >= delta) & (2 * (n - t) >= delta))
+
+
+def _folded(n: int, radii) -> tuple:
+    """The radii t <= n / 2 that stand for the kept radii: X_max[d, n - t]
+    equals X_max[d, t], the complement of y at distance n - t from every
+    word at distance t from y."""
+    return () if radii is None else tuple(sorted({min(t, n - t) for t in radii}))
+
+
 def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
-                    refs=None, radii=None) -> Iterator[tuple[bool, list]]:
+                    refs=None, radii=None) -> Iterator[tuple[str, list]]:
     """Plan the X_max rows d in rows group by group: fill x_max from every
-    group that its column classes enumerate more cheaply than the census
-    would, and yield, per block of reference words (all, or the indices
-    refs), the rest as (by_product, batches).  By the product, a block goes
-    one membership slab at a time, batches being [(G, distances)] with
-    G[c, j] = [pair[ref_c, j] = d_c] a (g, M) float32 matrix of the slab's g
-    groups; by bincount, the groups are packed into batches of (columns, bin
-    offsets, distances) whose keys and bins per output stay within the
-    M + (n+1)^2 of _chunk_len.
+    group that a closed form or its column classes count more cheaply
+    than the census would, and yield, per block of reference words (all,
+    or the indices refs), the rest as (route, batches).  By "sphere" (only
+    with radii), batches are [(members, group, distances)], the words of
+    each group and its index; by "product", a block goes one membership
+    slab at a time, batches being [(G, distances)] with G[c, j] = [pair[ref_c,
+    j] = d_c] a (g, M) float32 matrix of the slab's g groups; by "bincount",
+    the groups are packed into batches of (columns, bin offsets, distances)
+    whose keys and bins per output stay within the M + (n+1)^2 of
+    _chunk_len.
 
     A group S is the set of words at distance d from one reference word;
     only groups with d in rows are planned, the others skipped.
@@ -333,16 +421,32 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
     With radii, the r radii kept (closed under t -> n - t, as the
     complements read radius n - t), the product counts r radii in place of
     n + 1, so it is priced with r; bincount and the classes count every
-    radius either way.
+    radius either way.  With radii, a group of one or two words is always
+    taken by a closed form: two words at distance delta lie together at
+    distance t from some output exactly when z_pair_count(n, delta, t) > 0,
+    so the pair adds 2 there and 1 elsewhere.  Then the groups left may go
+    by sphere offsets, smallest first, each at _SPHERE_COST per key, k
+    sum_t C(n, t) keys over the folded radii t <= n / 2, plus _SPHERE_PASS
+    per folded radius, as many as lower the block's total: the offsets plus
+    the cheaper census route of the rest.
     """
     m, width, half = words.size, n + 1, 1 << (n - 1)
     limit = m + width * width
     kept = width if radii is None else len(radii)
-    bits = (words[:, None] >> np.arange(n, dtype=np.uint32) & 1).astype(np.uint64)
-    wanted = np.isin(np.arange(width), rows)
+    folded = _folded(n, radii)
+    per_word = sum(math.comb(n, t) for t in folded) * _SPHERE_COST
+    wanted = np.zeros(width, dtype=bool)
+    wanted[list(rows)] = True
     for pair in _pair_distance_rows(words, refs):
         k = _distance_counts(pair, width)
         left = wanted & (k > 0)
+        if radii is not None and (left & (k <= 2)).any():
+            one = (left & (k == 1)).any(axis=0)
+            x_max[one] = np.maximum(x_max[one], 1)
+            ref, ds = np.nonzero(left & (k == 2))
+            ends = words[np.nonzero(pair[ref] == ds[:, None].astype(pair.dtype))[1]]
+            np.maximum.at(x_max, ds, _pair_x_max(n)[np.bitwise_count(ends[::2] ^ ends[1::2])])
+            left &= k > 2
         could = left & (k <= 64) & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)
         for i, d in zip(*np.nonzero(could)):
             if k[i, d] == 1:
@@ -351,22 +455,36 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
                 continue
             members = np.flatnonzero(pair[i] == d)
             shifts = np.arange(members.size, dtype=np.uint64)[:, None]
-            keys = np.bitwise_or.reduce((bits[members] ^ bits[members[0]]) << shifts, axis=0)
+            bits = (words[members] ^ words[members[0]])[:, None] >> np.arange(n, dtype=np.uint32)
+            keys = np.bitwise_or.reduce((bits & 1).astype(np.uint64) << shifts, axis=0)
             keys, sizes = np.unique(keys, return_counts=True)
             big, per_output = sizes.max(), members.size + width
             reps = np.prod(sizes + 1) // (big + 1) * (big // 2 + 1)
             if reps * per_output + _CLASS_COST < half * per_output:
                 left[i, d] = False
                 x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, members.size))
-        ref, ds = np.nonzero(left)
-        slabs = -(-ds.size // _slab_len(m))
-        if (slabs * kept * m * _ONEHOT_COST + kept * m * ds.size * _MAC_COST
-                < k[left].sum() + ds.size * width):
+        ref, ds, size = *np.nonzero(left), k[left]
+        product, bincount = _census_prices(ds.size, size.sum(), m, kept, width)
+        if folded and ds.size:
+            order = np.argsort(size, kind="stable")
+            taken = np.cumsum(size[order])            # words of the first j groups
+            g = np.arange(ds.size - 1, 0, -1)         # groups they leave, for j < all
+            total = (np.append(half * np.minimum(*_census_prices(
+                g, taken[-1] - taken[:-1], m, kept, width)), 0)
+                + taken * per_word + _SPHERE_PASS * len(folded))
+            if total.min() < half * min(product, bincount):
+                take = order[:np.argmin(total) + 1]
+                left[ref[take], ds[take]] = False
+                group, cols = np.nonzero(pair[ref[take]] == ds[take, None].astype(pair.dtype))
+                yield "sphere", [(words[cols], group, ds[take])]
+                ref, ds = np.nonzero(left)
+                product, bincount = _census_prices(ds.size, k[left].sum(), m, kept, width)
+        if product < bincount:
             for start in range(0, ds.size, _slab_len(m)):
                 cut = slice(start, start + _slab_len(m))
                 # compared in the pair rows' own uint8, not copied to int64
                 member = (pair[ref[cut]] == ds[cut, None].astype(pair.dtype)).astype(np.float32)
-                yield True, [(member, ds[cut])]
+                yield "product", [(member, ds[cut])]
             continue
         batches, parts, cost = [], [], 0
         for i in np.flatnonzero(left.any(axis=1)):
@@ -379,7 +497,14 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
             cost += cols.size + dist.size * width
         if parts:
             batches.append(_batch(parts, width))
-        yield False, batches
+        yield "bincount", batches
+
+
+def _census_prices(g, words: int, m: int, kept: int, width: int) -> tuple:
+    """(product, bincount): the prices per output of g groups of words
+    words in all, left to the census, kept radii counted by the product."""
+    return (-(-g // _slab_len(m)) * kept * m * _ONEHOT_COST + g * kept * m * _MAC_COST,
+            words + g * width)
 
 
 def _batch(parts: list, width: int) -> tuple:
@@ -452,12 +577,18 @@ def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
     parity of d at every radius, ``proposition3_best`` the even rows and
     the radii of the cells where a term counts.
     x_max[d, t] is a max over groups, the words at distance d from one
-    reference word, and each group is counted one of three ways.  The
-    planner (``_census_batches``) enumerates the groups whose column classes
-    pay as it meets them, block by block of reference words, and prices the
-    rest of a block both ways.  Either way one loop counts them, per chunk
-    of the outputs with the top bit clear and per batch, then takes a max
-    over the chunk's y.  A bincount batch counts on (y, group, D), its
+    reference word, and each group is counted one of four ways.  The
+    planner (``_census_batches``) takes the groups that a closed form or
+    their column classes count as it meets them, block by block of
+    reference words; given radii, it sends to sphere offsets the groups
+    whose offsets lower the block's price, and prices the rest of a block
+    both census ways.  An output y at distance t from c words of S is x ^ e
+    with wt(e) = t for exactly those c words x, so the offset batch takes
+    X(S, t) as the top multiplicity of {x ^ e}, at each folded radius
+    t <= n / 2 alone (X(S, n - t) = X(S, t), by complementing y), with no
+    pass over the outputs.  Otherwise one loop counts them, per chunk of
+    the outputs with the top bit clear and per batch, then takes a max over
+    the chunk's y.  A bincount batch counts on (y, group, D), its
     columns read as whole rows of the word-major D.  A product slab G
     counts (G @ [D = t])[c, y], the words of group c at distance t from y,
     radius by radius; every count is an integer below 2^24, so float32 sums
@@ -467,7 +598,8 @@ def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
     radius, since its bins cost less than mapping D to the kept ones, and
     keeps the kept ones.  The complements' maxima are
     x_max[d, n - t], taken once after the loop.  A block of reference words
-    with no group left skips the chunk loop.
+    with no group left skips the chunk loop.  A bincount chunk holds D (M
+    bytes per output) and the largest batch's keys and bins, 8 bytes each.
     """
     n, m, words = code.n, code.M, _word_array(code)
     width = n + 1
@@ -475,14 +607,22 @@ def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
     cut = slice(None) if radii is None else list(radii)   # the kept columns
     x_max = np.zeros((width, width), dtype=np.int64)
     x_kept = np.zeros((width, len(kept)), dtype=np.int64)
-    for by_product, batches in _census_batches(words, n, rows, x_max, refs, radii):
+    for route, batches in _census_batches(words, n, rows, x_max, refs, radii):
         if not batches:
             continue
-        step = (max(1, _BLOCK_BYTES // (5 * m + 4 * batches[0][1].size)) if by_product
-                else _chunk_len(n, m))
+        if route == "sphere":
+            for members, group, ds in batches:
+                for t in _folded(n, radii):
+                    np.maximum.at(x_max, (ds, t), _sphere_x_max(n, t, members, group, ds.size))
+            continue
+        if route == "product":
+            step = max(1, _BLOCK_BYTES // (5 * m + 4 * batches[0][1].size))
+        else:
+            step = max(1, _BLOCK_BYTES // (m + 8 * max(cols.size + ds.size * width
+                                                        for cols, _, ds in batches)))
         for y_off, dist in _output_chunks(code, step):
             for *batch, ds in batches:
-                if by_product:
+                if route == "product":
                     best = np.empty((ds.size, len(kept)), dtype=np.int64)
                     for j, t in enumerate(kept):
                         best[:, j] = (batch[0] @ (dist == t).astype(np.float32)).max(axis=1)

@@ -625,15 +625,16 @@ def test_class_blocks_of_few_rows(rows, monkeypatch):
     _assert_halves(halves, _reference_x_max(code))
 
 
-@pytest.mark.parametrize("code, plans, never", [
+@pytest.mark.parametrize("code, plans, taken, never", [
     (random_code(12, 128, 7), [((2, 4, 6, 8), 4, (1, 2, 3, 4, 5, 7, 8, 9, 10, 11)),
-                               ((2,), None, (1, 2, 10, 11))], ()),
-    (hamming74(), [((4,), None, (2, 3, 4, 5))], ()),
+                               ((2,), None, (1, 2, 10, 11))],
+     [(0, "bincount"), (1, "sphere")], ()),
+    (hamming74(), [((4,), None, (2, 3, 4, 5))], [(0, "product")], ()),
     (random_code(16, 32, 7), [((4, 6, 8), 3, (2, 3, 4, 5, 11, 12, 13, 14)),
                               ((4,), None, (2, 3, 13, 14)), ((6,), None, (3, 13))],
-     (10, 12, 14)),
+     [(0, "sphere"), (2, "sphere")], (10, 12, 14)),
 ], ids=["rand12x128", "hamming74", "rand16x32"])
-def test_oracle_enumerates_no_odd_distance_group(code, plans, never,
+def test_oracle_enumerates_no_odd_distance_group(code, plans, taken, never,
                                                  tmp_path, monkeypatch, capsys):
     # Proposition 3 reads X_max at even distances alone (Z = 0 at odd ones),
     # so the oracle command plans even rows only, and only the rows and
@@ -641,22 +642,27 @@ def test_oracle_enumerates_no_odd_distance_group(code, plans, never,
     # over the reference words with the most words at an open row's
     # distance (every word of a linear code, which makes the pass exact),
     # then exactly where a term can still win or break dominance.  The
-    # plans are (rows, number of reference words or None for all, radii)
+    # plans are (rows, number of reference words or None for all, radii),
+    # and each (plan, route) pins the route of a block with groups left:
+    # small radii go by sphere offsets
     assert any(distance_distribution(code)[1::2])
     path = tmp_path / "code.txt"
     path.write_text("".join(w + "\n" for w in code.word_strings()), encoding="ascii")
-    planned, enumerated, plan = [], [], oracle._census_batches
+    planned, enumerated, routes, plan = [], [], [], oracle._census_batches
 
     def spy(words, n, rows, x_max, refs=None, radii=None):
         planned.append((rows, None if refs is None else len(refs), radii))
-        for by_product, batches in plan(words, n, rows, x_max, refs, radii):
+        for route, batches in plan(words, n, rows, x_max, refs, radii):
             enumerated.extend(ds for *_, ds in batches)
-            yield by_product, batches
+            if any(ds.size for *_, ds in batches):
+                routes.append((len(planned) - 1, route))
+            yield route, batches
 
     monkeypatch.setattr(oracle, "_census_batches", spy)
     oracle._x_max.cache_clear()
     assert main(["oracle", "--code-file", str(path), "--p", "0.1"]) == 0
     assert planned == plans
+    assert routes == taken
     assert all((ds % 2 == 0).all() for ds in enumerated)
     assert not {d for rows, _, _ in planned for d in rows} & set(never)
     # an odd distance is still answered exactly, from a half of its own
@@ -773,14 +779,20 @@ def test_census_memory_follows_the_byte_budget(monkeypatch):
     assert peaks[0] < peaks[1]
 
 
-# --- X_max by each route: product, bincount, direct enumeration ----------
+# --- X_max by each route: offsets, product, bincount, direct count -------
 #
-# The groups the column classes leave are counted by one float32 product
-# or by bincount batches, whichever the planner prices cheaper.  Prices of
-# 0 send every block of them to the product, an infinite multiply-add price
-# to the bincount; _CLASS_COST = +inf leaves every group to the route.
+# The groups the column classes leave are counted by sphere offsets (only
+# in passes that name their radii), one float32 product or bincount
+# batches, whichever the planner prices cheaper.  Offset prices of 0 send
+# every group to the offsets, infinite ones none; then prices of 0 send
+# every block to the product, an infinite multiply-add price to the
+# bincount; _CLASS_COST = +inf leaves every group to the route.  The
+# offsets are checked at every radius, which the closed forms of one or
+# two words take too.
 
-_ROUTES = {"product": (0.0, 0.0), "bincount": (0.0, math.inf)}
+_ROUTES = {"sphere": (0.0, oracle._ONEHOT_COST, oracle._MAC_COST),
+           "product": (math.inf, 0.0, 0.0),
+           "bincount": (math.inf, 0.0, math.inf)}
 
 
 def _x_max_by(code, route, rows, refs=None, radii=None):
@@ -790,30 +802,44 @@ def _x_max_by(code, route, rows, refs=None, radii=None):
     plan, taken = oracle._census_batches, set()
 
     def spy(*args):
-        for by_product, batches in plan(*args):
+        for tag, batches in plan(*args):
             if any(ds.size for *_, ds in batches):
-                taken.add("product" if by_product else "bincount")
-            yield by_product, batches
+                taken.add(tag)
+            yield tag, batches
 
     with pytest.MonkeyPatch.context() as mp:
         if route == "classes":
             mp.setattr(oracle, "_CLASS_COST", -math.inf)
         elif route is not None:
             mp.setattr(oracle, "_CLASS_COST", math.inf)
-            mp.setattr(oracle, "_ONEHOT_COST", _ROUTES[route][0])
-            mp.setattr(oracle, "_MAC_COST", _ROUTES[route][1])
+            for name, price in zip(("_SPHERE_COST", "_ONEHOT_COST", "_MAC_COST"),
+                                   _ROUTES[route]):
+                mp.setattr(oracle, name, price)
+            mp.setattr(oracle, "_SPHERE_PASS", 0)
         mp.setattr(oracle, "_census_batches", spy)
         return oracle._x_max.__wrapped__(code, rows, refs, radii), taken
 
 
+def _largest_group(code, rows, refs=None):
+    """The most words at a distance in rows from one reference word."""
+    words = np.asarray(code.words, dtype=np.uint32)
+    ref = words if refs is None else words[list(refs)]
+    pair = np.bitwise_count(ref[:, None] ^ words[None, :])
+    return max([int((pair == d).sum(axis=1).max()) for d in rows], default=0)
+
+
 def _assert_routes_agree(code, refs):
+    every = tuple(range(code.n + 1))
     for parity in (0, 1):
         rows = _parity_rows(code, parity)
         want = _reference_x_max(code, rows, refs)
         for route in _ROUTES:
-            got, taken = _x_max_by(code, route, rows, refs)
+            # the offsets count only in a pass that names its radii
+            got, taken = _x_max_by(code, route, rows, refs,
+                                   every if route == "sphere" else None)
             _assert_same(got, want)
-            assert taken == ({route} if want.any() else set())
+            counted = want.any() if route != "sphere" else _largest_group(code, rows, refs) > 2
+            assert taken == ({route} if counted else set())
 
 
 @settings(max_examples=60, deadline=None)
@@ -829,7 +855,7 @@ def test_routes_agree_on_small_codes(code, data):
 def test_x_max_at_kept_radii(code, data):
     # radii closed under t -> n - t (the complements read radius n - t)
     # give the full X_max at every kept radius, dtype included, on each
-    # route, which the radii leave as it is
+    # route, the offsets among them
     n = code.n
     drawn = data.draw(st.sets(st.integers(0, n), min_size=1))
     radii = tuple(sorted(drawn | {n - t for t in drawn}))
@@ -837,12 +863,68 @@ def test_x_max_at_kept_radii(code, data):
                                       tuple(range(n + 1))]))
     refs = data.draw(st.none() | st.sets(st.integers(0, code.M - 1), min_size=1)
                      .map(lambda s: tuple(sorted(s))))
+    full = _reference_x_max(code, rows, refs)
+    counted = _largest_group(code, rows, refs) > 2
     for route in (*_ROUTES, "classes"):
-        full, full_taken = _x_max_by(code, route, rows, refs)
         kept, taken = _x_max_by(code, route, rows, refs, radii)
         assert kept.dtype == full.dtype
         assert np.array_equal(kept[:, list(radii)], full[:, list(radii)])
-        assert taken == full_taken
+        # groups of one or two words take their closed forms at any price
+        assert taken == ({route} if counted and route != "classes" else set())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sphere_offsets_are_the_popcount_filter(n):
+    # the weight-t masks, built one bit at a time, each once
+    masks = np.arange(1 << n, dtype=np.uint32)
+    for t in range(n + 1):
+        _assert_same(np.sort(oracle._sphere(n, t)), masks[np.bitwise_count(masks) == t])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10), st.data())
+def test_pair_rule_is_the_direct_count(n, data):
+    # two words at distance w from a reference word and delta apart lie
+    # together at distance t from some output exactly when Z(t, delta) > 0:
+    # with radii named, the pair takes that closed form on every route
+    w = data.draw(st.integers(1, n - 1))
+    ref = data.draw(st.integers(0, (1 << n) - 1))
+    flips = [m for m in range(1 << n) if m.bit_count() == w]
+    e1, e2 = data.draw(st.lists(st.sampled_from(flips), min_size=2, max_size=2,
+                                unique=True))
+    code = BinaryCode(n, (ref, ref ^ e1, ref ^ e2))
+    want = _reference_x_max(code, (w,), (0,))
+    delta = (e1 ^ e2).bit_count()
+    assert want[w].tolist() == [1 + (z_pair_count(n, delta, t) > 0) for t in range(n + 1)]
+    for route in (*_ROUTES, "classes", None):
+        got, taken = _x_max_by(code, route, (w,), (0,), tuple(range(n + 1)))
+        _assert_same(got, want)
+        assert not taken
+
+
+def test_sphere_buckets_follow_the_byte_budget(monkeypatch):
+    # a group's keys |S| C(n, t) exceed the budget, so the outputs go in
+    # buckets by their top bits: the maxima stay exact and the peak follows
+    # the budget
+    code = random_code(14, 48, seed=1)
+    rows, radii = _parity_rows(code, 0), tuple(range(code.n + 1))
+    want = _reference_x_max(code, rows)
+    assert 32 * _largest_group(code, rows) * math.comb(code.n, code.n // 2) > 1 << 19
+    peaks = []
+    for budget in (1 << 17, 1 << 19):
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+        for t in range(code.n // 2 + 1):
+            oracle._sphere(code.n, t)           # the cached offsets, made once
+        tracemalloc.start()
+        try:
+            got, taken = _x_max_by(code, "sphere", rows, None, radii)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert taken == {"sphere"}
+        _assert_same(got, want)
+        assert peaks[-1] <= 3 * budget, budget
+    assert peaks[0] < peaks[1]
 
 
 @pytest.mark.parametrize("shape, all_refs", [
