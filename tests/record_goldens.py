@@ -12,8 +12,9 @@ The first form re-records the named files, and records a golden that
 has no file yet.  ``--check`` writes nothing: it
 prints the moves of the named files (by default every golden) and exits 1
 if any would change.  The default-grid CSVs are kept as first recorded
-(tests/test_cli.py holds the output to them within 1e-9), so only name
-them when that record should move.
+(tests/test_cli.py holds the output to them within 1e-9): the default set
+reads the exact copy beside each (``FIRST_RECORDED``) in their place, so
+only name them when that record should move.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 
 from bscbounds.cli import main
 
-from test_cli import DATA, GOLDEN_ARGV
+from test_cli import DATA, FIRST_RECORDED, GOLDEN_ARGV
 
 
 def _json_moves(old, new, path=""):
@@ -76,7 +77,8 @@ def run(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("files", nargs="*", metavar="FILE",
                         help="goldens to re-record, or to compare with --check "
-                             f"(default every golden): {', '.join(GOLDEN_ARGV)}")
+                             "(default every golden but the first-recorded "
+                             f"CSVs): {', '.join(GOLDEN_ARGV)}")
     parser.add_argument("--check", action="store_true",
                         help="print the moves, write nothing")
     args = parser.parse_args(argv)
@@ -86,7 +88,7 @@ def run(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"no golden named {', '.join(unknown)}")
     changed = 0
-    for name in args.files or GOLDEN_ARGV:
+    for name in args.files or [g for g in GOLDEN_ARGV if g not in FIRST_RECORDED]:
         target = DATA / name
         new = record(name)
         if not target.exists():

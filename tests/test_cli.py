@@ -195,6 +195,14 @@ ORACLE_GOLDENS = {
         ["--generator", "random", "--n", "12", "--m", "512", "--seed", "2", "--p", "0.1"],
 }
 GOLDEN_ARGV.update((name, ["oracle"] + argv) for name, argv in ORACLE_GOLDENS.items())
+# the default-grid CSVs stay as first recorded, held within 1e-9 below; an
+# exact copy of the current output sits beside each
+FIRST_RECORDED = {"curve_p0.1.csv": "curve_p0.1_tip.csv",
+                  "curve_p0.005.csv": "curve_p0.005_tip.csv"}
+GOLDEN_ARGV.update((tip, GOLDEN_ARGV[first]) for first, tip in FIRST_RECORDED.items())
+GOLDEN_ARGV.update(
+    (f"constants_p{p}.{ext}", ["constants", "--p", p, "--format", fmt])
+    for p in ("0.01", "0.1", "0.3") for ext, fmt in (("txt", "text"), ("json", "json")))
 
 
 @pytest.mark.parametrize("p", ["0.1", "0.005"])
@@ -228,6 +236,12 @@ def test_oracle_output_matches_golden_bytes(golden, capsys):
     # tests/data holds the oracle reports byte for byte
     assert main(GOLDEN_ARGV[golden]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="ascii")
+
+
+def test_every_golden_is_the_current_output(capsys):
+    # every golden but the first-recorded CSVs, byte for byte
+    import record_goldens
+    assert record_goldens.run(["--check"]) == 0, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("golden", F_REFERENCES)
