@@ -14,21 +14,21 @@ D[j, y] = d(y, x_j), so d_min and d_max reduce across its rows and a
 group's words are whole rows.  The error probability and cover reports
 read one census per code, whose cover histogram is counted once and
 reversed in t for the complements.  The covering maxima X_max(t, d) are
-enumerated by the rows d a reader asks for: ``restricted_cover_max`` one
-parity of d on first read (the union-cover check of the verify suite asks
-for both), and ``proposition3_best`` even d alone, since Z(t, d) vanishes
-at odd d, and only the rows and radii t of the cells (d, t) whose term,
-bounded by 1 <= X_max <= k_max and then by X_max over a few reference
-words, can still win or break dominance.  X_max goes group by group, a
-group being the words at one distance from one reference word, and each
-group is counted one of four ways.  One planner prices each group once: a
-group whose column classes (coordinates with one bit pattern over the
-group, up to complement) give fewer representative outputs than the pass
-is enumerated by its flip counts per class, unless it holds one word,
-which lies at every distance from some output and so adds exactly 1 to
-every X_max[d, t].  A pass that names its radii (``proposition3_best``)
-also takes two words delta apart in closed form, 2 where Z(t, delta) > 0
-and 1 elsewhere, and may count a group S by sphere offsets: an output at
+enumerated by the rows d and radii t a reader asks for:
+``restricted_cover_max`` one parity of d at every radius on first read
+(the union-cover check of the verify suite asks for both), and
+``proposition3_best`` even d alone, since Z(t, d) vanishes at odd d, and
+only the rows and radii of the cells (d, t) whose term, bounded by
+1 <= X_max <= k_max and then by X_max over a few reference words, can
+still win or break dominance.  X_max goes group by group, a group being
+the words at one distance from one reference word, and each group is
+counted one of four ways.  One planner prices each group once.  A group
+of one word lies at every distance from some output and so adds exactly
+1 to every X_max[d, t]; two words delta apart add 2 where Z(t, delta) > 0
+and 1 elsewhere.  A larger group whose column classes (coordinates with
+one bit pattern over the group, up to complement) give fewer
+representative outputs than the pass is enumerated by its flip counts per
+class.  A group S may also be counted by sphere offsets: an output at
 distance t from c words of S is x ^ e with wt(e) = t for exactly those c
 words x, so X(S, t) is the top multiplicity of {x ^ e}, |S| C(n, t) sorted
 keys, counted once for t and n - t.  The groups a block of reference words
@@ -376,26 +376,27 @@ def _sphere_x_max(n: int, t: int, members: np.ndarray, group: np.ndarray,
 @functools.lru_cache(maxsize=32)
 def _pair_x_max(n: int) -> np.ndarray:
     """[delta, t]: the most of two words delta apart at distance t from one
-    output, 2 where z_pair_count(n, delta, t) > 0 (delta even, delta/2 <= t
-    <= n - delta/2) and 1 elsewhere."""
-    delta, t = np.ogrid[:n + 1, :n + 1]
-    return 1 + ((delta % 2 == 0) & (2 * t >= delta) & (2 * (n - t) >= delta))
+    output, 2 where some output lies at distance t from both (Z(t, delta) >
+    0) and 1 elsewhere."""
+    return np.array([[1 + (z_pair_count(n, delta, t) > 0) for t in range(n + 1)]
+                     for delta in range(n + 1)])
 
 
 def _folded(n: int, radii) -> tuple:
-    """The radii t <= n / 2 that stand for the kept radii: X_max[d, n - t]
+    """The radii t <= n / 2 that stand for the named radii: X_max[d, n - t]
     equals X_max[d, t], the complement of y at distance n - t from every
     word at distance t from y."""
-    return () if radii is None else tuple(sorted({min(t, n - t) for t in radii}))
+    return tuple(sorted({min(t, n - t) for t in radii}))
 
 
 def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
-                    refs=None, radii=None) -> Iterator[tuple[str, list]]:
-    """Plan the X_max rows d in rows group by group: fill x_max from every
-    group that a closed form or its column classes count more cheaply
-    than the census would, and yield, per block of reference words (all,
-    or the indices refs), the rest as (route, batches).  By "sphere" (only
-    with radii), batches are [(members, group, distances)], the words of
+                    refs, radii) -> Iterator[tuple[str, list]]:
+    """Plan the X_max rows d in rows at the radii t in radii (closed under
+    t -> n - t, as the complements read radius n - t) group by group: fill
+    x_max from every group that a closed form or its column classes count
+    more cheaply than the census would, and yield, per block of reference
+    words (all, or the indices refs), the rest as (route, batches).  By
+    "sphere", batches are [(members, group, distances)], the words of
     each group and its index; by "product", a block goes one membership
     slab at a time, batches being [(G, distances)] with G[c, j] = [pair[ref_c,
     j] = d_c] a (g, M) float32 matrix of the slab's g groups; by "bincount",
@@ -404,35 +405,29 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
     _chunk_len.
 
     A group S is the set of words at distance d from one reference word;
-    only groups with d in rows are planned, the others skipped.
+    only groups with d in rows are planned, the others skipped.  A group of
+    one or two words is taken by a closed form: one word lies at every
+    distance t from some output, so it adds exactly 1 to every x_max[d, t];
+    two words delta apart add _pair_x_max[delta].
     Bit j of a column's key is the column's bit in word j of S relative to
     its word 0, so equal keys make a class.  The classes cost reps (k + n + 1)
     + _CLASS_COST, reps the number of representative outputs, against the
     2^(n-1) (k + n + 1) keys and bins S takes in the census; each group is
-    priced once, and only if it could pay even with a single class.  Of
-    the groups so priced, one of a single word is not enumerated: that word
-    lies at every distance t from some output, so the group adds exactly 1
-    to every x_max[d, t].  Groups of more than 64 words stay in the census:
-    their keys would not fit 64 bits.  The g groups a block leaves, with c
-    columns in all, cost c + g (n+1) keys and bins per output by bincount,
-    and by the product (n+1) M one-hot entries per slab of groups (the
-    0/1 rows [D = t] of every radius) plus (n+1) M g multiply-adds, at
-    _ONEHOT_COST and _MAC_COST each; the cheaper route takes them all.
-    With radii, the r radii kept (closed under t -> n - t, as the
-    complements read radius n - t), the product counts r radii in place of
-    n + 1, so it is priced with r; bincount and the classes count every
-    radius either way.  With radii, a group of one or two words is always
-    taken by a closed form: two words at distance delta lie together at
-    distance t from some output exactly when z_pair_count(n, delta, t) > 0,
-    so the pair adds 2 there and 1 elsewhere.  Then the groups left may go
-    by sphere offsets, smallest first, each at _SPHERE_COST per key, k
-    sum_t C(n, t) keys over the folded radii t <= n / 2, plus _SPHERE_PASS
-    per folded radius, as many as lower the block's total: the offsets plus
-    the cheaper census route of the rest.
+    priced once, and only if it could pay even with a single class.
+    Groups of more than 64 words stay in the census: their keys would not
+    fit 64 bits.  The g groups a block leaves, with c columns in all, cost
+    c + g (n+1) keys and bins per output by bincount, and by the product
+    r M one-hot entries per slab of groups (the 0/1 rows [D = t] of the r
+    radii) plus r M g multiply-adds, at _ONEHOT_COST and _MAC_COST each;
+    the cheaper route takes them all.  Bincount and the classes count every
+    radius.  Before that, the groups left may go by sphere offsets,
+    smallest first, each at _SPHERE_COST per key, k sum_t C(n, t) keys
+    over the folded radii t <= n / 2, plus _SPHERE_PASS per folded radius,
+    as many as lower the block's total: the offsets plus the cheaper census
+    route of the rest.
     """
     m, width, half = words.size, n + 1, 1 << (n - 1)
     limit = m + width * width
-    kept = width if radii is None else len(radii)
     folded = _folded(n, radii)
     per_word = sum(math.comb(n, t) for t in folded) * _SPHERE_COST
     wanted = np.zeros(width, dtype=bool)
@@ -440,7 +435,7 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
     for pair in _pair_distance_rows(words, refs):
         k = _distance_counts(pair, width)
         left = wanted & (k > 0)
-        if radii is not None and (left & (k <= 2)).any():
+        if (left & (k <= 2)).any():
             one = (left & (k == 1)).any(axis=0)
             x_max[one] = np.maximum(x_max[one], 1)
             ref, ds = np.nonzero(left & (k == 2))
@@ -449,10 +444,6 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
             left &= k > 2
         could = left & (k <= 64) & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)
         for i, d in zip(*np.nonzero(could)):
-            if k[i, d] == 1:
-                left[i, d] = False
-                x_max[d] = np.maximum(x_max[d], 1)
-                continue
             members = np.flatnonzero(pair[i] == d)
             shifts = np.arange(members.size, dtype=np.uint64)[:, None]
             bits = (words[members] ^ words[members[0]])[:, None] >> np.arange(n, dtype=np.uint32)
@@ -464,13 +455,13 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
                 left[i, d] = False
                 x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, members.size))
         ref, ds, size = *np.nonzero(left), k[left]
-        product, bincount = _census_prices(ds.size, size.sum(), m, kept, width)
-        if folded and ds.size:
+        product, bincount = _census_prices(ds.size, size.sum(), m, len(radii), width)
+        if ds.size:
             order = np.argsort(size, kind="stable")
             taken = np.cumsum(size[order])            # words of the first j groups
             g = np.arange(ds.size - 1, 0, -1)         # groups they leave, for j < all
             total = (np.append(half * np.minimum(*_census_prices(
-                g, taken[-1] - taken[:-1], m, kept, width)), 0)
+                g, taken[-1] - taken[:-1], m, len(radii), width)), 0)
                 + taken * per_word + _SPHERE_PASS * len(folded))
             if total.min() < half * min(product, bincount):
                 take = order[:np.argmin(total) + 1]
@@ -478,7 +469,7 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
                 group, cols = np.nonzero(pair[ref[take]] == ds[take, None].astype(pair.dtype))
                 yield "sphere", [(words[cols], group, ds[take])]
                 ref, ds = np.nonzero(left)
-                product, bincount = _census_prices(ds.size, k[left].sum(), m, kept, width)
+                product, bincount = _census_prices(ds.size, k[left].sum(), m, len(radii), width)
         if product < bincount:
             for start in range(0, ds.size, _slab_len(m)):
                 cut = slice(start, start + _slab_len(m))
@@ -500,10 +491,10 @@ def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
         yield "bincount", batches
 
 
-def _census_prices(g, words: int, m: int, kept: int, width: int) -> tuple:
+def _census_prices(g, words: int, m: int, r: int, width: int) -> tuple:
     """(product, bincount): the prices per output of g groups of words
-    words in all, left to the census, kept radii counted by the product."""
-    return (-(-g // _slab_len(m)) * kept * m * _ONEHOT_COST + g * kept * m * _MAC_COST,
+    words in all, left to the census, r radii counted by the product."""
+    return (-(-g // _slab_len(m)) * r * m * _ONEHOT_COST + g * r * m * _MAC_COST,
             words + g * width)
 
 
@@ -565,13 +556,13 @@ def _slab_len(m: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
+def _x_max(code: BinaryCode, rows, refs, radii) -> np.ndarray:
     """x_max[d, t], the max over (reference word, output y) of the codewords
     at distance d from the reference and t from y, for every d in rows (the
     other rows hold zeros), over every reference word or the indices refs,
-    whose maxima are lower bounds, at every radius t or at the radii given,
-    which hold n - t with each t; x_max at a radius not kept is a lower
-    bound too, and no reader reads it.
+    whose maxima are lower bounds, at the radii t in radii, which hold
+    n - t with each t; x_max at a radius not named is a lower bound too,
+    and no reader reads it.
 
     Rows are enumerated only when read: ``restricted_cover_max`` reads one
     parity of d at every radius, ``proposition3_best`` the even rows and
@@ -580,9 +571,9 @@ def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
     reference word, and each group is counted one of four ways.  The
     planner (``_census_batches``) takes the groups that a closed form or
     their column classes count as it meets them, block by block of
-    reference words; given radii, it sends to sphere offsets the groups
-    whose offsets lower the block's price, and prices the rest of a block
-    both census ways.  An output y at distance t from c words of S is x ^ e
+    reference words, sends to sphere offsets the groups whose offsets
+    lower the block's price, and prices the rest of a block both census
+    ways.  An output y at distance t from c words of S is x ^ e
     with wt(e) = t for exactly those c words x, so the offset batch takes
     X(S, t) as the top multiplicity of {x ^ e}, at each folded radius
     t <= n / 2 alone (X(S, n - t) = X(S, t), by complementing y), with no
@@ -593,20 +584,18 @@ def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
     counts (G @ [D = t])[c, y], the words of group c at distance t from y,
     radius by radius; every count is an integer below 2^24, so float32 sums
     it exactly in any order.  A product chunk holds D, one radius's float32
-    rows and the (g, chunk) product within the byte budget.  Given radii,
-    the product counts the kept radii alone; a bincount batch counts every
-    radius, since its bins cost less than mapping D to the kept ones, and
-    keeps the kept ones.  The complements' maxima are
+    rows and the (g, chunk) product within the byte budget.  Each route
+    writes x_max at the radii it counts: the closed forms, the classes and
+    a bincount batch at every radius (its bins cost less than mapping D to
+    the named ones), the product at the named radii, the offsets at the
+    folded ones.  The complements' maxima are
     x_max[d, n - t], taken once after the loop.  A block of reference words
     with no group left skips the chunk loop.  A bincount chunk holds D (M
     bytes per output) and the largest batch's keys and bins, 8 bytes each.
     """
     n, m, words = code.n, code.M, _word_array(code)
     width = n + 1
-    kept = range(width) if radii is None else radii
-    cut = slice(None) if radii is None else list(radii)   # the kept columns
     x_max = np.zeros((width, width), dtype=np.int64)
-    x_kept = np.zeros((width, len(kept)), dtype=np.int64)
     for route, batches in _census_batches(words, n, rows, x_max, refs, radii):
         if not batches:
             continue
@@ -623,17 +612,15 @@ def _x_max(code: BinaryCode, rows, refs=None, radii=None) -> np.ndarray:
         for y_off, dist in _output_chunks(code, step):
             for *batch, ds in batches:
                 if route == "product":
-                    best = np.empty((ds.size, len(kept)), dtype=np.int64)
-                    for j, t in enumerate(kept):
-                        best[:, j] = (batch[0] @ (dist == t).astype(np.float32)).max(axis=1)
+                    for t in radii:
+                        best = (batch[0] @ (dist == t).astype(np.float32)).max(axis=1)
+                        np.maximum.at(x_max, (ds, t), best.astype(np.int64))
                 else:
                     cols, offs = batch
                     g = ds.size * width
-                    best = (np.bincount((y_off * g + offs[:, None] + dist[cols]).ravel(),
-                                        minlength=y_off.size * g).reshape(-1, g).max(axis=0)
-                            .reshape(-1, width)[:, cut])
-                np.maximum.at(x_kept, ds, best)
-    x_max[:, cut] = np.maximum(x_max[:, cut], x_kept)
+                    best = np.bincount((y_off * g + offs[:, None] + dist[cols]).ravel(),
+                                       minlength=y_off.size * g).reshape(-1, g).max(axis=0)
+                    np.maximum.at(x_max, ds, best.reshape(-1, width))
     return np.maximum(x_max, x_max[:, ::-1])
 
 
@@ -728,7 +715,8 @@ def restricted_cover_max(code: BinaryCode, t: int, omega_dist: int) -> int:
     distance t from the output AND at distance omega_dist from the reference."""
     if not (0 <= t <= code.n and 0 <= omega_dist <= code.n):
         return 0
-    return int(_x_max(code, range(omega_dist % 2, code.n + 1, 2))[omega_dist, t])
+    return int(_x_max(code, range(omega_dist % 2, code.n + 1, 2), None,
+                      range(code.n + 1))[omega_dist, t])
 
 
 def proposition3_rhs(code: BinaryCode, ch: ChannelParam, t: int,

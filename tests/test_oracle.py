@@ -372,9 +372,15 @@ def _parity_rows(code, parity):
     return range(parity, code.n + 1, 2)
 
 
+def _every_radius(code):
+    return range(code.n + 1)
+
+
 def _halves(code):
-    """The even and odd distance halves of X_max, each enumerated afresh."""
-    return tuple(oracle._x_max.__wrapped__(code, _parity_rows(code, parity))
+    """The even and odd distance halves of X_max at every radius, each
+    enumerated afresh, as restricted_cover_max asks for them."""
+    return tuple(oracle._x_max.__wrapped__(code, _parity_rows(code, parity), None,
+                                           _every_radius(code))
                  for parity in (0, 1))
 
 
@@ -515,9 +521,8 @@ def _census_at_cost(code, cost=oracle._CLASS_COST):
 def test_class_path_matches_reference_routes(code):
     x_ref = _reference_x_max(code)
     cover, dmin_hist = _reference_cover(code), _reference_dmin_hist(code)
-    # a group of one word is not enumerated: it lies at every distance from
-    # some output, so it adds 1 to every X_max[d, t]
-    for cost, groups in ((-math.inf, _group_count(code, least=2)), (math.inf, 0)):
+    # a group of one or two words is not enumerated: it takes its closed form
+    for cost, groups in ((-math.inf, _group_count(code, least=3)), (math.inf, 0)):
         calls, census, halves = _census_at_cost(code, cost)
         assert len(calls) == groups
         _assert_halves(halves, x_ref)
@@ -526,11 +531,11 @@ def test_class_path_matches_reference_routes(code):
 
 
 def test_class_path_live_on_a_long_code():
-    # the default cost sends 265 of this code's 299 groups to their classes,
-    # and enumerates the 177 of them that hold two words or more
+    # the default cost enumerates 128 of this code's 299 groups by their
+    # classes, all of them groups of three words or more
     code = random_code(16, 32, seed=7)
     calls, live, live_halves = _census_at_cost(code)
-    assert (len(calls), _group_count(code)) == (177, 299)
+    assert (len(calls), _group_count(code)) == (128, 299)
     _, whole, whole_halves = _census_at_cost(code, math.inf)
     for field in ("cover", "dmin_hist"):
         _assert_same(getattr(live, field), getattr(whole, field))
@@ -574,15 +579,15 @@ def _calls_digest(calls, ordered=True):
 
 
 @pytest.mark.parametrize("shape, classed_groups, groups, digest, unordered", [
-    ((16, 32, 7), 177, 299,
-     "5f056559002daa996bad18956929fc2ec4b78d418e39bafa301c26fddb5f845d",
-     "873d6a7ca8b2ff503c568507bb5840440782e83310fb4928a9b99f933190d2ff"),
-    ((14, 48, 1), 166, 462,
-     "5639c36f23a7aacdae5442d818189f85c825aaf61d7c090472283573376ca4fe",
-     "0b15f99c9275ea311fc2531cafe8eab54d96bab5007fb0bba95f4d5339475d64"),
-    ((20, 32, 1), 202, 332,
-     "2c0ae5f2ea79bbcdc88a0f048c50d9b11381be44e010db8132c53f3718d4d074",
-     "737b6a128f80659407508d9c73cd48834a07a09c96606a95728633a4af830380"),
+    ((16, 32, 7), 128, 299,
+     "43ee30e26890fe167ec304c061031d546a10050a3d804a2ad5ebeb4b96a8e1ff",
+     "847b42f0e36ad23a6b5318310532bfc68ac1cb3ad412d3638e2d0717e02bcb1c"),
+    ((14, 48, 1), 110, 462,
+     "ba14cb5cb5a1f285f637a144fea991c3d1b111a9f3e250e5472bf11804059b3b",
+     "d7842dda85e54f97288a72bab895020ea31b6a4e05c290ef1b460b2c3efa3afe"),
+    ((20, 32, 1), 147, 332,
+     "a9bf2d4a0fae1f557fca807c3010e0137b96c0e3917e0d5d35c049cfd2476108",
+     "4417de888cdec898971d8dc928470bde08bfec34e3ee725a8feff23eb174220c"),
 ], ids=["16x32s7", "14x48s1", "20x32s1"])
 def test_class_pricing_pinned(shape, classed_groups, groups, digest, unordered):
     # which groups go by their classes, with what classes and in what order,
@@ -650,7 +655,7 @@ def test_oracle_enumerates_no_odd_distance_group(code, plans, taken, never,
     path.write_text("".join(w + "\n" for w in code.word_strings()), encoding="ascii")
     planned, enumerated, routes, plan = [], [], [], oracle._census_batches
 
-    def spy(words, n, rows, x_max, refs=None, radii=None):
+    def spy(words, n, rows, x_max, refs, radii):
         planned.append((rows, None if refs is None else len(refs), radii))
         for route, batches in plan(words, n, rows, x_max, refs, radii):
             enumerated.extend(ds for *_, ds in batches)
@@ -669,7 +674,7 @@ def test_oracle_enumerates_no_odd_distance_group(code, plans, taken, never,
     x_ref = _reference_x_max(code)
     for t in range(code.n + 1):
         assert restricted_cover_max(code, t, 3) == x_ref[3, t]
-    assert planned[-1] == (_parity_rows(code, 1), None, None)
+    assert planned[-1] == (_parity_rows(code, 1), None, _every_radius(code))
     capsys.readouterr()
 
 
@@ -683,7 +688,7 @@ def test_plans_depend_on_distances_only(monkeypatch):
 
     calls, x_max = [], oracle._x_max
 
-    def spy(code, rows, refs=None, radii=None):
+    def spy(code, rows, refs, radii):
         calls.append((rows, None if refs is None else len(refs), radii))
         return x_max(code, rows, refs, radii)
 
@@ -746,12 +751,12 @@ def test_proposition3_best_is_the_terms_loop(code, p, pe_scale):
 def test_x_max_over_reference_subsets(code, data):
     # fewer reference words give a lower X_max, all of them the full one;
     # a row where a reference word has a word reads at least 1 at every t
-    rows = tuple(range(code.n + 1))
-    full = oracle._x_max.__wrapped__(code, rows)
+    rows = radii = tuple(range(code.n + 1))
+    full = oracle._x_max.__wrapped__(code, rows, None, radii)
     _assert_same(full, np.maximum(*_halves(code)))
-    _assert_same(oracle._x_max.__wrapped__(code, rows, tuple(range(code.M))), full)
+    _assert_same(oracle._x_max.__wrapped__(code, rows, tuple(range(code.M)), radii), full)
     refs = tuple(sorted(data.draw(st.sets(st.integers(0, code.M - 1), min_size=1))))
-    part = oracle._x_max.__wrapped__(code, rows, refs)
+    part = oracle._x_max.__wrapped__(code, rows, refs, radii)
     assert (part <= full).all()
     words = np.asarray(code.words, dtype=np.uint32)
     seen = np.unique(np.bitwise_count(words[list(refs), None] ^ words[None, :]))
@@ -781,21 +786,20 @@ def test_census_memory_follows_the_byte_budget(monkeypatch):
 
 # --- X_max by each route: offsets, product, bincount, direct count -------
 #
-# The groups the column classes leave are counted by sphere offsets (only
-# in passes that name their radii), one float32 product or bincount
-# batches, whichever the planner prices cheaper.  Offset prices of 0 send
-# every group to the offsets, infinite ones none; then prices of 0 send
-# every block to the product, an infinite multiply-add price to the
-# bincount; _CLASS_COST = +inf leaves every group to the route.  The
-# offsets are checked at every radius, which the closed forms of one or
-# two words take too.
+# The groups the column classes leave are counted by sphere offsets, one
+# float32 product or bincount batches, whichever the planner prices
+# cheaper.  Offset prices of 0 send every group to the offsets, infinite
+# ones none; then prices of 0 send every block to the product, an infinite
+# multiply-add price to the bincount; _CLASS_COST = +inf leaves every group
+# to the route.  Every route is checked at every radius, where the closed
+# forms of one or two words take their groups first.
 
 _ROUTES = {"sphere": (0.0, oracle._ONEHOT_COST, oracle._MAC_COST),
            "product": (math.inf, 0.0, 0.0),
            "bincount": (math.inf, 0.0, math.inf)}
 
 
-def _x_max_by(code, route, rows, refs=None, radii=None):
+def _x_max_by(code, route, rows, refs, radii):
     """X_max rows of code over refs, at radii, with every group counted by
     route ("classes": every group by its column classes; None: the default
     prices and classes), and the routes the blocks with a group left took."""
@@ -834,11 +838,10 @@ def _assert_routes_agree(code, refs):
         rows = _parity_rows(code, parity)
         want = _reference_x_max(code, rows, refs)
         for route in _ROUTES:
-            # the offsets count only in a pass that names its radii
-            got, taken = _x_max_by(code, route, rows, refs,
-                                   every if route == "sphere" else None)
+            got, taken = _x_max_by(code, route, rows, refs, every)
             _assert_same(got, want)
-            counted = want.any() if route != "sphere" else _largest_group(code, rows, refs) > 2
+            # groups of one or two words take their closed forms
+            counted = _largest_group(code, rows, refs) > 2
             assert taken == ({route} if counted else set())
 
 
@@ -886,7 +889,7 @@ def test_sphere_offsets_are_the_popcount_filter(n):
 def test_pair_rule_is_the_direct_count(n, data):
     # two words at distance w from a reference word and delta apart lie
     # together at distance t from some output exactly when Z(t, delta) > 0:
-    # with radii named, the pair takes that closed form on every route
+    # the pair takes that closed form on every route
     w = data.draw(st.integers(1, n - 1))
     ref = data.draw(st.integers(0, (1 << n) - 1))
     flips = [m for m in range(1 << n) if m.bit_count() == w]
@@ -927,6 +930,26 @@ def test_sphere_buckets_follow_the_byte_budget(monkeypatch):
     assert peaks[0] < peaks[1]
 
 
+def test_sphere_route_on_the_union_cover_pass():
+    # restricted_cover_max's pass over the odd rows, which only the
+    # union-cover check reads, at every radius, with every group forced to
+    # the offsets: they count every folded radius, t = 0 among them, where
+    # Z(0, d) = 0 keeps every Proposition 3 pass away
+    code = random_code(10, 256, 1)
+    rows, counted, by_offsets = _parity_rows(code, 1), [], oracle._sphere_x_max
+
+    def spy(n, t, members, group, g):
+        counted.append(t)
+        return by_offsets(n, t, members, group, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_sphere_x_max", spy)
+        got, taken = _x_max_by(code, "sphere", rows, None, _every_radius(code))
+    assert taken == {"sphere"}
+    assert sorted(set(counted)) == list(range(code.n // 2 + 1))
+    _assert_same(got, _reference_x_max(code, rows))
+
+
 @pytest.mark.parametrize("shape, all_refs", [
     ((12, 128, 7), True), ((10, 256, 1), True), ((16, 32, 7), False),
     ((12, 512, 2), False),
@@ -951,7 +974,7 @@ def test_route_pricing_pinned(shape, rows, refs, route):
     # blocks whose two prices lie a factor 1.8 or more apart: the one-hot
     # rows cost the same for three reference words as for all of them
     code = random_code(*shape)
-    got, taken = _x_max_by(code, None, rows, refs)
+    got, taken = _x_max_by(code, None, rows, refs, _every_radius(code))
     assert taken == {route}
     _assert_same(got, _reference_x_max(code, rows, refs))
 
@@ -977,7 +1000,7 @@ def test_product_memory_follows_the_byte_budget(monkeypatch):
         monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
         tracemalloc.start()
         try:
-            _x_max_by(code, "product", rows)
+            _x_max_by(code, "product", rows, None, _every_radius(code))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
