@@ -176,6 +176,8 @@ GOLDEN_ARGV.update(
 # among them
 ORACLE_GOLDENS = {
     "oracle_hamming74_p0.1.json": ["--generator", "hamming74", "--p", "0.1"],
+    "oracle_hamming74_p0.05.json": ["--generator", "hamming74", "--p", "0.05"],
+    "oracle_hamming74_p0.45.json": ["--generator", "hamming74", "--p", "0.45"],
     "oracle_random_n12_m128_s7_p0.1.json":
         ["--generator", "random", "--n", "12", "--m", "128", "--seed", "7", "--p", "0.1"],
     "oracle_random_n16_m32_s7_p0.1.json":
@@ -183,8 +185,14 @@ ORACLE_GOLDENS = {
     "oracle_random_n12_m512_s2_p0.45.json":
         ["--generator", "random", "--n", "12", "--m", "512", "--seed", "2", "--p", "0.45"],
     "oracle_parity_n8_p0.05.json": ["--generator", "parity", "--n", "8", "--p", "0.05"],
+    "oracle_parity_n8_p0.1.json": ["--generator", "parity", "--n", "8", "--p", "0.1"],
+    "oracle_parity_n8_p0.45.json": ["--generator", "parity", "--n", "8", "--p", "0.45"],
     "oracle_repetition_n7_p0.45.json":
         ["--generator", "repetition", "--n", "7", "--p", "0.45"],
+    "oracle_repetition_n7_p0.05.json":
+        ["--generator", "repetition", "--n", "7", "--p", "0.05"],
+    "oracle_repetition_n7_p0.1.json":
+        ["--generator", "repetition", "--n", "7", "--p", "0.1"],
     "oracle_random_n18_m64_s1_p0.05.json":
         ["--generator", "random", "--n", "18", "--m", "64", "--seed", "1", "--p", "0.05"],
     "oracle_random_n20_m32_s1_p0.1.json":
