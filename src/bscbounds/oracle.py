@@ -12,34 +12,13 @@ each complement y ^ 1^n is mirrored from y (radius t -> n - t, d_min ->
 n - d_max), never enumerated.  A chunk's distances are word-major,
 D[j, y] = d(y, x_j), so d_min and d_max reduce across its rows and a
 group's words are whole rows.  The error probability and cover reports
-read one census per code, whose cover histogram is counted once and
-reversed in t for the complements.  The covering maxima X_max(t, d) are
-enumerated by the rows d and radii t a reader asks for:
-``restricted_cover_max`` one parity of d at every radius on first read
-(the union-cover check of the verify suite asks for both), and
-``proposition3_best`` even d alone, since Z(t, d) vanishes at odd d, and
-only the rows and radii of the cells (d, t) whose term, bounded by
-1 <= X_max <= k_max and then by X_max over a few reference words, can
-still win or break dominance.  X_max goes group by group, a group being
-the words at one distance from one reference word, and each group is
-counted one of four ways.  One planner prices each group once.  A group
-of one word lies at every distance from some output and so adds exactly
-1 to every X_max[d, t]; two words delta apart add 2 where Z(t, delta) > 0
-and 1 elsewhere.  A larger group whose column classes (coordinates with
-one bit pattern over the group, up to complement) give fewer
-representative outputs than the pass is enumerated by its flip counts per
-class.  A group S may also be counted by sphere offsets: an output at
-distance t from c words of S is x ^ e with wt(e) = t for exactly those c
-words x, so X(S, t) is the top multiplicity of {x ^ e}, |S| C(n, t) sorted
-keys, counted once for t and n - t.  The groups a block of reference words
-leaves go together by whichever pass the planner prices cheaper: bincount
-batches on (output, group, distance) keys, or float32 products of the
-groups' 0/1 membership slabs with a chunk's 0/1 rows [D = t], radius by
-radius.  Both passes read the same word-major chunks in one loop.  Pair
-distances come in row blocks under the same budget, shared by the pair
-counts and the planner.  ``BinaryCode`` itself refuses a length over 24 or
-a census work M^2 2^n over that of the n = 24, M = 32 shape, so no code
-the census cannot take is ever built.
+read one census per code.  The covering maxima X_max(t, d) are counted
+only at the rows d and radii t a reader asks for, group by group, a group
+being the words at one distance from one reference word; ``_x_max`` states
+the five ways a group is counted, their prices and their byte budgets.
+``BinaryCode`` itself refuses a length over 24 or a census work M^2 2^n
+over that of the n = 24, M = 32 shape, so no code the census cannot take
+is ever built.
 ``proposition3_terms`` scans the spectrum-based lower bound term by term, the
 reference route of ``proposition3_best``; its covering count
 ``restricted_cover_max`` reads X_max, which the verify suite checks against
@@ -389,115 +368,6 @@ def _folded(n: int, radii) -> tuple:
     return tuple(sorted({min(t, n - t) for t in radii}))
 
 
-def _census_batches(words: np.ndarray, n: int, rows, x_max: np.ndarray,
-                    refs, radii) -> Iterator[tuple[str, list]]:
-    """Plan the X_max rows d in rows at the radii t in radii (closed under
-    t -> n - t, as the complements read radius n - t) group by group: fill
-    x_max from every group that a closed form or its column classes count
-    more cheaply than the census would, and yield, per block of reference
-    words (all, or the indices refs), the rest as (route, batches).  By
-    "sphere", batches are [(members, group, distances)], the words of
-    each group and its index; by "product", a block goes one membership
-    slab at a time, batches being [(G, distances)] with G[c, j] = [pair[ref_c,
-    j] = d_c] a (g, M) float32 matrix of the slab's g groups; by "bincount",
-    the groups are packed into batches of (columns, bin offsets, distances)
-    whose keys and bins per output stay within the M + (n+1)^2 of
-    _chunk_len.
-
-    A group S is the set of words at distance d from one reference word;
-    only groups with d in rows are planned, the others skipped.  A group of
-    one or two words is taken by a closed form: one word lies at every
-    distance t from some output, so it adds exactly 1 to every x_max[d, t];
-    two words delta apart add _pair_x_max[delta].
-    Bit j of a column's key is the column's bit in word j of S relative to
-    its word 0, so equal keys make a class.  The classes cost reps (k + n + 1)
-    + _CLASS_COST, reps the number of representative outputs, against the
-    2^(n-1) (k + n + 1) keys and bins S takes in the census; each group is
-    priced once, and only if it could pay even with a single class.
-    Groups of more than 64 words stay in the census: their keys would not
-    fit 64 bits.  The g groups a block leaves, with c columns in all, cost
-    c + g (n+1) keys and bins per output by bincount, and by the product
-    r M one-hot entries per slab of groups (the 0/1 rows [D = t] of the r
-    radii) plus r M g multiply-adds, at _ONEHOT_COST and _MAC_COST each;
-    the cheaper route takes them all.  Bincount and the classes count every
-    radius.  Before that, the groups left may go by sphere offsets,
-    smallest first, each at _SPHERE_COST per key, k sum_t C(n, t) keys
-    over the folded radii t <= n / 2, plus _SPHERE_PASS per folded radius,
-    as many as lower the block's total: the offsets plus the cheaper census
-    route of the rest.
-    """
-    m, width, half = words.size, n + 1, 1 << (n - 1)
-    limit = m + width * width
-    folded = _folded(n, radii)
-    per_word = sum(math.comb(n, t) for t in folded) * _SPHERE_COST
-    wanted = np.zeros(width, dtype=bool)
-    wanted[list(rows)] = True
-    for pair in _pair_distance_rows(words, refs):
-        k = _distance_counts(pair, width)
-        left = wanted & (k > 0)
-        if (left & (k <= 2)).any():
-            one = (left & (k == 1)).any(axis=0)
-            x_max[one] = np.maximum(x_max[one], 1)
-            ref, ds = np.nonzero(left & (k == 2))
-            ends = words[np.nonzero(pair[ref] == ds[:, None].astype(pair.dtype))[1]]
-            np.maximum.at(x_max, ds, _pair_x_max(n)[np.bitwise_count(ends[::2] ^ ends[1::2])])
-            left &= k > 2
-        could = left & (k <= 64) & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)
-        for i, d in zip(*np.nonzero(could)):
-            members = np.flatnonzero(pair[i] == d)
-            shifts = np.arange(members.size, dtype=np.uint64)[:, None]
-            bits = (words[members] ^ words[members[0]])[:, None] >> np.arange(n, dtype=np.uint32)
-            keys = np.bitwise_or.reduce((bits & 1).astype(np.uint64) << shifts, axis=0)
-            keys, sizes = np.unique(keys, return_counts=True)
-            big, per_output = sizes.max(), members.size + width
-            reps = np.prod(sizes + 1) // (big + 1) * (big // 2 + 1)
-            if reps * per_output + _CLASS_COST < half * per_output:
-                left[i, d] = False
-                x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, members.size))
-        ref, ds, size = *np.nonzero(left), k[left]
-        product, bincount = _census_prices(ds.size, size.sum(), m, len(radii), width)
-        if ds.size:
-            order = np.argsort(size, kind="stable")
-            taken = np.cumsum(size[order])            # words of the first j groups
-            g = np.arange(ds.size - 1, 0, -1)         # groups they leave, for j < all
-            total = (np.append(half * np.minimum(*_census_prices(
-                g, taken[-1] - taken[:-1], m, len(radii), width)), 0)
-                + taken * per_word + _SPHERE_PASS * len(folded))
-            if total.min() < half * min(product, bincount):
-                take = order[:np.argmin(total) + 1]
-                left[ref[take], ds[take]] = False
-                group, cols = np.nonzero(pair[ref[take]] == ds[take, None].astype(pair.dtype))
-                yield "sphere", [(words[cols], group, ds[take])]
-                ref, ds = np.nonzero(left)
-                product, bincount = _census_prices(ds.size, k[left].sum(), m, len(radii), width)
-        if product < bincount:
-            for start in range(0, ds.size, _slab_len(m)):
-                cut = slice(start, start + _slab_len(m))
-                # compared in the pair rows' own uint8, not copied to int64
-                member = (pair[ref[cut]] == ds[cut, None].astype(pair.dtype)).astype(np.float32)
-                yield "product", [(member, ds[cut])]
-            continue
-        batches, parts, cost = [], [], 0
-        for i in np.flatnonzero(left.any(axis=1)):
-            cols = np.flatnonzero(left[i, pair[i]])
-            dist, group = np.unique(pair[i, cols], return_inverse=True)
-            if parts and cost + cols.size + dist.size * width > limit:
-                batches.append(_batch(parts, width))
-                parts, cost = [], 0
-            parts.append((cols, group, dist))
-            cost += cols.size + dist.size * width
-        if parts:
-            batches.append(_batch(parts, width))
-        yield "bincount", batches
-
-
-def _census_prices(g, words: int, m: int, r: int, width: int) -> tuple:
-    """(product, bincount): the prices per output of g groups of words
-    words in all, left to the census, r radii counted by the product."""
-    return (-(-g // _slab_len(m)) * r * m * _ONEHOT_COST + g * r * m * _MAC_COST,
-            words + g * width)
-
-
 def _batch(parts: list, width: int) -> tuple:
     """(columns, bin offsets, distances) of census groups of some reference
     words, given as (columns, group of each column, group distances), for
@@ -562,66 +432,151 @@ def _x_max(code: BinaryCode, rows, refs, radii) -> np.ndarray:
     other rows hold zeros), over every reference word or the indices refs,
     whose maxima are lower bounds, at the radii t in radii, which hold
     n - t with each t; x_max at a radius not named is a lower bound too,
-    and no reader reads it.
+    and no reader reads it.  ``restricted_cover_max`` reads one parity of d
+    at every radius, ``proposition3_best`` the even rows and the radii of
+    the cells where a term counts.
 
-    Rows are enumerated only when read: ``restricted_cover_max`` reads one
-    parity of d at every radius, ``proposition3_best`` the even rows and
-    the radii of the cells where a term counts.
-    x_max[d, t] is a max over groups, the words at distance d from one
-    reference word, and each group is counted one of four ways.  The
-    planner (``_census_batches``) takes the groups that a closed form or
-    their column classes count as it meets them, block by block of
-    reference words, sends to sphere offsets the groups whose offsets
-    lower the block's price, and prices the rest of a block both census
-    ways.  An output y at distance t from c words of S is x ^ e
-    with wt(e) = t for exactly those c words x, so the offset batch takes
-    X(S, t) as the top multiplicity of {x ^ e}, at each folded radius
-    t <= n / 2 alone (X(S, n - t) = X(S, t), by complementing y), with no
-    pass over the outputs.  Otherwise one loop counts them, per chunk of
-    the outputs with the top bit clear and per batch, then takes a max over
-    the chunk's y.  A bincount batch counts on (y, group, D), its
-    columns read as whole rows of the word-major D.  A product slab G
-    counts (G @ [D = t])[c, y], the words of group c at distance t from y,
-    radius by radius; every count is an integer below 2^24, so float32 sums
-    it exactly in any order.  A product chunk holds D, one radius's float32
-    rows and the (g, chunk) product within the byte budget.  Each route
-    writes x_max at the radii it counts: the closed forms, the classes and
-    a bincount batch at every radius (its bins cost less than mapping D to
-    the named ones), the product at the named radii, the offsets at the
-    folded ones.  The complements' maxima are
-    x_max[d, n - t], taken once after the loop.  A block of reference words
-    with no group left skips the chunk loop.  A bincount chunk holds D (M
+    x_max[d, t] is a max over groups S, the k words at distance d from one
+    reference word, d in rows.  The pair distances come in blocks of
+    reference words under the byte budget, and each block's groups are
+    counted where their route is picked, in this order.
+
+    Closed forms: one word lies at every distance t from some output, so a
+    group of one adds exactly 1 to every x_max[d, t]; two words delta apart
+    add _pair_x_max[delta].
+
+    Column classes: bit j of a column's key is its bit in word j of S
+    relative to word 0, equal keys make a class, and ``_group_x_max``
+    enumerates the reps representative outputs by their flip counts per
+    class.  They cost reps (k + n + 1) + _CLASS_COST against the
+    2^(n-1) (k + n + 1) keys and bins S takes in the census; a group is
+    priced once, and only if it could pay even with a single class.  Groups
+    of more than 64 words stay: their keys would not fit 64 bits.
+
+    The g groups left are priced once, over j = 0..g, the number that go to
+    the sphere offsets, smallest first.  The offsets cost _SPHERE_COST per
+    key, k sum_t C(n, t) keys over the folded radii t <= n / 2, plus
+    _SPHERE_PASS per folded radius.  The rest go to the cheaper census
+    route, priced per output times 2^(n-1): by bincount c + g' (n + 1) keys
+    and bins for g' groups of c words, by the product r M one-hot entries
+    per membership slab (the 0/1 rows [D = t] of the r radii) plus r M g'
+    multiply-adds, at _ONEHOT_COST and _MAC_COST each.  The j of the least
+    total is taken, 0 on a tie, and the product only where it is cheaper.
+
+    Sphere offsets (``_sphere_x_max``): an output y at distance t from c
+    words of S is x ^ e with wt(e) = t for exactly those c words x, so
+    X(S, t) is the top multiplicity of {x ^ e}, at each folded radius alone
+    (X(S, n - t) = X(S, t), by complementing y), with no pass over the
+    outputs.
+
+    Product (``_product_pass``), per membership slab of _slab_len groups, a
+    (g, M) float32 matrix G with G[c, j] = [word j is in group c]: per
+    chunk of outputs and named radius t, (G @ [D = t])[c, y] counts the
+    words of group c at distance t from y.  Every count is an integer below
+    2^24, so float32 sums it exactly in any order.  A chunk holds D, one
+    radius's float32 rows and the (g, chunk) product within the budget.
+
+    Bincount (``_bincount_pass``), per block: the groups go in batches of
+    (columns, bin offsets, distances) whose keys and bins per output stay
+    within the M + (n+1)^2 of _chunk_len, each counted on (y, group, D)
+    keys, its columns whole rows of the word-major D.  A chunk holds D (M
     bytes per output) and the largest batch's keys and bins, 8 bytes each.
+
+    The closed forms, the classes and bincount write every radius (their
+    bins cost less than mapping D to the named ones), the product the named
+    radii, the offsets the folded ones; the complements' maxima
+    x_max[d, n - t] are taken once at the end.
     """
     n, m, words = code.n, code.M, _word_array(code)
-    width = n + 1
+    width, half, r = n + 1, 1 << (n - 1), len(radii)
+    folded = _folded(n, radii)
+    per_word = sum(math.comb(n, t) for t in folded) * _SPHERE_COST
+    wanted = np.zeros(width, dtype=bool)
+    wanted[list(rows)] = True
     x_max = np.zeros((width, width), dtype=np.int64)
-    for route, batches in _census_batches(words, n, rows, x_max, refs, radii):
-        if not batches:
-            continue
-        if route == "sphere":
-            for members, group, ds in batches:
-                for t in _folded(n, radii):
-                    np.maximum.at(x_max, (ds, t), _sphere_x_max(n, t, members, group, ds.size))
-            continue
-        if route == "product":
-            step = max(1, _BLOCK_BYTES // (5 * m + 4 * batches[0][1].size))
-        else:
-            step = max(1, _BLOCK_BYTES // (m + 8 * max(cols.size + ds.size * width
-                                                        for cols, _, ds in batches)))
-        for y_off, dist in _output_chunks(code, step):
-            for *batch, ds in batches:
-                if route == "product":
-                    for t in radii:
-                        best = (batch[0] @ (dist == t).astype(np.float32)).max(axis=1)
-                        np.maximum.at(x_max, (ds, t), best.astype(np.int64))
-                else:
-                    cols, offs = batch
-                    g = ds.size * width
-                    best = np.bincount((y_off * g + offs[:, None] + dist[cols]).ravel(),
-                                       minlength=y_off.size * g).reshape(-1, g).max(axis=0)
-                    np.maximum.at(x_max, ds, best.reshape(-1, width))
+    for pair in _pair_distance_rows(words, refs):
+        k = _distance_counts(pair, width)
+        left = wanted & (k > 0)
+        if (left & (k <= 2)).any():
+            one = (left & (k == 1)).any(axis=0)
+            x_max[one] = np.maximum(x_max[one], 1)
+            ref, ds = np.nonzero(left & (k == 2))
+            ends = words[np.nonzero(pair[ref] == ds[:, None].astype(pair.dtype))[1]]
+            np.maximum.at(x_max, ds, _pair_x_max(n)[np.bitwise_count(ends[::2] ^ ends[1::2])])
+            left &= k > 2
+        could = left & (k <= 64) & ((half - n // 2 - 1) * (k + width) > _CLASS_COST)
+        for i, d in zip(*np.nonzero(could)):
+            members = np.flatnonzero(pair[i] == d)
+            shifts = np.arange(members.size, dtype=np.uint64)[:, None]
+            bits = (words[members] ^ words[members[0]])[:, None] >> np.arange(n, dtype=np.uint32)
+            keys = np.bitwise_or.reduce((bits & 1).astype(np.uint64) << shifts, axis=0)
+            keys, sizes = np.unique(keys, return_counts=True)
+            big, per_output = sizes.max(), members.size + width
+            reps = np.prod(sizes + 1) // (big + 1) * (big // 2 + 1)
+            if reps * per_output + _CLASS_COST < half * per_output:
+                left[i, d] = False
+                x_max[d] = np.maximum(x_max[d], _group_x_max(n, keys, sizes, members.size))
+        ref, ds, size = *np.nonzero(left), k[left]
+        order = np.argsort(size, kind="stable")
+        taken = np.cumsum(np.append(0, size[order]))      # words of the first j groups
+        g = np.arange(ds.size, 0, -1)                      # groups they leave, j < all
+        product = np.append(-(-g // _slab_len(m)) * r * m * _ONEHOT_COST
+                            + g * r * m * _MAC_COST, 0)
+        bincount = np.append(taken[-1] - taken[:-1] + g * width, 0)
+        total = half * np.minimum(product, bincount)
+        total[1:] = total[1:] + taken[1:] * per_word + _SPHERE_PASS * len(folded)
+        j = int(np.argmin(total))
+        if j:
+            take = order[:j]
+            group, cols = np.nonzero(pair[ref[take]] == ds[take, None].astype(pair.dtype))
+            for t in folded:
+                np.maximum.at(x_max, (ds[take], t), _sphere_x_max(n, t, words[cols], group, j))
+            left[ref[take], ds[take]] = False
+            ref, ds = np.nonzero(left)
+        if product[j] < bincount[j]:
+            for start in range(0, ds.size, _slab_len(m)):
+                cut = slice(start, start + _slab_len(m))
+                # compared in the pair rows' own uint8, not copied to int64
+                member = (pair[ref[cut]] == ds[cut, None].astype(pair.dtype)).astype(np.float32)
+                _product_pass(code, member, ds[cut], radii, x_max)
+        elif ds.size:
+            batches, parts, cost = [], [], 0
+            for i in np.flatnonzero(left.any(axis=1)):
+                cols = np.flatnonzero(left[i, pair[i]])
+                dist, group = np.unique(pair[i, cols], return_inverse=True)
+                if parts and cost + cols.size + dist.size * width > m + width * width:
+                    batches.append(_batch(parts, width))
+                    parts, cost = [], 0
+                parts.append((cols, group, dist))
+                cost += cols.size + dist.size * width
+            batches.append(_batch(parts, width))
+            _bincount_pass(code, batches, x_max)
     return np.maximum(x_max, x_max[:, ::-1])
+
+
+def _product_pass(code: BinaryCode, member: np.ndarray, ds: np.ndarray, radii,
+                  x_max: np.ndarray) -> None:
+    """Count one membership slab's groups, at distances ds, into x_max at
+    the radii (``_x_max`` states the route)."""
+    step = max(1, _BLOCK_BYTES // (5 * code.M + 4 * ds.size))
+    for _, dist in _output_chunks(code, step):
+        for t in radii:
+            best = (member @ (dist == t).astype(np.float32)).max(axis=1)
+            np.maximum.at(x_max, (ds, t), best.astype(np.int64))
+
+
+def _bincount_pass(code: BinaryCode, batches: list, x_max: np.ndarray) -> None:
+    """Count one block's bincount batches into x_max at every radius
+    (``_x_max`` states the route)."""
+    width = code.n + 1
+    step = max(1, _BLOCK_BYTES // (code.M + 8 * max(cols.size + ds.size * width
+                                                     for cols, _, ds in batches)))
+    for y_off, dist in _output_chunks(code, step):
+        for cols, offs, ds in batches:
+            g = ds.size * width
+            best = np.bincount((y_off * g + offs[:, None] + dist[cols]).ravel(),
+                               minlength=y_off.size * g).reshape(-1, g).max(axis=0)
+            np.maximum.at(x_max, ds, best.reshape(-1, width))
 
 
 def exact_pe_ml(code: BinaryCode, ch: ChannelParam) -> float:

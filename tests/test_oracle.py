@@ -6,6 +6,7 @@ at or below the enumerated ML error probability on every code, with slack
 only for float roundoff.
 """
 
+import functools
 import hashlib
 import math
 import pathlib
@@ -630,6 +631,18 @@ def test_class_blocks_of_few_rows(rows, monkeypatch):
     _assert_halves(halves, _reference_x_max(code))
 
 
+def _spy_counters(mp, seen):
+    """Call seen(route, args) before each call of a route's counter: the
+    sphere offsets per radius, the product per membership slab and the
+    bincount batches per block of reference words."""
+    for name, route in (("_sphere_x_max", "sphere"), ("_product_pass", "product"),
+                        ("_bincount_pass", "bincount")):
+        def spy(*args, count=getattr(oracle, name), route=route):
+            seen(route, args)
+            return count(*args)
+        mp.setattr(oracle, name, spy)
+
+
 @pytest.mark.parametrize("code, plans, taken, never", [
     (random_code(12, 128, 7), [((2, 4, 6, 8), 4, (1, 2, 3, 4, 5, 7, 8, 9, 10, 11)),
                                ((2,), None, (1, 2, 10, 11))],
@@ -648,27 +661,34 @@ def test_oracle_enumerates_no_odd_distance_group(code, plans, taken, never,
     # distance (every word of a linear code, which makes the pass exact),
     # then exactly where a term can still win or break dominance.  The
     # plans are (rows, number of reference words or None for all, radii),
-    # and each (plan, route) pins the route of a block with groups left:
-    # small radii go by sphere offsets
+    # read from a fresh cache of _x_max, and each (plan, route) pins, once,
+    # a counter that ran: small radii go by sphere offsets
     assert any(distance_distribution(code)[1::2])
     path = tmp_path / "code.txt"
     path.write_text("".join(w + "\n" for w in code.word_strings()), encoding="ascii")
-    planned, enumerated, routes, plan = [], [], [], oracle._census_batches
+    planned, counted, enumerated, routes, x_max = [], [], [], [], oracle._x_max
 
-    def spy(words, n, rows, x_max, refs, radii):
+    @functools.lru_cache(maxsize=16)
+    def plan(code, rows, refs, radii):
         planned.append((rows, None if refs is None else len(refs), radii))
-        for route, batches in plan(words, n, rows, x_max, refs, radii):
-            enumerated.extend(ds for *_, ds in batches)
-            if any(ds.size for *_, ds in batches):
-                routes.append((len(planned) - 1, route))
-            yield route, batches
+        counted.append(x_max.__wrapped__(code, rows, refs, radii))
+        return counted[-1]
 
-    monkeypatch.setattr(oracle, "_census_batches", spy)
-    oracle._x_max.cache_clear()
+    def seen(route, args):
+        routes.append((len(planned) - 1, route))
+        if route == "product":
+            enumerated.append(args[2])
+        elif route == "bincount":
+            enumerated.extend(ds for *_, ds in args[1])
+
+    monkeypatch.setattr(oracle, "_x_max", plan)
+    _spy_counters(monkeypatch, seen)
     assert main(["oracle", "--code-file", str(path), "--p", "0.1"]) == 0
     assert planned == plans
-    assert routes == taken
+    assert list(dict.fromkeys(routes)) == taken
     assert all((ds % 2 == 0).all() for ds in enumerated)
+    # no route, the offsets included, writes an odd row
+    assert not any(x[1::2].any() for x in counted)
     assert not {d for rows, _, _ in planned for d in rows} & set(never)
     # an odd distance is still answered exactly, from a half of its own
     x_ref = _reference_x_max(code)
@@ -705,6 +725,38 @@ def test_plans_depend_on_distances_only(monkeypatch):
                 plans.add(tuple(calls))
             assert len(plans) == 1, (n, m, p, plans)
             assert all(refs is None or refs < m for _, refs, _ in plans.pop())
+
+
+# The counting kernels' events over every oracle golden, as recorded when
+# the planner was a generator apart from the counting loop: a change of
+# route, block, slab, batch or chunk step shows here.
+_PLANS_DIGEST = "e1dbd3ad2e7104de11f08176134d520e11d10ae42e3c42b1ecdf0fd2b359c7b7"
+
+
+def test_plans_are_the_parent_plans(monkeypatch, capsys):
+    # each column-class count with its class sizes, each sphere-offset count
+    # as (t, words, groups) and each output pass by its chunk step, with
+    # fresh caches per command
+    from test_cli import ORACLE_GOLDENS
+    events = []
+
+    def spy(name, event):
+        kernel = getattr(oracle, name)
+
+        def call(*args):
+            events.append(event(*args))
+            return kernel(*args)
+        monkeypatch.setattr(oracle, name, call)
+
+    spy("_group_x_max", lambda n, keys, sizes, k: ("classes", k, tuple(sizes.tolist())))
+    spy("_sphere_x_max", lambda n, t, members, group, g: ("sphere", t, members.size, int(g)))
+    spy("_output_chunks", lambda code, step: ("chunks", step))
+    for argv in ORACLE_GOLDENS.values():
+        oracle._x_max.cache_clear()
+        oracle._census.cache_clear()
+        assert main(["oracle"] + argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(repr(events).encode()).hexdigest() == _PLANS_DIGEST
 
 
 def _terms_loop(code, ch, pe):
@@ -802,15 +854,8 @@ _ROUTES = {"sphere": (0.0, oracle._ONEHOT_COST, oracle._MAC_COST),
 def _x_max_by(code, route, rows, refs, radii):
     """X_max rows of code over refs, at radii, with every group counted by
     route ("classes": every group by its column classes; None: the default
-    prices and classes), and the routes the blocks with a group left took."""
-    plan, taken = oracle._census_batches, set()
-
-    def spy(*args):
-        for tag, batches in plan(*args):
-            if any(ds.size for *_, ds in batches):
-                taken.add(tag)
-            yield tag, batches
-
+    prices and classes), and the routes whose counters ran."""
+    taken = set()
     with pytest.MonkeyPatch.context() as mp:
         if route == "classes":
             mp.setattr(oracle, "_CLASS_COST", -math.inf)
@@ -820,7 +865,7 @@ def _x_max_by(code, route, rows, refs, radii):
                                    _ROUTES[route]):
                 mp.setattr(oracle, name, price)
             mp.setattr(oracle, "_SPHERE_PASS", 0)
-        mp.setattr(oracle, "_census_batches", spy)
+        _spy_counters(mp, lambda tag, _: taken.add(tag))
         return oracle._x_max.__wrapped__(code, rows, refs, radii), taken
 
 
