@@ -727,9 +727,9 @@ def test_plans_depend_on_distances_only(monkeypatch):
             assert all(refs is None or refs < m for _, refs, _ in plans.pop())
 
 
-# The counting kernels' events over every oracle golden, as recorded when
-# the planner was a generator apart from the counting loop: a change of
-# route, block, slab, batch or chunk step shows here.
+# The counting kernels' events over every oracle golden, as recorded
+# before the planner and the counting loop became one function: a change
+# of route, block, slab, batch or chunk step shows here.
 _PLANS_DIGEST = "e1dbd3ad2e7104de11f08176134d520e11d10ae42e3c42b1ecdf0fd2b359c7b7"
 
 
@@ -839,7 +839,7 @@ def test_census_memory_follows_the_byte_budget(monkeypatch):
 # --- X_max by each route: offsets, product, bincount, direct count -------
 #
 # The groups the column classes leave are counted by sphere offsets, one
-# float32 product or bincount batches, whichever the planner prices
+# float32 product or bincount batches, whichever _x_max prices
 # cheaper.  Offset prices of 0 send every group to the offsets, infinite
 # ones none; then prices of 0 send every block to the product, an infinite
 # multiply-add price to the bincount; _CLASS_COST = +inf leaves every group
