@@ -3,13 +3,16 @@
 Each ``suite_*`` function measures its invariants and returns a JSON-ready
 report ``{"suite": name, "passed": bool, "checks": [...]}`` where every
 check carries the quantities actually measured (margins, extrema, counts),
-never just a verdict.  ``run_suite`` dispatches by name; ``"all"`` chains
-every suite and conjoins the verdicts.
+never just a verdict.  ``run_suite`` dispatches by name; ``"all"`` runs
+every suite, on one process per usable CPU where the platform can fork, and
+conjoins the verdicts in table order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 
 import numpy as np
 
@@ -509,14 +512,107 @@ SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, *, p_values=None) -> dict:
-    """Dispatch a named suite; ``all`` chains the table in order.  Only the
-    claims suite reads ``p_values``; a grid for any other is refused."""
+    """Dispatch a named suite; ``all`` runs the table, in parallel where the
+    platform can fork (see ``_run_table``), and reports it in table order.
+    Only the claims suite reads ``p_values``; a grid for any other is
+    refused."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if p_values is not None and name not in ("claims", "all"):
         raise DomainError(f"--p-grid applies to the claims suite only, not {name!r}")
     if name != "all":
         return _SUITES[name](p_values)
-    parts = [run(p_values) for run in _SUITES.values()]
+    parts = _run_table(p_values)
     return {"suite": "all", "passed": all(p["passed"] for p in parts),
             "suites": parts}
+
+
+def _workers() -> int:
+    """Processes for the suite table, the caller included: one per usable
+    CPU and at most one per suite; 1 where the platform cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(_SUITES))
+
+
+def _take(queue: int, p_values) -> dict:
+    """Run the suites whose table indices this process reads from the queue
+    pipe, one byte at a time, until it is empty.  Maps each index to
+    ``(True, report)`` or ``(False, (exception, traceback text))``."""
+    runs = tuple(_SUITES.values())
+    done = {}
+    while index := os.read(queue, 1):
+        i = index[0]
+        try:
+            done[i] = True, runs[i](p_values)
+        except Exception as exc:
+            import traceback
+            done[i] = False, (exc, traceback.format_exc())
+    return done
+
+
+def _run_table(p_values) -> list:
+    """Every suite's report, in table order, from ``_workers()`` processes.
+
+    The caller is worker 0 and forks the rest; all of them take suite
+    indices from one pipe.  The caller drains every child's pipe and reaps
+    the child even when a suite of its own raises.  The exception raised is
+    the first failing suite's in table order, as a loop over the table would
+    raise it; one raised in a child carries the child's traceback text as
+    its cause."""
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(_SUITES))))
+    os.close(feed)
+    children = {}   # pid -> read end of the child's result pipe
+    sent = []
+    try:
+        for _ in range(_workers() - 1):
+            result, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:     # fewer workers; the queue still holds every suite
+                os.close(result)
+                os.close(out)
+                break
+            if pid == 0:
+                os.close(result)
+                _child(queue, out, p_values)
+            os.close(out)
+            children[pid] = result
+        done = _take(queue, p_values)
+    finally:
+        os.close(queue)
+        for pid, result in children.items():
+            with os.fdopen(result, "rb") as f:
+                sent.append((pid, f.read()))
+            os.waitpid(pid, 0)
+    for pid, data in sent:
+        if not data:
+            raise RuntimeError(f"suite worker {pid} ended without reporting")
+        theirs = pickle.loads(data)
+        for ok, value in theirs.values():
+            if not ok:
+                exc, text = value
+                exc.__cause__ = RuntimeError(f"in suite worker {pid}:\n{text}")
+        done.update(theirs)
+    parts = []
+    for i in range(len(_SUITES)):
+        ok, value = done[i]
+        if not ok:
+            raise value[0]
+        parts.append(value)
+    return parts
+
+
+def _child(queue: int, out: int, p_values) -> None:
+    """A forked worker: pickle what ``_take`` returns into ``out`` and leave
+    by ``os._exit``, so no exit handler runs and no inherited buffer is
+    flushed.  Status 1, and nothing written, if that fails."""
+    status = 1
+    try:
+        done = _take(queue, p_values)
+        with os.fdopen(out, "wb") as f:
+            pickle.dump(done, f)
+        status = 0
+    finally:
+        os._exit(status)

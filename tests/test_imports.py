@@ -181,24 +181,32 @@ def test_no_module_level_scipy_import(path):
 def test_benchmark_commands_do_not_load_scipy(tmp_path):
     # a fresh interpreter, as a CLI user starts one: none of the commands
     # perfbench runs, nor oracle on a code of any length, may load scipy,
-    # numpy.ma or numpy.polynomial
+    # numpy.ma or numpy.polynomial.  verify runs last, once on every usable
+    # CPU, which loads no process pool, and once with every suite in this
+    # process, so its imports show here
     code_file = tmp_path / "code.txt"
     code_file.write_text("".join(format(w, "012b") + "\n"
                                  for w in range(5, 4096, 97)), encoding="ascii")
     script = textwrap.dedent(f"""
-        import contextlib, io, sys
+        import contextlib, io, os, sys
         from bscbounds.cli import main
+
+        def run(argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            for name in ("scipy", "numpy.ma", "numpy.polynomial",
+                         "multiprocessing", "concurrent.futures"):
+                assert name not in sys.modules, (argv, name)
+
         for argv in (["curve", "--p", "0.1"], ["constants", "--p", "0.1"],
                      ["oracle", "--code-file", {str(code_file)!r}, "--p", "0.1"],
                      ["oracle", "--generator", "hamming74", "--p", "0.4"],
                      ["oracle", "--generator", "parity", "--n", "8",
                       "--p", "0.45"],
                      ["verify", "--suite", "all"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(argv) == 0, argv
-            assert "scipy" not in sys.modules, argv
-            assert "numpy.ma" not in sys.modules, argv
-            assert "numpy.polynomial" not in sys.modules, argv
+            run(argv)
+        os.sched_getaffinity = lambda pid: {{0}}
+        run(["verify", "--suite", "all"])
         """)
     src = str(pathlib.Path(bscbounds.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
