@@ -4,8 +4,8 @@ Each ``suite_*`` function measures its invariants and returns a JSON-ready
 report ``{"suite": name, "passed": bool, "checks": [...]}`` where every
 check carries the quantities actually measured (margins, extrema, counts),
 never just a verdict.  ``run_suite`` dispatches by name; ``"all"`` runs
-every suite, on one process per usable CPU where the platform can fork, and
-conjoins the verdicts in table order.
+every suite, on up to one process per usable CPU where the platform can
+fork, and conjoins the verdicts in table order.
 """
 
 from __future__ import annotations
