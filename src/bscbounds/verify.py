@@ -10,12 +10,12 @@ fork, and conjoins the verdicts in table order.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import pickle
 
 import numpy as np
 
+from ._fork import fork_map
 from .core import (ChannelParam, DomainError, binary_entropy,
                    binary_entropy_inv, channel_constants, cleaning_gap,
                    cleaning_gap_case1, omega_cap)
@@ -55,6 +55,11 @@ _DECAY_THRESHOLD = 0.013
 
 def builtin_roster() -> list:
     """The fixed code roster shared by the oracle and Delsarte suites."""
+    return list(_roster())
+
+
+@functools.lru_cache(maxsize=1)
+def _roster() -> tuple:
     codes = [
         ("repetition3", repetition_code(3)),
         ("repetition5", repetition_code(5)),
@@ -65,7 +70,7 @@ def builtin_roster() -> list:
     for seed in range(20):
         n, m = _RANDOM_SHAPES[seed % len(_RANDOM_SHAPES)]
         codes.append((f"random_n{n}_m{m}_s{seed}", random_code(n, m, seed)))
-    return codes
+    return tuple(codes)
 
 
 def _mu(rate: float, alpha: float, omega: float) -> float:
@@ -476,27 +481,33 @@ def _union_cover_violations(code: BinaryCode) -> int:
 
     X_max is the census value ``restricted_cover_max``; the union and the
     sizes are counted here directly, so a census that undercounts fails.
+    For a word i and the words at distance d from it, one bincount on
+    y (n+1) + D gives cnt[y, t], the words of the group at distance t from
+    y; an output counts at its own radius d(y, x_i) only, in the union if
+    cnt is positive there and in the total by cnt.
     """
     n = code.n
+    width = n + 1
     words = np.asarray(code.words, dtype=np.uint32)
     pair_d = np.bitwise_count(words[:, None] ^ words[None, :])
     outputs = np.arange(1 << n, dtype=np.uint32)
-    dist = np.bitwise_count(outputs[:, None] ^ words[None, :])
+    dist = np.bitwise_count(outputs[:, None] ^ words[None, :]).astype(np.intp)
+    y_off = (outputs * width).astype(np.intp)
     viol = 0
     # the distinct nonzero pair distances, sorted, without loading numpy.ma
     for om_d in np.flatnonzero(np.bincount(pair_d.ravel()))[1:].tolist():
-        for t in range(n + 1):
-            xmax = restricted_cover_max(code, t, om_d)
-            for i in range(code.M):
-                cols = np.flatnonzero(pair_d[i] == om_d)
-                if cols.size == 0:
-                    continue
-                counts = (dist[:, cols] == t).sum(axis=1)
-                on_sphere = dist[:, i] == t
-                union = int(((counts >= 1) & on_sphere).sum())
-                total = int(counts[on_sphere].sum())
-                if union * xmax < total:
-                    viol += 1
+        xmax = np.array([restricted_cover_max(code, t, om_d) for t in range(width)])
+        for i in range(code.M):
+            cols = np.flatnonzero(pair_d[i] == om_d)
+            if cols.size == 0:
+                continue
+            cnt = np.bincount((y_off[:, None] + dist[:, cols]).ravel(),
+                              minlength=outputs.size * width).reshape(-1, width)
+            own = dist[:, i]
+            hits = cnt[outputs, own]
+            union = np.bincount(own, weights=hits > 0, minlength=width)
+            total = np.bincount(own, weights=hits, minlength=width)
+            viol += int((union * xmax < total).sum())
     return viol
 
 
@@ -509,110 +520,30 @@ _SUITES = {
     "oracle": lambda grid: suite_oracle(),
 }
 SUITE_NAMES = (*_SUITES, "all")
+# the queue order of ``all``, longest first, so the last suite to start is
+# short: on two CPUs prop1 and oracle start first, then claims, hahn and
+# identity16 go to whichever process frees first
+_LONGEST_FIRST = ("prop1", "oracle", "claims", "hahn", "identity16")
 
 
 def run_suite(name: str, *, p_values=None) -> dict:
-    """Dispatch a named suite; ``all`` runs the table, in parallel where the
-    platform can fork (see ``_run_table``), and reports it in table order.
-    Only the claims suite reads ``p_values``; a grid for any other is
-    refused."""
+    """Dispatch a named suite; ``all`` runs the table on one process per
+    usable CPU where the platform can fork (``_fork.fork_map``), longest
+    first, and reports it in table order, raising the first failing suite's
+    error in that order.  Only the claims suite reads ``p_values``; a grid
+    for any other is refused."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if p_values is not None and name not in ("claims", "all"):
         raise DomainError(f"--p-grid applies to the claims suite only, not {name!r}")
     if name != "all":
         return _SUITES[name](p_values)
-    parts = _run_table(p_values)
+    # the hahn and oracle suites share the roster, and building it loads
+    # numpy.random: built once here, before the fork, every process has it
+    # and the caller's memory does not hang on which suites it takes
+    _roster()
+    names = list(_SUITES)
+    parts = fork_map(lambda i: _SUITES[names[i]](p_values), len(names),
+                     order=[names.index(s) for s in _LONGEST_FIRST])
     return {"suite": "all", "passed": all(p["passed"] for p in parts),
             "suites": parts}
-
-
-def _workers() -> int:
-    """Processes for the suite table, the caller included: one per usable
-    CPU and at most one per suite; 1 where the platform cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), len(_SUITES))
-
-
-def _take(queue: int, p_values) -> dict:
-    """Run the suites whose table indices this process reads from the queue
-    pipe, one byte at a time, until it is empty.  Maps each index to
-    ``(True, report)`` or ``(False, (exception, traceback text))``."""
-    runs = tuple(_SUITES.values())
-    done = {}
-    while index := os.read(queue, 1):
-        i = index[0]
-        try:
-            done[i] = True, runs[i](p_values)
-        except Exception as exc:
-            import traceback
-            done[i] = False, (exc, traceback.format_exc())
-    return done
-
-
-def _run_table(p_values) -> list:
-    """Every suite's report, in table order, from ``_workers()`` processes.
-
-    The caller is worker 0 and forks the rest; all of them take suite
-    indices from one pipe.  The caller drains every child's pipe and reaps
-    the child even when a suite of its own raises.  The exception raised is
-    the first failing suite's in table order, as a loop over the table would
-    raise it; one raised in a child carries the child's traceback text as
-    its cause."""
-    queue, feed = os.pipe()
-    os.write(feed, bytes(range(len(_SUITES))))
-    os.close(feed)
-    children = {}   # pid -> read end of the child's result pipe
-    sent = []
-    try:
-        for _ in range(_workers() - 1):
-            result, out = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:     # fewer workers; the queue still holds every suite
-                os.close(result)
-                os.close(out)
-                break
-            if pid == 0:
-                os.close(result)
-                _child(queue, out, p_values)
-            os.close(out)
-            children[pid] = result
-        done = _take(queue, p_values)
-    finally:
-        os.close(queue)
-        for pid, result in children.items():
-            with os.fdopen(result, "rb") as f:
-                sent.append((pid, f.read()))
-            os.waitpid(pid, 0)
-    for pid, data in sent:
-        if not data:
-            raise RuntimeError(f"suite worker {pid} ended without reporting")
-        theirs = pickle.loads(data)
-        for ok, value in theirs.values():
-            if not ok:
-                exc, text = value
-                exc.__cause__ = RuntimeError(f"in suite worker {pid}:\n{text}")
-        done.update(theirs)
-    parts = []
-    for i in range(len(_SUITES)):
-        ok, value = done[i]
-        if not ok:
-            raise value[0]
-        parts.append(value)
-    return parts
-
-
-def _child(queue: int, out: int, p_values) -> None:
-    """A forked worker: pickle what ``_take`` returns into ``out`` and leave
-    by ``os._exit``, so no exit handler runs and no inherited buffer is
-    flushed.  Status 1, and nothing written, if that fails."""
-    status = 1
-    try:
-        done = _take(queue, p_values)
-        with os.fdopen(out, "wb") as f:
-            pickle.dump(done, f)
-        status = 0
-    finally:
-        os._exit(status)

@@ -9,6 +9,7 @@ only for float roundoff.
 import functools
 import hashlib
 import math
+import os
 import pathlib
 import tracemalloc
 from collections import Counter
@@ -736,8 +737,10 @@ _PLANS_DIGEST = "e1dbd3ad2e7104de11f08176134d520e11d10ae42e3c42b1ecdf0fd2b359c7b
 def test_plans_are_the_parent_plans(monkeypatch, capsys):
     # each column-class count with its class sizes, each sphere-offset count
     # as (t, words, groups) and each output pass by its chunk step, with
-    # fresh caches per command
+    # fresh caches per command, all in this process: on one usable CPU the
+    # census does not split
     from test_cli import ORACLE_GOLDENS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     events = []
 
     def spy(name, event):
@@ -750,7 +753,7 @@ def test_plans_are_the_parent_plans(monkeypatch, capsys):
 
     spy("_group_x_max", lambda n, keys, sizes, k: ("classes", k, tuple(sizes.tolist())))
     spy("_sphere_x_max", lambda n, t, members, group, g: ("sphere", t, members.size, int(g)))
-    spy("_output_chunks", lambda code, step: ("chunks", step))
+    spy("_output_chunks", lambda code, step, *span: ("chunks", step))
     for argv in ORACLE_GOLDENS.values():
         oracle._x_max.cache_clear()
         oracle._census.cache_clear()
