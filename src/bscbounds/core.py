@@ -227,6 +227,13 @@ def omega_cap(alpha, tau):
     normalised-distance range of the spectrum bound.  Accepts scalars or
     broadcastable numpy arrays.
     """
+    if isinstance(alpha, float) and isinstance(tau, float):
+        # the same correctly rounded operations in the same order as the
+        # array form, bit for bit, without a 0-d array's overhead
+        if not (0.0 <= tau <= alpha + _TOL and alpha <= 0.5 + _TOL):
+            raise DomainError(f"need 0 <= tau <= alpha <= 1/2, got alpha={alpha!r} tau={tau!r}")
+        root = math.sqrt(tau * (1.0 - tau))
+        return float(2.0 * (alpha * (1.0 - alpha) - tau * (1.0 - tau)) / (1.0 + 2.0 * root))
     a = np.asarray(alpha, dtype=float)
     t = np.asarray(tau, dtype=float)
     if not np.all((0.0 <= t) & (t <= a + _TOL) & (a <= 0.5 + _TOL)):

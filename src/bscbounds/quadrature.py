@@ -37,13 +37,20 @@ _MAX_PANELS = 65536  # panels one integral may visit
 
 
 def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
-                     lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Fixed 12-point Gauss-Legendre estimate on each [lo_i, hi_i] panel."""
+                     lo: np.ndarray, hi: np.ndarray, parts: int) -> list:
+    """Fixed 12-point Gauss-Legendre estimate on each [lo_i, hi_i] panel,
+    from one call of ``f``, split into ``parts`` arrays of equal length.
+
+    Each part is weighted by its own matrix-vector product: BLAS row sums
+    can depend on the matrix shape, so a part's estimates are those of a
+    call on its panels alone."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    return half * (y @ _GL_WEIGHTS)
+    k = lo.size // parts
+    return [half[i:i + k] * (y[i:i + k] @ _GL_WEIGHTS)
+            for i in range(0, lo.size, k)]
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
@@ -68,11 +75,12 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
 
     total = 0.0
     panels_seen = lo.size
-    coarse = _panel_estimates(f, lo, hi)
-    while lo.size:
-        mid = 0.5 * (lo + hi)
-        left = _panel_estimates(f, lo, mid)
-        right = _panel_estimates(f, mid, hi)
+    # one integrand call per level: the first level's panels with their
+    # halves, every later level's halves only
+    mid = 0.5 * (lo + hi)
+    coarse, left, right = _panel_estimates(
+        f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]), 3)
+    while True:
         fine = left + right
         err = np.abs(fine - coarse)
         budget = tol * (hi - lo) / width
@@ -81,7 +89,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
 
         keep = ~done
         if not keep.any():
-            break
+            return total
         if (depth[keep] >= _MAX_DEPTH).any():
             raise QuadratureError(
                 f"refinement depth {_MAX_DEPTH} exceeded; "
@@ -95,4 +103,6 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
         panels_seen += lo.size
         if panels_seen > _MAX_PANELS:
             raise QuadratureError(f"panel budget {_MAX_PANELS} exceeded")
-    return total
+        mid = 0.5 * (lo + hi)
+        left, right = _panel_estimates(
+            f, np.concatenate([lo, mid]), np.concatenate([mid, hi]), 2)

@@ -24,7 +24,7 @@ from .optimizer import _F1_TOL, _f1_batch
 from .oracle import (BinaryCode, cover_report, dominates,
                      distance_distribution, exact_pe_ml, hamming74,
                      lower_bound_21, parity_code, proposition3_terms,
-                     proposition4_check, random_code, repetition_code,
+                     proposition4_check, repetition_code,
                      restricted_cover_max, sphere_packing_rhs_23, z_pair_count)
 from .spectrum import SpectrumPoint, spectrum_exponent, spectrum_exponent_half
 
@@ -42,7 +42,35 @@ __all__ = [
     "max_band_width",
 ]
 
-_RANDOM_SHAPES = ((8, 4), (10, 6), (12, 8), (9, 12), (11, 16))
+# The roster's random codes, random_code(n, m, seed) word for word and in
+# order for seeds 0..19, written out so that building the roster loads no
+# numpy.random; one (n, words) row per seed, m = len(words)
+_RANDOM_CODES = (
+    (8, (217, 163, 130, 69)),
+    (10, (484, 524, 773, 973, 35, 147)),
+    (12, (3430, 1071, 447, 1222, 1694, 3335, 1848, 376)),
+    (9, (415, 43, 91, 121, 92, 410, 445, 298, 20, 48, 170, 221)),
+    (11, (1487, 1931, 1805, 1047, 1926, 1999, 1987, 165, 928, 1243, 579, 771,
+          1284, 1642, 1189, 357)),
+    (8, (171, 206, 5, 120)),
+    (10, (455, 551, 530, 351, 968, 377)),
+    (12, (3870, 2560, 2802, 3674, 2368, 3177, 3414, 922)),
+    (9, (368, 167, 120, 505, 90, 163, 329, 403, 327, 445, 24, 200)),
+    (11, (863, 1782, 1968, 587, 234, 1235, 1367, 1592, 1316, 1466, 1874, 1897,
+          1762, 1476, 1880, 26)),
+    (8, (198, 244, 67, 53)),
+    (10, (137, 131, 816, 511, 604, 615)),
+    (12, (2509, 1027, 3985, 3877, 263, 775, 817, 734)),
+    (9, (458, 442, 419, 437, 35, 415, 482, 133, 86, 39, 409, 484)),
+    (11, (307, 1701, 1338, 739, 181, 1439, 712, 1761, 692, 1313, 374, 1123,
+          150, 1561, 191, 1467)),
+    (8, (238, 177, 180, 208)),
+    (10, (551, 580, 843, 441, 785, 96)),
+    (12, (3034, 3461, 439, 659, 1875, 2284, 3119, 1507)),
+    (9, (457, 204, 109, 367, 444, 143, 187, 42, 492, 496, 355, 288)),
+    (11, (1206, 860, 730, 1896, 776, 560, 1795, 122, 904, 635, 61, 1470, 2039,
+          1599, 660, 1103)),
+)
 _PROP1_P = (0.01, 0.05, 0.1, 0.2)       # channels of the cap-attainment rows
 _IDENTITY_TAUS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.35, 0.45)
 _CLAIMS_P = (0.003, 0.22)   # channel range the gap claims are stated on
@@ -67,9 +95,8 @@ def _roster() -> tuple:
         ("parity4", parity_code(4)),
         ("hamming74", hamming74()),
     ]
-    for seed in range(20):
-        n, m = _RANDOM_SHAPES[seed % len(_RANDOM_SHAPES)]
-        codes.append((f"random_n{n}_m{m}_s{seed}", random_code(n, m, seed)))
+    for seed, (n, words) in enumerate(_RANDOM_CODES):
+        codes.append((f"random_n{n}_m{len(words)}_s{seed}", BinaryCode(n, words)))
     return tuple(codes)
 
 
@@ -521,9 +548,10 @@ _SUITES = {
 }
 SUITE_NAMES = (*_SUITES, "all")
 # the queue order of ``all``, longest first, so the last suite to start is
-# short: on two CPUs prop1 and oracle start first, then claims, hahn and
-# identity16 go to whichever process frees first
-_LONGEST_FIRST = ("prop1", "oracle", "claims", "hahn", "identity16")
+# short (median ms, each alone in a fresh interpreter: claims 39, prop1 27,
+# oracle 26, hahn 12, identity16 5): on two CPUs claims and prop1 start
+# first, then oracle, hahn and identity16 go to whichever process frees first
+_LONGEST_FIRST = ("claims", "prop1", "oracle", "hahn", "identity16")
 
 
 def run_suite(name: str, *, p_values=None) -> dict:
@@ -538,9 +566,8 @@ def run_suite(name: str, *, p_values=None) -> dict:
         raise DomainError(f"--p-grid applies to the claims suite only, not {name!r}")
     if name != "all":
         return _SUITES[name](p_values)
-    # the hahn and oracle suites share the roster, and building it loads
-    # numpy.random: built once here, before the fork, every process has it
-    # and the caller's memory does not hang on which suites it takes
+    # the hahn and oracle suites share the roster: built once here, before
+    # the fork, every process has it, whichever suites it takes
     _roster()
     names = list(_SUITES)
     parts = fork_map(lambda i: _SUITES[names[i]](p_values), len(names),

@@ -240,6 +240,34 @@ def test_omega_cap_domain():
         omega_cap(0.6, 0.1)
 
 
+# (alpha, tau) on and near the domain's edges: tau = 0, tau = alpha, alpha = 1/2,
+# tau near the smallest floats, and both within _TOL past their bounds
+_CAP_GRID = [(alpha, tau)
+             for alpha in (1e-300, 1e-3, 0.1, 0.25, 1 / 3, 0.4999, 0.5, 0.5 + 5e-13)
+             for tau in (0.0, 5e-324, 1e-300, 1e-17, 1e-3 * alpha, 0.3 * alpha,
+                         0.75 * alpha, alpha - 1e-13, alpha, alpha + 5e-13)
+             if 0.0 <= tau <= alpha + core._TOL]
+
+
+def test_omega_cap_scalar_form_is_bit_equal_to_array_form():
+    alphas, taus = map(np.array, zip(*_CAP_GRID))
+    batch = omega_cap(alphas, taus)
+    for (alpha, tau), vec in zip(_CAP_GRID, batch):
+        scalar = omega_cap(alpha, tau)
+        assert type(scalar) is float
+        assert scalar.hex() == float(vec).hex() == omega_cap(np.array(alpha), np.array(tau)).hex()
+
+
+@pytest.mark.parametrize("alpha, tau", [
+    (0.3, 0.3 + 2 * core._TOL), (0.5 + 2 * core._TOL, 0.1), (0.3, -1e-300),
+    (math.nan, 0.1), (0.3, math.nan), (math.nan, math.nan)])
+def test_omega_cap_both_forms_refuse_outside_domain(alpha, tau):
+    with pytest.raises(DomainError):
+        omega_cap(alpha, tau)
+    with pytest.raises(DomainError):
+        omega_cap(np.array([0.25, alpha]), np.array([0.1, tau]))
+
+
 # --- solved constants ---------------------------------------------------
 
 

@@ -2,7 +2,8 @@
 module-level private name is used somewhere in the package, each module
 imports from third parties only what the declared map allows, and scipy
 stays off the cold path: no module imports it at module level, and no CLI
-command of the benchmark loads it (nor numpy.ma or numpy.polynomial).
+command of the benchmark loads it (nor numpy.ma, numpy.polynomial or
+numpy.random).
 
 Parsed with ``ast`` from the standard library, so no lint tool is needed.
 An import counts as used when it appears as an identifier anywhere in the
@@ -181,9 +182,10 @@ def test_no_module_level_scipy_import(path):
 def test_benchmark_commands_do_not_load_scipy(tmp_path):
     # a fresh interpreter, as a CLI user starts one: none of the commands
     # perfbench runs, nor oracle on a code of any length, may load scipy,
-    # numpy.ma or numpy.polynomial.  verify runs last, once on every usable
-    # CPU, which loads no process pool, and once with every suite in this
-    # process, so its imports show here
+    # numpy.ma, numpy.polynomial or numpy.random (oracle --generator random
+    # draws its code with numpy.random and is left out).  verify runs last,
+    # once on every usable CPU, which loads no process pool, and once with
+    # every suite in this process, so its imports show here
     code_file = tmp_path / "code.txt"
     code_file.write_text("".join(format(w, "012b") + "\n"
                                  for w in range(5, 4096, 97)), encoding="ascii")
@@ -194,7 +196,7 @@ def test_benchmark_commands_do_not_load_scipy(tmp_path):
         def run(argv):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
-            for name in ("scipy", "numpy.ma", "numpy.polynomial",
+            for name in ("scipy", "numpy.ma", "numpy.polynomial", "numpy.random",
                          "multiprocessing", "concurrent.futures"):
                 assert name not in sys.modules, (argv, name)
 

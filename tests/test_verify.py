@@ -1,7 +1,8 @@
 """The suite table under ``run_suite("all")``: the same report from one
 process or several, the first failing suite's error in table order, and no
 child process left unreaped after any call (the fixtures of
-``test_fork``, whose queue runs the table)."""
+``test_fork``, whose queue runs the table); and the written-out random codes
+of the roster against the generator that drew them."""
 
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from bscbounds import _fork, verify
 from bscbounds.cli import main
 from bscbounds.core import DomainError
+from bscbounds.oracle import random_code
 from test_fork import FORKS, forks, no_child_left  # noqa: F401
 
 TABLE = [name for name in verify.SUITE_NAMES if name != "all"]
@@ -81,3 +83,15 @@ def test_earlier_suite_error_wins_over_earlier_finish(monkeypatch):
                         stub("prop1", DomainError("prop1 late"), delay=0.2))
     with pytest.raises(DomainError, match="prop1 late"):
         verify.run_suite("all")
+
+
+def test_roster_random_codes_are_random_code_draws():
+    # the roster stores its random codes' words so that verify loads no
+    # numpy.random; they are random_code's, shapes cycling in seed order
+    shapes = ((8, 4), (10, 6), (12, 8), (9, 12), (11, 16))
+    drawn = verify.builtin_roster()[5:]
+    assert len(drawn) == 20
+    for seed, (name, code) in enumerate(drawn):
+        n, m = shapes[seed % len(shapes)]
+        assert name == f"random_n{n}_m{m}_s{seed}"
+        assert (code.n, code.words) == (n, random_code(n, m, seed).words)
